@@ -1,0 +1,1 @@
+"""The repository benchmark (entry point: ``python3 perfbench/run.py``)."""
