@@ -4,8 +4,10 @@ A *cell* is one simulation of one program under one DRAM-cache scheme at
 the benchmark seed, and is the benchmark's unit of operation.  A *round*
 runs a workload's whole batch of cells back to back, each on a freshly
 built ``System`` (closed loop, one client, no worker processes).  The
-timed phase repeats rounds until the time budget is spent; throughput is
-a batch's records over the sum of each cell's fastest run.
+timed phase repeats rounds until the time budget is spent.  Each cell's
+run is timed in equal slices of records, each in reference seconds
+(:mod:`perfbench.hostspeed`); throughput is a batch's records over the
+sum, for every slice of every cell, of its median across the rounds.
 
 Every cell uses the ``scaled`` preset and the runner's default warmup
 fraction (0.5): caches start empty and modelled statistics cover the
@@ -16,6 +18,7 @@ metrics.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import statistics
@@ -37,6 +40,7 @@ from repro.dramcache.unison import UnisonCache
 from repro.experiments.runner import DEFAULT_WARMUP_FRACTION
 from repro.memctrl.controller import MemoryControllerSet
 from repro.perf.harness import measure_generation
+from repro.sim.batch import EngineCursor, RunController
 from repro.sim.config import SystemConfig
 from repro.sim.engine import DEFAULT_ENGINE_MODE, SimulationEngine
 from repro.sim.results import SimulationResults, geometric_mean
@@ -44,6 +48,7 @@ from repro.sim.system import System
 from repro.vm.page_table import PageTable
 from repro.workloads.registry import get_workload
 
+from perfbench.hostspeed import Calibrator, reference_seconds
 from perfbench.spans import Target, Tracer, no_span
 
 #: Schemes with a ``model.ipc.<scheme>`` metric.
@@ -65,6 +70,8 @@ class SimWorkload:
     records_per_core: int
     #: Records per core of the scalar-vs-batch prefix check.
     prefix_records_per_core: int
+    #: Timed slices per cell run, so that a slice lasts 5-40 ms.
+    slices: int
 
     def cells(self) -> List[Tuple[str, str]]:
         return [(program, scheme) for program in self.programs for scheme in self.schemes]
@@ -80,20 +87,64 @@ class SimWorkload:
                                 page_size=config.dram_cache.page_size)
         return SimulationEngine(System(config, workload), mode=mode)
 
-    def run(self, engine: SimulationEngine, records_per_core: Optional[int] = None) -> SimulationResults:
+    def run(self, engine: SimulationEngine, records_per_core: Optional[int] = None,
+            controller: Optional[RunController] = None) -> SimulationResults:
         records = records_per_core if records_per_core is not None else self.records_per_core
-        return engine.run(records, warmup_records_per_core=self.warmup(records))
+        return engine.run(records, warmup_records_per_core=self.warmup(records), controller=controller)
+
+
+class SliceClock(RunController):
+    """Times a run in slices of ``step`` processed records.
+
+    At every cut the calibration loop runs, outside the slices' timing, so
+    each slice is scaled to reference seconds by the loop runs right
+    before and right after it.  The host's speed changes within tens of
+    milliseconds, so a calibration around a whole cell (up to 0.8 s)
+    would miss much of it.  The engine cuts its runs at these counts and
+    nowhere else, so an attached clock changes no simulated result.
+    """
+
+    def __init__(self, step: int, calibrator: Calibrator) -> None:
+        self.step = step
+        self.calibrator = calibrator
+        #: Per slice: host seconds and reference seconds.
+        self.host_s: List[float] = []
+        self.reference_s: List[float] = []
+        self._loop = 0.0
+        self._start = 0.0
+
+    def start(self) -> None:
+        self._loop = self.calibrator.loop_seconds()
+        self._start = time.perf_counter()
+
+    def cut(self) -> None:
+        host_s = time.perf_counter() - self._start
+        loop = self.calibrator.loop_seconds()
+        self.host_s.append(host_s)
+        self.reference_s.append(reference_seconds(host_s, self._loop, loop))
+        self._loop = loop
+        self._start = time.perf_counter()
+
+    def next_stop(self, processed: int) -> Optional[int]:
+        return (processed // self.step + 1) * self.step
+
+    def on_edge(self, cursor: EngineCursor) -> bool:
+        self.cut()
+        return False
 
 
 SIM_WORKLOADS: Dict[str, SimWorkload] = {
     workload.name: workload
     for workload in (
         SimWorkload("hit-path", ("pagerank", "tri_count", "lsh"), ("nocache", "banshee"),
-                    num_cores=1, scale=0.01, records_per_core=20000, prefix_records_per_core=4000),
+                    num_cores=1, scale=0.01, records_per_core=20000, prefix_records_per_core=4000,
+                    slices=4),
         SimWorkload("miss-read", ("mcf", "omnetpp"), MODEL_SCHEMES,
-                    num_cores=4, scale=0.1, records_per_core=5000, prefix_records_per_core=1000),
+                    num_cores=4, scale=0.1, records_per_core=5000, prefix_records_per_core=1000,
+                    slices=20),
         SimWorkload("miss-write", ("lbm",), MODEL_SCHEMES,
-                    num_cores=4, scale=0.1, records_per_core=5000, prefix_records_per_core=1000),
+                    num_cores=4, scale=0.1, records_per_core=5000, prefix_records_per_core=1000,
+                    slices=20),
     )
 }
 
@@ -190,7 +241,8 @@ def model_metrics(results: Sequence[SimulationResults]) -> Dict[str, float]:
 class Outcome:
     """What one benchmark run measured and checked."""
 
-    #: The gated throughput estimate, records per host second.
+    #: The gated throughput estimate: records per host second (reproduce)
+    #: or per reference second (the simulation workloads).
     records_per_s: float
     #: Throughput of each timed pass (round or pipeline), for the summary.
     pass_records_per_s: List[float]
@@ -208,11 +260,14 @@ class Outcome:
 class Round:
     """One pass over a workload's batch of cells."""
 
+    #: Host seconds inside the cells' spans (set-up and run of every cell).
     wall_s: float = 0.0
-    #: Per cell, in batch order: records simulated and engine seconds
+    #: Per cell, in batch order: records simulated, engine host seconds
+    #: and, in timed rounds, the reference seconds of each slice of the run
     #: (None for a cell that raised), and the results digest.
     cell_records: List[int] = field(default_factory=list)
     cell_seconds: List[Optional[float]] = field(default_factory=list)
+    cell_slices: List[Optional[List[float]]] = field(default_factory=list)
     cell_digests: List[Optional[str]] = field(default_factory=list)
     results: List[SimulationResults] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
@@ -226,49 +281,70 @@ class Round:
         return sum(records for records, _seconds in timed) / seconds if seconds > 0 else 0.0
 
 
-def best_cell_records_per_s(rounds: Sequence[Round]) -> float:
-    """Records of one batch over the sum of each cell's fastest engine time.
+def median_slices_records_per_s(rounds: Sequence[Round]) -> float:
+    """Records of one batch over the sum of every slice's median reference seconds.
 
-    Noise on a shared host only ever slows a cell down, so each cell's
-    fastest run across the rounds is the steadiest estimate of its cost
-    (``repro.perf`` reports best-of-repeats per cell for the same reason).
+    The median over rounds drops the slices whose calibrations missed a
+    change of host speed.
     """
     records, seconds = 0, 0.0
-    for index in range(len(rounds[0].cell_seconds)):
-        timed = [(r.cell_seconds[index], r.cell_records[index]) for r in rounds
-                 if r.cell_seconds[index] is not None]
+    for index in range(len(rounds[0].cell_slices)):
+        timed = [r for r in rounds if r.cell_slices[index] is not None]
         if timed:
-            fastest, cell_records = min(timed)
-            records += cell_records
-            seconds += fastest
+            records += timed[0].cell_records[index]
+            seconds += sum(map(statistics.median, zip(*(r.cell_slices[index] for r in timed))))
     return records / seconds if seconds > 0 else 0.0
 
 
-def run_round(spec: SimWorkload, seed: int, span: Callable = no_span) -> Round:
-    """Run every cell of ``spec`` once; failures are recorded, never raised."""
+def run_round(spec: SimWorkload, seed: int, span: Callable = no_span,
+              calibrator: Optional[Calibrator] = None) -> Round:
+    """Run every cell of ``spec`` once; failures are recorded, never raised.
+
+    With a ``calibrator`` the round is timed in slices (``cell_slices``);
+    its calibration time is left out of ``cell_seconds`` and ``wall_s``.
+    """
     outcome = Round()
     runs: List[Tuple[str, str, Optional[SimulationResults]]] = []
-    start = time.perf_counter()
-    with span("round"):
-        for program, scheme in spec.cells():
-            try:
+    for program, scheme in spec.cells():
+        # Every cell starts from a collected heap, as in a fresh campaign
+        # worker, so no cell pays for an earlier one's garbage.  Collection
+        # stays outside the cell's span.
+        gc.collect()
+        clock = None
+        if calibrator is not None:
+            clock = SliceClock(max(1, spec.num_cores * spec.records_per_core // spec.slices), calibrator)
+        start = time.perf_counter()
+        run_s = 0.0
+        try:
+            with span("cell"):
                 with span("setup"):
                     engine = spec.build(program, scheme, seed)
-                cell_start = time.perf_counter()
-                result = spec.run(engine)
-                elapsed = time.perf_counter() - cell_start
-            except Exception:  # noqa: BLE001 — a failing cell is counted, the run goes on
-                traceback.print_exc(file=sys.stderr)
-                runs.append((program, scheme, None))
-                outcome.cell_records.append(0)
-                outcome.cell_seconds.append(None)
-                continue
-            runs.append((program, scheme, result))
-            outcome.cell_records.append(engine.records_processed)
-            outcome.cell_seconds.append(elapsed)
-    outcome.wall_s = time.perf_counter() - start
+                run_start = time.perf_counter()
+                if clock is not None:
+                    clock.start()
+                result = spec.run(engine, controller=clock)
+                if clock is not None:
+                    clock.cut()
+                run_s = time.perf_counter() - run_start
+        except Exception:  # noqa: BLE001 — a failing cell is counted, the run goes on
+            traceback.print_exc(file=sys.stderr)
+            runs.append((program, scheme, None))
+            outcome.cell_records.append(0)
+            outcome.cell_seconds.append(None)
+            outcome.cell_slices.append(None)
+            continue
+        finally:
+            outcome.wall_s += time.perf_counter() - start
+        if clock is not None:
+            # Leave the calibration loops out of the host timings.
+            outcome.wall_s -= run_s - sum(clock.host_s)
+            run_s = sum(clock.host_s)
+        runs.append((program, scheme, result))
+        outcome.cell_records.append(engine.records_processed)
+        outcome.cell_seconds.append(run_s)
+        outcome.cell_slices.append(clock.reference_s if clock is not None else None)
 
-    # Checks run outside the round's span, so they never count as simulator time.
+    # Checks run outside the cells' spans, so they never count as simulator time.
     measured = spec.num_cores * (spec.records_per_core - spec.warmup(spec.records_per_core))
     for program, scheme, result in runs:
         if result is None:
@@ -312,6 +388,7 @@ def generation_seconds(spec: SimWorkload, seed: int) -> float:
 def measure(spec: SimWorkload, seed: int, seconds: float, trace: bool) -> Outcome:
     """Repeat rounds for ``seconds``; traced runs alternate plain and traced rounds."""
     tracer = Tracer() if trace else None
+    calibrator = Calibrator()
     # The first round warms lazy imports and caches; it is checked, not timed.
     warmup = run_round(spec, seed)
     plain: List[Round] = []
@@ -325,7 +402,7 @@ def measure(spec: SimWorkload, seed: int, seconds: float, trace: bool) -> Outcom
             finally:
                 tracer.remove()
         else:
-            plain.append(run_round(spec, seed))
+            plain.append(run_round(spec, seed, calibrator=calibrator))
 
     rounds = [warmup] + plain + traced
     attempted = len(spec.cells()) * len(rounds)
@@ -348,7 +425,7 @@ def measure(spec: SimWorkload, seed: int, seconds: float, trace: bool) -> Outcom
         problems.append(problem)
 
     outcome = Outcome(
-        records_per_s=best_cell_records_per_s(plain),
+        records_per_s=median_slices_records_per_s(plain),
         pass_records_per_s=[r.records_per_s for r in plain],
         attempted=attempted,
         failed=failed,
@@ -374,8 +451,8 @@ def _layer_metrics(tracer: Tracer, traced: List[Round], plain: List[Round],
     def self_s(layer: str) -> float:
         return tracer.layer(layer)[2] / rounds
 
-    root_total = tracer.layer("round")[1] / rounds
-    layer_names = {layer for layer, _parent in tracer.edges} - {"round"}
+    root_total = tracer.layer("cell")[1] / rounds
+    layer_names = {layer for layer, _parent in tracer.edges} - {"cell"}
     attributed = sum(self_s(layer) for layer in layer_names)
     dram_calls = calls("dram")
     metrics = {

@@ -7,7 +7,8 @@ Usage (from the repository root)::
 Workloads (see ``perfbench/README.md`` for why each was chosen):
 
 * ``hit-path``, ``miss-read``, ``miss-write`` — fixed batches of
-  simulation cells (:mod:`perfbench.cells`), repeated for ``--seconds``.
+  simulation cells (:mod:`perfbench.cells`), repeated for ``--seconds``
+  and timed in reference seconds (:mod:`perfbench.hostspeed`).
 * ``reproduce`` — campaign -> store -> CSV -> figures from an empty store
   (:mod:`perfbench.reproduce`), repeated for ``--seconds``.
 
@@ -37,7 +38,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -114,16 +115,32 @@ def peak_rss_mb(include_children: bool) -> float:
     return peak / 1024.0
 
 
-def setup_seconds(workload: str, seed: int, workdir: Path) -> List[float]:
-    """Run the set-up probe :data:`SETUP_PROBES` times, each in a fresh interpreter."""
+def setup_seconds(workload: str, seed: int, workdir: Path) -> List[Tuple[float, float]]:
+    """Run the set-up probe :data:`SETUP_PROBES` times, each in a fresh
+    interpreter: (host seconds, reference seconds) of each.
+
+    The probes run on this process's CPU, pinned, so that the calibration
+    loops around each probe time the CPU the probe ran on.
+    """
+    from perfbench.hostspeed import Calibrator, reference_seconds
+
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    calibrator = Calibrator()
+
+    def loop_seconds() -> float:
+        return statistics.median(calibrator.loop_seconds() for _ in range(5))
+
     samples = []
     for index in range(SETUP_PROBES):
         scratch = workdir / f"probe-{index}"
+        loop_before = loop_seconds()
         completed = subprocess.run(
             [sys.executable, str(HERE / "setup_probe.py"), workload, str(seed), str(scratch)],
             capture_output=True, text=True, check=True, timeout=120,
         )
-        samples.append(float(completed.stdout.strip().splitlines()[-1]))
+        host_s = float(completed.stdout.strip().splitlines()[-1])
+        samples.append((host_s, reference_seconds(host_s, loop_before, loop_seconds())))
         shutil.rmtree(scratch, ignore_errors=True)
     return samples
 
@@ -167,15 +184,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     end_to_end = {
         "records_per_s": outcome.records_per_s,
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(reference_s for _host_s, reference_s in setups),
         "peak_rss_mb": rss,
     }
     ratio = outcome.failed / outcome.attempted
     print(f"perfbench {args.workload} seed={args.seed} trace={args.trace}")
     print(f"  records_per_s       {end_to_end['records_per_s']:.1f} rec/s "
           f"({len(outcome.pass_records_per_s)} timed passes; median pass "
-          f"{statistics.median(outcome.pass_records_per_s):.1f})")
-    print(f"  setup_s             {end_to_end['setup_s']:.4f} s (median of {len(setups)} set-ups)")
+          f"{statistics.median(outcome.pass_records_per_s):.1f} per host second)")
+    print(f"  setup_s             {end_to_end['setup_s']:.4f} s (median of {len(setups)} set-ups in "
+          f"reference seconds; {statistics.median(host_s for host_s, _ in setups):.4f} host seconds)")
     print(f"  peak_rss_mb         {rss:.1f} MB (1 reading, after the timed phase)")
     print(f"  cell_failure_ratio  {ratio:.4g} ({outcome.failed} failed / {outcome.attempted} cells)")
     print(f"  digest              {outcome.digest}")

@@ -85,12 +85,12 @@ def test_self_time_never_exceeds_span_time():
     finally:
         tracer.remove()
     assert {layer for layer, _parent in tracer.edges} >= {
-        "round", "setup", "sim", "sim.system", "vm", "cache", "memctrl", "dramcache", "dram"}
+        "cell", "setup", "sim", "sim.system", "vm", "cache", "memctrl", "dramcache", "dram"}
     for (layer, parent), (calls, total, self_s) in tracer.edges.items():
         assert calls > 0
         assert 0.0 <= self_s <= total, (layer, parent)
     # Self times partition the root span.
-    root_total = tracer.layer("round")[1]
+    root_total = tracer.layer("cell")[1]
     assert sum(edge[2] for edge in tracer.edges.values()) == pytest.approx(root_total)
 
 
