@@ -23,29 +23,21 @@ class AnalyzerConfig:
     hotpath_roots: Tuple[str, ...] = ("repro.sim.system.System.process_record",)
 
     #: Callees never followed from hot code: work that call sites guard to run
-    #: only at window boundaries (observer snapshots, event emission, the
-    #: warmup edge), not per record.  ``Class.method``, ``Class.*`` or a bare
-    #: method name.
+    #: only at run cuts or amortised epochs, not per record.  ``Class.method``,
+    #: ``Class.*`` or a bare method name.
     hotpath_cold_calls: Tuple[str, ...] = (
-        "TimelineObserver.*",
-        "Histogram.snapshot",
-        "EventLog.emit",
-        "System.begin_measurement",
         # Banshee's batched software PTE-update routine (Section 3.4): remaps
         # accumulate in the tag buffers precisely so this work is amortised
         # over thousands of records, not paid per record.
         "TagBufferCoherence.flush",
         # HMA's epoch remap: runs once per hma_interval_ms of simulated time.
         "HmaCache._remap",
-        # Controller edges: every loop guards these behind
-        # ``processed >= ctrl_next`` (the controller's own requested cut),
-        # so snapshot capture, watch flushes and inspector mailbox work run
-        # at run cuts, never per record.
-        "_edge_single",
-        "_edge_from_remaining",
-        "_edge",
-        "_controller_stop",
-        "on_finish",
+        # The engine's one edge entry point: every loop guards it behind
+        # ``processed >= next_stop`` (the edge chain's next requested cut),
+        # so the warmup edge, observer windows, snapshot capture, watch
+        # flushes and inspector mailbox work run at run cuts, never per
+        # record.
+        "RunEdges.edge",
     )
 
     #: Classes that must declare ``__slots__``: the per-access objects the

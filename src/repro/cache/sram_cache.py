@@ -77,13 +77,6 @@ class SramCache:
         self.victim_addr: Optional[int] = None
         self.victim_dirty: bool = False
 
-        # Set indices whose membership changed, appended on fill/invalidate.
-        # ``None`` (the default) disables logging entirely; the batch
-        # engine's vectorized front end installs a list here so it can
-        # refresh only the touched rows of its flat tag mirror.  Hits never
-        # log — they cannot change membership.
-        self._dirty_sets: Optional[List[int]] = None
-
     # ------------------------------------------------------------------ address math
 
     def line_addr(self, addr: int) -> int:
@@ -171,8 +164,6 @@ class SramCache:
         else:
             self.victim_addr = None
         bucket[line] = dirty
-        if self._dirty_sets is not None:
-            self._dirty_sets.append(line & self._set_mask)
 
     def invalidate(self, addr: int) -> Optional[Eviction]:
         """Remove ``addr`` if present, returning it as an eviction if dirty."""
@@ -180,8 +171,6 @@ class SramCache:
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
             dirty = bucket.pop(line)
-            if self._dirty_sets is not None:
-                self._dirty_sets.append(line & self._set_mask)
             if dirty:
                 return Eviction(addr=line << self._line_bits, dirty=True)
         return None

@@ -69,9 +69,6 @@ class _ProgressBeat(RunController):
         self.heartbeat.beat(state="running", cell=self.cell, key=self.key)
         return False
 
-    def on_finish(self, cursor: object) -> None:
-        return None
-
 
 @dataclass
 class CellOutcome:

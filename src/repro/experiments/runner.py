@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.sim.config import SystemConfig, canonical_json, config_hash
-from repro.sim.engine import RunController, SimulationEngine
+from repro.sim.batch import ControllerChain, RunController
+from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimulationResults
 from repro.sim.system import System
 from repro.workloads.base import Workload
@@ -235,11 +236,11 @@ def warmup_checkpoint_key(
 class _WarmupCheckpointer(RunController):
     """Run controller that saves an engine snapshot at the warmup edge.
 
-    The engine already cuts batch runs exactly at the warmup threshold (so
-    ``begin_measurement`` fires at the same processed count in every mode);
-    this controller only asks for an edge at that same count, captures the
-    post-``begin_measurement`` state, and writes it atomically.  Results of
-    the checkpointing run are bit-identical to an uncontrolled run.
+    It asks for an edge at the warmup threshold.  The engine's own warmup
+    edge fires first at that count (it leads every run's edge chain), so
+    the snapshot captures the post-``begin_measurement`` state; it is
+    written atomically.  Results of the checkpointing run are bit-identical
+    to an uncontrolled run.
     """
 
     def __init__(self, warmup_total: int, path: str, workload_meta: Dict[str, object],
@@ -254,18 +255,14 @@ class _WarmupCheckpointer(RunController):
         return None if self.saved else self.warmup_total
 
     def on_edge(self, cursor) -> bool:
-        if not self.saved and cursor.processed >= self.warmup_total:
-            from repro.obs.snapshot import capture_cursor
+        from repro.obs.snapshot import capture_cursor
 
-            capture_cursor(cursor, workload_meta=self.workload_meta).save(self.path)
-            self.saved = True
-            if self.events is not None:
-                self.events.emit("snapshot_saved", path=self.path,
-                                 records=cursor.processed, checkpoint=True)
+        capture_cursor(cursor, workload_meta=self.workload_meta).save(self.path)
+        self.saved = True
+        if self.events is not None:
+            self.events.emit("snapshot_saved", path=self.path,
+                             records=cursor.processed, checkpoint=True)
         return False
-
-    def on_finish(self, cursor) -> None:
-        return None
 
 
 class _AutoSnapshotter(RunController):
@@ -299,9 +296,6 @@ class _AutoSnapshotter(RunController):
                              records=cursor.processed, auto=True)
         return False
 
-    def on_finish(self, cursor) -> None:
-        return None
-
 
 class _FaultEdges(RunController):
     """Fires the fault injector's ``records`` site at the planned counts."""
@@ -319,44 +313,6 @@ class _FaultEdges(RunController):
             self.triggers.pop(0)
         self.injector.fire("records", cell=self.cell, records=cursor.processed)
         return False
-
-    def on_finish(self, cursor) -> None:
-        return None
-
-
-class _ControllerChain(RunController):
-    """Multiplexes several controllers onto the engine's single slot.
-
-    The chain's next stop is the minimum of the members' stops, every
-    member sees every edge (each keeps its own schedule), and any member
-    may stop the run.
-    """
-
-    def __init__(self, members: List[RunController]) -> None:
-        self.members = members
-
-    def next_stop(self, processed: int) -> Optional[int]:
-        stops = [s for s in (m.next_stop(processed) for m in self.members) if s is not None]
-        return min(stops) if stops else None
-
-    def on_edge(self, cursor) -> bool:
-        stop = False
-        for member in self.members:
-            stop = bool(member.on_edge(cursor)) or stop
-        return stop
-
-    def on_finish(self, cursor) -> None:
-        for member in self.members:
-            member.on_finish(cursor)
-
-
-def _chain_controllers(*controllers: Optional[RunController]) -> Optional[RunController]:
-    members = [controller for controller in controllers if controller is not None]
-    if not members:
-        return None
-    if len(members) == 1:
-        return members[0]
-    return _ControllerChain(members)
 
 
 def run_simulation(
@@ -413,8 +369,10 @@ def run_simulation(
     timeline must cover every window from record zero).
 
     ``controller`` attaches an additional
-    :class:`~repro.sim.batch.RunController` (chained with any internal
-    checkpoint/snapshot controllers).  ``engine_mode`` overrides the engine
+    :class:`~repro.sim.batch.RunController`; a
+    :class:`~repro.sim.batch.ControllerChain` runs it first, then the
+    warmup checkpointer, the auto-snapshotter and the fault injector, each
+    at its own stops.  ``engine_mode`` overrides the engine
     mode (default: the ``REPRO_ENGINE_MODE`` environment variable, else the
     engine's default) — results are bit-identical in every mode.
     """
@@ -546,7 +504,7 @@ def run_simulation(
     result = engine.run(
         records_per_core, warmup_records_per_core=warmup_records,
         observer=observer(), events=events,
-        controller=_chain_controllers(controller, checkpointer, snapshotter, fault_edges),
+        controller=ControllerChain([controller, checkpointer, snapshotter, fault_edges]),
     )
     if snapshot_path is not None:
         # The cell completed; its resume point is spent.  Leaving it would

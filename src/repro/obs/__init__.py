@@ -2,9 +2,8 @@
 
 The layer every other subsystem reports through:
 
-* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
-  (:class:`MetricsRegistry`), built so detached instrumentation costs the
-  hot loop a single ``is None`` check;
+* :mod:`repro.obs.metrics` — the fixed-bucket :class:`Histogram`, built so
+  detached instrumentation costs the hot loop a single ``is None`` check;
 * :mod:`repro.obs.timeline` — :class:`TimelineObserver` snapshots windowed
   metric deltas during a run, yielding a :class:`Timeline` attached to
   ``SimulationResults.timeline`` (exact CSV/JSONL round-trip);
@@ -40,13 +39,7 @@ from repro.obs.events import (
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
 from repro.obs.heartbeat import HeartbeatWriter, is_stale, read_heartbeats
 from repro.obs.inspect import InspectorClient, InspectorServer
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor, register_scheme_codec
 from repro.obs.timeline import (
     DEFAULT_INTERVAL_RECORDS,
@@ -60,15 +53,12 @@ __all__ = [
     "DEFAULT_INTERVAL_RECORDS",
     "DEFAULT_LATENCY_BOUNDS",
     "EVENT_TYPES",
-    "Counter",
     "EngineSnapshot",
     "EventLog",
-    "Gauge",
     "HeartbeatWriter",
     "Histogram",
     "InspectorClient",
     "InspectorServer",
-    "MetricsRegistry",
     "ObsSink",
     "Timeline",
     "TimelineObserver",

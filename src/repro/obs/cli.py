@@ -30,6 +30,8 @@ from repro.obs.timeline import Timeline
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.engine import DEFAULT_ENGINE_MODE, ENGINE_MODES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Summarize, merge and export run telemetry (timelines + event logs).",
@@ -86,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="records per core of the ORIGINAL run (resume target)")
     replay.add_argument("--warmup", type=int, default=0,
                         help="warmup records per core of the original run")
-    replay.add_argument("--engine", choices=("scalar", "batch", "numpy"),
-                        help="engine mode (default: batch)")
+    replay.add_argument("--engine", choices=ENGINE_MODES,
+                        help=f"engine mode (default: {DEFAULT_ENGINE_MODE})")
     replay.add_argument("--scale", type=float,
                         help="workload scale override (when the snapshot meta lacks one)")
     replay.add_argument("--timeline", type=int,

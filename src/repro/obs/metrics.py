@@ -1,14 +1,11 @@
-"""Metrics core: counters, gauges and fixed-bucket histograms.
+"""Metrics core: the fixed-bucket histogram behind timeline latency windows.
 
-:class:`MetricsRegistry` is the substrate the observability layer is built
-on.  It is deliberately minimal — three instrument kinds, no labels, no
-background threads — because its one hard requirement is hot-loop safety:
-a simulation processing millions of records per second must pay *nothing*
-for instrumentation that is not attached.  The engine and
-:class:`~repro.sim.system.System` therefore hold an optional hook that is
-``None`` when no observer is attached; the disabled path is a single
-``is None`` check per record, and results stay bit-identical because every
-instrument only ever *reads* simulation state.
+Its one hard requirement is hot-loop safety: a simulation processing
+millions of records per second must pay *nothing* for instrumentation that
+is not attached.  :class:`~repro.sim.system.System` therefore holds an
+optional hook that is ``None`` when no observer is attached; the disabled
+path is a single ``is None`` check per record, and results stay
+bit-identical because the histogram only ever *reads* simulation state.
 
 Histograms use fixed, monotonically increasing bucket upper bounds
 (``bisect`` keeps ``observe`` cheap enough to call per record); the last
@@ -20,7 +17,7 @@ latency distributions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: Default memory-stall latency buckets in core cycles.  The low buckets
 #: resolve L1/L2/L3 hit stalls, the mid-range in-package DRAM hits, and the
@@ -29,37 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
     5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1280.0, 2560.0,
 )
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value that can move in both directions."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -119,56 +85,3 @@ class Histogram:
             if running >= rank and count:
                 return self.bounds[min(index, len(self.bounds) - 1)]
         return self.bounds[-1]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum": self.sum,
-        }
-
-
-class MetricsRegistry:
-    """Named bag of counters, gauges and histograms.
-
-    Instruments are created on first use and shared thereafter, so
-    decoupled components can contribute to the same metric without passing
-    instrument objects around.
-    """
-
-    def __init__(self, name: str = "metrics") -> None:
-        self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, bounds)
-        elif tuple(float(b) for b in bounds) != instrument.bounds:
-            raise ValueError(
-                f"histogram {name!r} already registered with bounds {instrument.bounds}"
-            )
-        return instrument
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot of every instrument."""
-        return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "histograms": {name: h.as_dict() for name, h in sorted(self._histograms.items())},
-        }

@@ -103,7 +103,6 @@ def _tlb_to_dict(tlb: Any) -> Dict[str, Any]:
         "hits": tlb.hits,
         "misses": tlb.misses,
         "invalidations": tlb.invalidations,
-        "version": tlb.version,
     }
 
 
@@ -118,7 +117,6 @@ def _tlb_restore(tlb: Any, payload: Dict[str, Any]) -> None:
     tlb.hits = payload["hits"]
     tlb.misses = payload["misses"]
     tlb.invalidations = payload["invalidations"]
-    tlb.version = payload["version"]
 
 
 def _page_table_to_dict(table: Any) -> Dict[str, Any]:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
+from repro.sim.batch import EngineCursor, RunController
 
 #: Default snapshot interval in processed records (across all cores).
 DEFAULT_INTERVAL_RECORDS = 1000
@@ -301,16 +302,17 @@ class Timeline:
         )
 
 
-class TimelineObserver:
+class TimelineObserver(RunController):
     """Engine-side observer producing a :class:`Timeline` for one run.
 
-    The engine calls :meth:`begin` before the first record,
-    :meth:`start_measurement` when the warmup boundary fires,
-    :meth:`snapshot` at each interval boundary and :meth:`finish` after the
-    last record.  Between boundaries the only per-record work is the
-    latency histogram's ``observe`` — wired into
-    :class:`~repro.sim.system.System` as an optional hook that stays
-    ``None`` (one check, zero cost) when no observer is attached.
+    The engine calls :meth:`begin` before the first record; the observer is
+    then a member of the run's edge chain (:mod:`repro.sim.batch`), placed
+    right after the warmup edge.  Its stops are the window boundaries: every
+    ``interval`` records, plus one forced at the warmup edge.  Between
+    boundaries the only per-record work is the latency histogram's
+    ``observe`` — wired into :class:`~repro.sim.system.System` as an
+    optional hook that stays ``None`` (one check, zero cost) when no
+    observer is attached.
     """
 
     def __init__(
@@ -326,38 +328,48 @@ class TimelineObserver:
         self._system = None
         self._histogram = Histogram("memory_stall_cycles", self.latency_bounds)
         self._phase = PHASE_MEASURE
+        self._warmup_end: Optional[int] = None
         self._window_start = 0
         self._last: Dict[str, object] = {}
 
     # ----------------------------------------------------------- engine API
 
-    def begin(self, system, warmup: bool = False, start_record: int = 0) -> None:
+    def begin(self, system, warmup_end: Optional[int] = None, start_record: int = 0) -> None:
         """Attach to ``system`` and open the first window.
 
-        ``start_record`` is non-zero only when the engine resumes from a
-        snapshot: the first window then opens at the resume point instead
-        of record 0 (earlier windows belong to the original run).
+        ``warmup_end`` is the processed count of the warmup edge, or None
+        when the run measures from its first record.  ``start_record`` is
+        non-zero only when the engine resumes from a snapshot: the first
+        window then opens at the resume point instead of record 0 (earlier
+        windows belong to the original run).
         """
         self._system = system
         self._histogram = Histogram("memory_stall_cycles", self.latency_bounds)
         self.timeline = Timeline(self.interval, self.latency_bounds)
-        self._phase = PHASE_WARMUP if warmup else PHASE_MEASURE
+        self._warmup_end = warmup_end
+        self._phase = PHASE_WARMUP if warmup_end is not None else PHASE_MEASURE
         self._window_start = start_record
         self._last = self._read()
         system._obs_latency_hook = self._histogram.observe
 
-    def start_measurement(self, processed: int) -> None:
-        """Force a window boundary exactly at the warmup/measurement edge."""
-        self._close_window(processed)
-        self._phase = PHASE_MEASURE
+    def next_stop(self, processed: int) -> Optional[int]:
+        stop = processed + self.interval
+        if self._phase == PHASE_WARMUP and self._warmup_end is not None:
+            # Force a boundary exactly at the warmup edge, so the first
+            # measured window starts at begin_measurement.
+            stop = min(stop, self._warmup_end)
+        return stop
 
-    def snapshot(self, processed: int) -> None:
-        """Close the current window at ``processed`` records."""
-        self._close_window(processed)
+    def on_edge(self, cursor: EngineCursor) -> bool:
+        """Close the current window; the warmup edge also ends the warmup phase."""
+        self._close_window(cursor.processed)
+        if cursor.measurement_started:
+            self._phase = PHASE_MEASURE
+        return False
 
-    def finish(self, processed: int) -> None:
+    def on_finish(self, cursor: EngineCursor) -> None:
         """Close any partial final window and detach from the system."""
-        self._close_window(processed)
+        self._close_window(cursor.processed)
         if self._system is not None:
             self._system._obs_latency_hook = None
             self._system = None

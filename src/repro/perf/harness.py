@@ -109,7 +109,7 @@ class BenchCell:
     instructions: int
     cycles: float
     generation_seconds: float = 0.0
-    #: Engine mode the cell was timed with (``scalar``/``batch``/``numpy``);
+    #: Engine mode the cell was timed with (``scalar`` or ``batch``);
     #: all modes are bit-identical, so cells differ only in wall time.
     engine_mode: str = DEFAULT_ENGINE_MODE
     #: Top cumulative-time functions from an extra profiled (non-timed) run;
@@ -160,7 +160,7 @@ def measure_generation(
 
     Drains each core's stream for ``records_per_core`` records exactly the
     way the engine would — per-record objects for the scalar engine, column
-    batches for the batch engines — so the measurement covers generator
+    batches for the batch engine — so the measurement covers generator
     arithmetic (or trace-file decode) plus iteration overhead, and nothing
     else.
     """

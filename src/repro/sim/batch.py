@@ -1,4 +1,35 @@
-"""The batch engine kernel: column buffers plus run-length core scheduling.
+"""The batch engine kernel and the engine's one run-cut protocol.
+
+Edges
+-----
+
+Every engine loop (scalar single-core, scalar multi-core, batch) cuts its
+runs in exactly one way: a :class:`RunEdges` chain names the next processed
+count it wants control at (``next_at``), the loop never runs past it, and
+when ``processed`` reaches it the loop makes one ``edges.edge(...)`` call.
+Everything that needs control between two records is a
+:class:`RunController` member of that chain, dispatched in a fixed order:
+
+1. the warmup edge (:class:`WarmupEdge`): ``System.begin_measurement`` plus
+   the ``warmup_end`` event — first, so every later member already sees the
+   measurement window open;
+2. the :class:`~repro.obs.timeline.TimelineObserver`, whose window
+   boundaries include a forced one at the warmup edge;
+3. the caller's controller (``SimulationEngine.run(controller=)``), which
+   may itself be a :class:`ControllerChain` of several, in the order given;
+4. the ``max_total_records`` budget (:class:`RunBudget`) — last, so members
+   due at the same count fire before it stops the run.
+
+A member fires only when the edge reached *its own* stop; only then is its
+:meth:`RunController.next_stop` asked again.  To steer a run, subclass
+:class:`RunController`: return the next processed count you want from
+``next_stop`` (``None`` for no more), do your work in ``on_edge`` (it may
+block, capture a snapshot, or return ``True`` to stop the run) and clean up
+in ``on_finish``.  An attached controller costs the loops nothing but the
+extra run cuts, and results stay bit-identical: edges fall between records.
+
+Batch scheduling and order preservation
+---------------------------------------
 
 The scalar engine moves one ``TraceRecord`` object per iteration through an
 iterator and a heap.  This kernel moves *columns*: each core pulls
@@ -6,9 +37,6 @@ iterator and a heap.  This kernel moves *columns*: each core pulls
 scheduler processes whole **runs** — maximal record sequences one core can
 execute before any other core's clock could interleave — without touching a
 heap or constructing a single record object.
-
-Order preservation
-------------------
 
 The heap invariant of the scalar engine is that every live core holds exactly
 one ``(clock, core_id)`` entry, keyed by its clock *after its previous
@@ -19,12 +47,12 @@ those keys in a flat list and picks ``c = argmin (key, id)`` directly; with
 may keep executing records while its evolving clock satisfies
 ``(clock, c) < B`` — exactly the condition under which the heap would pop it
 again.  The first record of a run needs no check (``c`` is the minimum), and
-the run is cut at warmup/observer-window/budget boundaries so those fire at
-the same processed counts as the scalar loop.  Pending OS stalls only apply
-when the stalled core executes its next record (both engines), so no other
-core's key can change while ``c`` runs.  The interleaving — and therefore
-DRAM channel contention — is provably identical, and all results are
-bit-identical to the scalar engine.
+the run is cut at the next edge so every edge fires at the same processed
+count as in the scalar loop.  Pending OS stalls only apply when the stalled
+core executes its next record (both engines), so no other core's key can
+change while ``c`` runs.  The interleaving — and therefore DRAM channel
+contention — is provably identical, and all results are bit-identical to
+the scalar engine.
 
 Within a run, records that hit both the TLB and the L1 with no pending OS
 stall touch only core-private state; they are executed by an inlined copy of
@@ -34,27 +62,26 @@ order).  Everything else falls back to ``process_record_cols`` itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.workloads.base import TraceBatch
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.events import EventLog
-    from repro.obs.timeline import TimelineObserver
     from repro.sim.system import System
-    from repro.sim.vector import VectorFrontEnd
+    from repro.workloads.base import TraceBatch
 
-#: Records per scalar stretch between vectorized-filter retries.  Only used
-#: when the numpy front end is attached; a pure-Python run is one stretch.
-_SCALAR_STRETCH = 32
+#: "No further stop": beyond any processed count a run can reach.  An int,
+#: so the loops' cut arithmetic stays in ints.
+_NO_STOP = 1 << 62
 
 
 class EngineCursor:
-    """Read-only view of engine progress handed to controller edges.
+    """View of engine progress handed to controller edges.
 
     ``consumed_per_core`` counts the records each core has consumed *within
     the current run* — workload streams restart per run, so these are
-    exactly the fast-forward distances a snapshot resume needs.
+    exactly the fast-forward distances a snapshot resume needs.  Only the
+    warmup edge writes to a cursor: it sets ``measurement_started``, so the
+    members after it see the measurement window open.
     """
 
     __slots__ = ("system", "processed", "consumed_per_core", "measurement_started")
@@ -76,13 +103,12 @@ class RunController:
     """Steers a running engine from outside the per-record loop.
 
     A controller names the next processed-record count it wants control at
-    (:meth:`next_stop`) and the engine cuts its runs there, calling
-    :meth:`on_edge` with an :class:`EngineCursor` — exactly the mechanism
-    warmup/observer/budget boundaries already use, so a controller costs the
-    detached engine nothing and an attached one only extra run cuts.
-    ``on_edge`` may block (pause), mutate its own state, capture snapshots,
-    or return ``True`` to stop the run early.  :meth:`on_finish` fires once
-    after the last record (or after an early stop).
+    (:meth:`next_stop`); the engine cuts its runs there and calls
+    :meth:`on_edge` with an :class:`EngineCursor`.  ``on_edge`` may block
+    (pause), mutate its own state, capture snapshots, or return ``True`` to
+    stop the run early.  :meth:`on_finish` fires once after the last record
+    (or after an early stop).  See the module docstring for where a
+    controller sits among the engine's own edges.
     """
 
     def next_stop(self, processed: int) -> Optional[int]:
@@ -98,26 +124,126 @@ class RunController:
         return None
 
 
-def _controller_stop(controller: "RunController", processed: int) -> float:
-    """Normalize a controller's next stop to a comparable, progressing bound."""
+def _stop_after(controller: RunController, processed: int) -> int:
+    """``controller``'s next stop as a bound the loops can compare against.
+
+    ``None`` maps to :data:`_NO_STOP`; a stop at or before ``processed`` is
+    clamped one record ahead, so a stale stop cannot stall the loop.
+    """
     stop = controller.next_stop(processed)
     if stop is None:
-        return float("inf")
-    # Clamp to at least one record of progress so a stale stop cannot stall
-    # the loop.
-    return float(stop) if stop > processed else float(processed + 1)
+        return _NO_STOP
+    return int(stop) if stop > processed else processed + 1
 
 
-def _edge(
-    controller: "RunController",
-    system: "System",
-    processed: int,
-    consumed: List[int],
-    measurement_started: bool,
-) -> bool:
-    """Fire a controller edge; returns True when the run should stop."""
-    cursor = EngineCursor(system, processed, list(consumed), measurement_started)
-    return bool(controller.on_edge(cursor))
+class ControllerChain(RunController):
+    """Several controllers sharing one engine slot.
+
+    Members fire in the order given, each only at its *own* stops: at an
+    edge, a member's ``on_edge`` runs when the processed count reached the
+    stop it last asked for, and only then is its ``next_stop`` asked again.
+    Any member may stop the run (the members due after it still fire at
+    that edge); every member's ``on_finish`` fires once.
+    """
+
+    def __init__(self, members: Sequence[Optional[RunController]]) -> None:
+        self.members: List[RunController] = [m for m in members if m is not None]
+        # Each member's pending stop: scheduled by the first next_stop of a
+        # run and cleared by on_finish, so one chain can drive several runs.
+        self._stops: Optional[List[int]] = None
+
+    def _next(self, processed: int) -> int:
+        if self._stops is None:
+            self._stops = [_stop_after(member, processed) for member in self.members]
+        return min(self._stops, default=_NO_STOP)
+
+    def next_stop(self, processed: int) -> Optional[int]:
+        stop = self._next(processed)
+        return None if stop >= _NO_STOP else stop
+
+    def on_edge(self, cursor: EngineCursor) -> bool:
+        processed = cursor.processed
+        stops = self._stops
+        assert stops is not None, "the engine asks next_stop before any edge"
+        stop_run = False
+        for index, member in enumerate(self.members):
+            if processed >= stops[index]:
+                if member.on_edge(cursor):
+                    stop_run = True
+                stops[index] = _stop_after(member, processed)
+        return stop_run
+
+    def on_finish(self, cursor: EngineCursor) -> None:
+        self._stops = None
+        for member in self.members:
+            member.on_finish(cursor)
+
+
+class WarmupEdge(RunController):
+    """Opens the measurement window at ``threshold`` processed records."""
+
+    def __init__(self, threshold: int, events: Optional["EventLog"] = None) -> None:
+        self.threshold = threshold
+        self.events = events
+
+    def next_stop(self, processed: int) -> Optional[int]:
+        return self.threshold if processed < self.threshold else None
+
+    def on_edge(self, cursor: EngineCursor) -> bool:
+        cursor.system.begin_measurement()
+        cursor.measurement_started = True
+        if self.events is not None:
+            self.events.emit("warmup_end", records=cursor.processed)
+        return False
+
+
+class RunBudget(RunController):
+    """Stops the run at ``limit`` processed records (``max_total_records``)."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+
+    def next_stop(self, processed: int) -> Optional[int]:
+        return self.limit
+
+    def on_edge(self, cursor: EngineCursor) -> bool:
+        return True
+
+
+class RunEdges(ControllerChain):
+    """One run's edge chain: what the engine loops compare against and call.
+
+    ``members`` are given in dispatch order (warmup, observer, caller,
+    budget; see the module docstring).  The loops read :attr:`next_at`, cut
+    their runs there, and call :meth:`edge` when ``processed`` reaches it.
+    """
+
+    def __init__(
+        self,
+        system: "System",
+        members: Sequence[Optional[RunController]],
+        processed: int,
+        measurement_started: bool,
+    ) -> None:
+        super().__init__(members)
+        self.system = system
+        self.measurement_started = measurement_started
+        #: Processed count of the next edge.
+        self.next_at = self._next(processed)
+
+    def edge(self, processed: int, consumed: List[int]) -> bool:
+        """Fire every member due at ``processed``; True when the run must stop."""
+        cursor = EngineCursor(self.system, processed, list(consumed), self.measurement_started)
+        stop_run = self.on_edge(cursor)
+        self.measurement_started = cursor.measurement_started
+        self.next_at = self._next(processed)
+        return stop_run
+
+    def finish(self, processed: int, consumed: List[int]) -> None:
+        """Fire every member's ``on_finish`` once the run has ended."""
+        self.on_finish(
+            EngineCursor(self.system, processed, list(consumed), self.measurement_started)
+        )
 
 
 def _fast_forward(source: _CoreSource, count: int) -> int:
@@ -138,10 +264,9 @@ def _fast_forward(source: _CoreSource, count: int) -> int:
 class _CoreSource:
     """One core's column buffers, refilled batch-by-batch from the workload."""
 
-    __slots__ = ("batches", "gaps", "addrs", "writes", "pos", "length",
-                 "const_gap", "np_gaps", "np_addrs", "np_writes")
+    __slots__ = ("batches", "gaps", "addrs", "writes", "pos", "length", "const_gap")
 
-    def __init__(self, batches: Iterator[TraceBatch]) -> None:
+    def __init__(self, batches: Iterator["TraceBatch"]) -> None:
         self.batches = batches
         self.gaps: List[int] = []
         self.addrs: List[int] = []
@@ -153,11 +278,6 @@ class _CoreSource:
         # reuse one precomputed gap/issue_width quotient instead of indexing
         # and dividing per record; the quotient is the same float either way.
         self.const_gap: Optional[int] = None
-        # numpy views of the current batch, built lazily by the vectorized
-        # front end (None in pure-Python batch mode).
-        self.np_gaps: Any = None
-        self.np_addrs: Any = None
-        self.np_writes: Any = None
 
     def refill(self) -> bool:
         """Load the next non-empty batch; False when the stream is exhausted."""
@@ -174,16 +294,13 @@ class _CoreSource:
                 self.length = len(gaps)
                 gap0 = gaps[0]
                 self.const_gap = gap0 if gaps.count(gap0) == len(gaps) else None
-                self.np_gaps = None
-                self.np_addrs = None
-                self.np_writes = None
                 return True
 
 
 class BatchRunner:
     """One run of the batch engine (constructed per :meth:`SimulationEngine.run`)."""
 
-    def __init__(self, system: "System", vectorize: bool = False) -> None:
+    def __init__(self, system: "System") -> None:
         self._system = system
         self._process_cols = system.process_record_cols
         # The inline hit path replicates process_record_cols's TLB-hit +
@@ -197,26 +314,13 @@ class BatchRunner:
             and system._obs_watch_hook is None
         )
         self._sources: List[_CoreSource] = []
-        self._vector: Optional["VectorFrontEnd"] = None
-        if vectorize and self._fast_ok:
-            from repro.sim.vector import VectorFrontEnd
-
-            self._vector = VectorFrontEnd(system)
-
-    def detach(self) -> None:
-        """Release per-run hooks installed on the system (mirror logs)."""
-        if self._vector is not None:
-            self._vector.detach()
-            self._vector = None
-
-    # ------------------------------------------------------------------ scheduling
 
     def _init_schedule(
         self,
         max_records_per_core: int,
         resume: Optional[Dict[str, Any]],
-    ) -> Tuple[List[int], List[int], List[float], List[int], int]:
-        """Build (consumed, remaining, keys, live, processed) for the run.
+    ) -> Tuple[List[int], List[float], List[int], int]:
+        """Build (consumed, keys, live, processed) for the run.
 
         On a fresh run the scheduling keys mirror the scalar engine's heap
         entries: 0.0 before a core's first record (even on a reused engine),
@@ -241,140 +345,26 @@ class BatchRunner:
                         f"records, snapshot consumed {count}; the workload does "
                         "not match the snapshot"
                     )
-        remaining = [max_records_per_core - count for count in consumed]
         cores = system.cores
         keys = [
             cores[core_id].clock if consumed[core_id] > 0 else 0.0
             for core_id in range(num_cores)
         ]
-        live = [core_id for core_id in range(num_cores) if remaining[core_id] > 0]
-        return consumed, remaining, keys, live, processed
+        live = [core_id for core_id in range(num_cores) if consumed[core_id] < max_records_per_core]
+        return consumed, keys, live, processed
 
     def run(
         self,
         max_records_per_core: int,
-        total_budget: float,
-        warmup_threshold: int,
-        measurement_started: bool,
-        observer: Optional["TimelineObserver"],
-        events: Optional["EventLog"],
-        controller: Optional["RunController"] = None,
+        edges: RunEdges,
         resume: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """Drive the whole simulation; returns the records processed."""
-        system = self._system
-        num_cores = system.config.num_cores
-        workload = system.workload
-        self._sources = [
-            _CoreSource(workload.trace_batches(core_id)) for core_id in range(num_cores)
-        ]
-        if self._vector is None:
-            return self._run_plain(
-                max_records_per_core, total_budget, warmup_threshold,
-                measurement_started, observer, events, controller, resume,
-            )
-        sources = self._sources
-        cores = system.cores
-        consumed, remaining, keys, live, processed = self._init_schedule(
-            max_records_per_core, resume
-        )
-        observing = observer is not None
-        next_window = processed + observer.interval if observer is not None else 0
-        infinity = float("inf")
-        controlling = controller is not None
-        ctrl_next = _controller_stop(controller, processed) if controller is not None else infinity
+    ) -> Tuple[int, List[int]]:
+        """Drive the whole simulation; returns (processed, consumed per core).
 
-        while live and processed < total_budget:
-            best = -1
-            best_key = 0.0
-            b_core = -1
-            b_key = 0.0
-            for core_id in live:
-                key = keys[core_id]
-                if best < 0 or key < best_key:
-                    b_core = best
-                    b_key = best_key
-                    best = core_id
-                    best_key = key
-                elif b_core < 0 or key < b_key:
-                    b_core = core_id
-                    b_key = key
-            source = sources[best]
-            if source.pos >= source.length and not source.refill():
-                # Matches the scalar engine's StopIteration handling: the
-                # minimum core is dropped at the moment it would next run.
-                remaining[best] = 0
-                live.remove(best)
-                continue
-            if b_core < 0:
-                b_key = infinity
-                b_core = num_cores
-            # Cut the run at every boundary the scalar loop checks per
-            # record, so warmup/windows/budget fire at identical counts.
-            cap = remaining[best]
-            avail = source.length - source.pos
-            if avail < cap:
-                cap = avail
-            budget_left = total_budget - processed
-            if budget_left < cap:
-                cap = int(budget_left)
-            if not measurement_started:
-                warmup_left = warmup_threshold - processed
-                if warmup_left < cap:
-                    cap = warmup_left
-            if observing:
-                window_left = next_window - processed
-                if window_left < cap:
-                    cap = window_left
-            if controlling:
-                ctrl_left = ctrl_next - processed
-                if ctrl_left < cap:
-                    cap = int(ctrl_left)
-            done = self._run_core(best, cap, b_key, b_core)
-            processed += done
-            remaining[best] -= done
-            consumed[best] += done
-            keys[best] = cores[best].clock
-            if not measurement_started and processed >= warmup_threshold:
-                system.begin_measurement()
-                measurement_started = True
-                if observer is not None:
-                    observer.start_measurement(processed)
-                    next_window = processed + observer.interval
-                if events is not None:
-                    events.emit("warmup_end", records=processed)
-            if observer is not None and processed >= next_window:
-                observer.snapshot(processed)
-                next_window = processed + observer.interval
-            if controller is not None and processed >= ctrl_next:
-                stop_run = _edge(controller, system, processed, consumed, measurement_started)
-                ctrl_next = _controller_stop(controller, processed)
-                if stop_run:
-                    break
-            if remaining[best] <= 0:
-                live.remove(best)
-        if controller is not None:
-            controller.on_finish(
-                EngineCursor(system, processed, list(consumed), measurement_started)
-            )
-        return processed
-
-    def _run_plain(
-        self,
-        max_records_per_core: int,
-        total_budget: float,
-        warmup_threshold: int,
-        measurement_started: bool,
-        observer: Optional["TimelineObserver"],
-        events: Optional["EventLog"],
-        controller: Optional["RunController"] = None,
-        resume: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """The pure-Python batch loop: scheduler and record loop fully inlined.
-
-        Multicore interleave runs average only a couple of records (cores
-        advance their clocks at similar rates), so per-run overhead is paid
-        almost per record; this loop therefore hoists all per-core state into
+        The scheduler and record loop are fully inlined.  Multicore
+        interleave runs average only a couple of records (cores advance
+        their clocks at similar rates), so per-run overhead is paid almost
+        per record; this loop therefore hoists all per-core state into
         context tuples built once per run() and keeps the three float
         accumulators (core clock, compute cycles, memory stall cycles) in
         locals, flushing them only around slow-path calls and at run ends.
@@ -383,7 +373,10 @@ class BatchRunner:
         """
         system = self._system
         num_cores = system.config.num_cores
-        sources = self._sources
+        workload = system.workload
+        sources = self._sources = [
+            _CoreSource(workload.trace_batches(core_id)) for core_id in range(num_cores)
+        ]
         process_cols = self._process_cols
         fast_ok = self._fast_ok
         page_size = system.page_size
@@ -406,16 +399,11 @@ class BatchRunner:
                 l1._sets, l1._set_mask, l1._line_bits, l1._lru,
                 core._issue_width, core._l1_stall, core.stats,
             ))
-        consumed, remaining, keys, live, processed = self._init_schedule(
-            max_records_per_core, resume
-        )
-        observing = observer is not None
-        next_window = processed + observer.interval if observer is not None else 0
+        consumed, keys, live, processed = self._init_schedule(max_records_per_core, resume)
         infinity = float("inf")
-        controlling = controller is not None
-        ctrl_next = _controller_stop(controller, processed) if controller is not None else infinity
+        next_stop = edges.next_at
 
-        while live and processed < total_budget:
+        while live:
             if len(live) == 1:
                 best = live[0]
                 b_clock = infinity
@@ -441,30 +429,18 @@ class BatchRunner:
                 if not source.refill():
                     # Matches the scalar engine's StopIteration handling: the
                     # minimum core is dropped when it would next run.
-                    remaining[best] = 0
                     live.remove(best)
                     continue
                 pos = 0
-            # Cut the run at every boundary the scalar loop checks per
-            # record, so warmup/windows/budget fire at identical counts.
-            cap = remaining[best]
+            # The run ends at the core's budget, the buffered batch's end or
+            # the next edge, whichever comes first.
+            cap = max_records_per_core - consumed[best]
             avail = source.length - pos
             if avail < cap:
                 cap = avail
-            if processed + cap > total_budget:
-                cap = int(total_budget - processed)
-            if not measurement_started:
-                warmup_left = warmup_threshold - processed
-                if warmup_left < cap:
-                    cap = warmup_left
-            if observing:
-                window_left = next_window - processed
-                if window_left < cap:
-                    cap = window_left
-            if controlling:
-                ctrl_left = ctrl_next - processed
-                if ctrl_left < cap:
-                    cap = int(ctrl_left)
+            left = next_stop - processed
+            if left < cap:
+                cap = left
             (core, tlb, l1, tlb_entries, tlb_move, l1_sets, set_mask,
              line_bits, l1_lru, issue_width, l1_stall, stats) = contexts[best]
             gaps = source.gaps
@@ -540,145 +516,11 @@ class BatchRunner:
             l1.hits += fast_count
             keys[best] = clock
             processed += done
-            remaining[best] -= done
             consumed[best] += done
-            if not measurement_started and processed >= warmup_threshold:
-                system.begin_measurement()
-                measurement_started = True
-                if observer is not None:
-                    observer.start_measurement(processed)
-                    next_window = processed + observer.interval
-                if events is not None:
-                    events.emit("warmup_end", records=processed)
-            if observer is not None and processed >= next_window:
-                observer.snapshot(processed)
-                next_window = processed + observer.interval
-            if controller is not None and processed >= ctrl_next:
-                stop_run = _edge(controller, system, processed, consumed, measurement_started)
-                ctrl_next = _controller_stop(controller, processed)
-                if stop_run:
+            if processed >= next_stop:
+                if edges.edge(processed, consumed):
                     break
-            if remaining[best] <= 0:
+                next_stop = edges.next_at
+            if consumed[best] >= max_records_per_core:
                 live.remove(best)
-        if controller is not None:
-            controller.on_finish(
-                EngineCursor(system, processed, list(consumed), measurement_started)
-            )
-        return processed
-
-    def _run_core(self, core_id: int, cap: int, b_clock: float, b_core: int) -> int:
-        """Execute up to ``cap`` records of one core's run; returns the count."""
-        vector = self._vector
-        if vector is None:
-            return self._scalar_stretch(core_id, cap, b_clock, b_core)
-        core = self._system.cores[core_id]
-        tie_lt = core_id < b_core
-        n = 0
-        while n < cap:
-            done = vector.try_bulk(core_id, self._sources[core_id], cap - n, b_clock, b_core)
-            if done:
-                n += done
-                if n >= cap:
-                    break
-                clock = core.clock
-                if not (clock < b_clock or (clock == b_clock and tie_lt)):
-                    break
-            # The next record is a TLB/L1 miss, a pending stall, or the bulk
-            # filter is backed off: take a bounded scalar stretch, then give
-            # the bulk filter another look.
-            step = cap - n
-            if step > _SCALAR_STRETCH:
-                step = _SCALAR_STRETCH
-            done = self._scalar_stretch(core_id, step, b_clock, b_core)
-            n += done
-            if done < step:
-                break  # crossed the interleave boundary
-        return n
-
-    # ------------------------------------------------------------------ per-record
-
-    def _scalar_stretch(self, core_id: int, stretch: int, b_clock: float, b_core: int) -> int:
-        """Process up to ``stretch`` buffered records for one core.
-
-        Stops early only when the core's clock crosses the interleave
-        boundary ``(b_clock, b_core)``.  Records that hit both the TLB and
-        the L1 with no pending OS stall run through an inlined copy of the
-        ``process_record_cols`` hit path (identical operations in identical
-        order, so results are bit-identical); everything else falls back to
-        ``process_record_cols``.
-        """
-        system = self._system
-        source = self._sources[core_id]
-        core = system.cores[core_id]
-        tlb = system.tlbs[core_id]
-        l1 = system.hierarchy.l1[core_id]
-        tlb_entries = tlb._entries
-        tlb_move = tlb_entries.move_to_end
-        l1_sets = l1._sets
-        set_mask = l1._set_mask
-        line_bits = l1._line_bits
-        l1_lru = l1._lru
-        page_size = system.page_size
-        issue_width = core._issue_width
-        l1_stall = core._l1_stall
-        stats = core.stats
-        process_cols = self._process_cols
-        fast_ok = self._fast_ok
-        tie_lt = core_id < b_core
-        gaps = source.gaps
-        addrs = source.addrs
-        writes = source.writes
-        pos = source.pos
-        clock = core.clock
-        # Exact integer counters commute, so they accumulate in locals and
-        # flush once per stretch; the float accumulators (clock and the
-        # cycle stats) must stay per-record to keep the summation order —
-        # and therefore the rounded results — bit-identical to the scalar
-        # engine.
-        tlb_hits = 0
-        l1_hits = 0
-        instructions = 0
-        accesses = 0
-        n = 0
-        while n < stretch:  # repro: hotpath
-            gap = gaps[pos]
-            addr = addrs[pos]
-            is_write = writes[pos]
-            if fast_ok and core._pending_stall == 0.0:
-                vpn = addr // page_size
-                if tlb_entries.get(vpn) is not None:
-                    line = addr >> line_bits
-                    bucket = l1_sets[line & set_mask]
-                    if line in bucket:
-                        tlb_hits += 1
-                        tlb_move(vpn)
-                        l1_hits += 1
-                        if is_write:
-                            bucket[line] = True
-                        if l1_lru:
-                            bucket.move_to_end(line)
-                        cycles = gap / issue_width
-                        clock += cycles
-                        instructions += gap
-                        stats.compute_cycles += cycles
-                        accesses += 1
-                        clock += l1_stall
-                        stats.memory_stall_cycles += l1_stall
-                        core.clock = clock
-                        pos += 1
-                        n += 1
-                        if clock < b_clock or (clock == b_clock and tie_lt):
-                            continue
-                        break
-            clock = process_cols(core_id, gap, addr, is_write)
-            pos += 1
-            n += 1
-            if clock < b_clock or (clock == b_clock and tie_lt):
-                continue
-            break
-        source.pos = pos
-        tlb.hits += tlb_hits
-        l1.hits += l1_hits
-        stats.instructions += instructions
-        stats.memory_accesses += accesses
-        return n
+        return processed, consumed

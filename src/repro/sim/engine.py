@@ -7,19 +7,23 @@ first.  This is what makes DRAM channel contention meaningful — a core that
 is stalled on a congested channel falls behind, and the other cores' requests
 arrive at the channels in front of its next one.
 
-Three engine modes drive that identical interleaving:
+Two engine modes drive that identical interleaving:
 
 * ``"scalar"`` — the reference loop: one record object at a time through an
   iterator and a heap (heap-free when there is only one core).
 * ``"batch"`` (default) — column batches and run-length scheduling
   (:mod:`repro.sim.batch`): whole runs of the minimum-clock core execute
   without heap traffic, and TLB+L1 hits take an inlined fast path.
-* ``"numpy"`` — the batch engine plus the vectorized front-end filter
-  (:mod:`repro.sim.vector`), which classifies runs in bulk against flat
-  TLB/L1 mirrors.  Requires numpy (``pip install repro[fast]``).
 
-All modes are bit-identical: same record order, same arithmetic, same
+Both modes are bit-identical: same record order, same arithmetic, same
 results (the hot-path golden tests pin this for every scheme).
+
+Every run is cut the same way in both modes: the warmup edge, the timeline
+observer's windows, the caller's controller and the ``max_total_records``
+budget are members of one :class:`~repro.sim.batch.RunEdges` chain, and each
+loop has a single ``processed >= next_stop`` compare and a single edge call
+(see :mod:`repro.sim.batch` for the dispatch order and how to write a
+controller).
 """
 
 from __future__ import annotations
@@ -27,9 +31,16 @@ from __future__ import annotations
 import heapq
 import time
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.sim.batch import BatchRunner, EngineCursor, RunController, _controller_stop
+from repro.sim.batch import (
+    BatchRunner,
+    EngineCursor,
+    RunBudget,
+    RunController,
+    RunEdges,
+    WarmupEdge,
+)
 from repro.sim.results import SimulationResults
 from repro.sim.system import System
 
@@ -47,46 +58,10 @@ __all__ = [
 ]
 
 #: Engine modes accepted by :class:`SimulationEngine`.
-ENGINE_MODES = ("scalar", "batch", "numpy")
+ENGINE_MODES = ("scalar", "batch")
 
 #: Mode used when none is requested.
 DEFAULT_ENGINE_MODE = "batch"
-
-
-def _edge_single(
-    controller: RunController,
-    system: System,
-    processed: int,
-    consumed0: int,
-    measurement_started: bool,
-) -> bool:
-    """Fire a controller edge from the single-core scalar loop."""
-    cursor = EngineCursor(system, processed, [consumed0], measurement_started)
-    return bool(controller.on_edge(cursor))
-
-
-def _edge_from_remaining(
-    controller: RunController,
-    system: System,
-    processed: int,
-    max_records: int,
-    remaining: List[int],
-    shortfall: List[int],
-    measurement_started: bool,
-) -> bool:
-    """Fire a controller edge from the multi-core scalar loop.
-
-    Consumed counts are derived on demand so the per-record path never
-    maintains them: ``consumed = max - remaining - shortfall``, where
-    ``shortfall`` is the unconsumed remainder of a stream that exhausted
-    early (the only case where ``remaining`` over-counts consumption).
-    """
-    consumed = [
-        max_records - remaining[core_id] - shortfall[core_id]
-        for core_id in range(len(remaining))
-    ]
-    cursor = EngineCursor(system, processed, consumed, measurement_started)
-    return bool(controller.on_edge(cursor))
 
 
 class SimulationEngine:
@@ -156,17 +131,19 @@ class SimulationEngine:
                 when given, windowed metric deltas are snapshotted every
                 ``observer.interval`` records (with a boundary forced at the
                 warmup edge) and the resulting timeline is attached to
-                ``results.timeline``.  Detached, the hot loop pays a single
-                boolean check per record and results are bit-identical.
+                ``results.timeline``.  Results are bit-identical either way.
             events: optional :class:`~repro.obs.events.EventLog`; run
                 start/end and the warmup boundary are emitted as structured
                 events (never from inside the per-record loop).
-            controller: optional :class:`~repro.sim.batch.RunController`;
+            controller: optional :class:`~repro.sim.batch.RunController`
+                (several: a :class:`~repro.sim.batch.ControllerChain`);
                 the run is cut at the controller's requested processed
                 counts and ``on_edge`` fires there with an
                 :class:`~repro.sim.batch.EngineCursor` (pause, snapshot,
-                watch-flush, early stop).  Detached, the loops pay one
-                boolean check.
+                watch-flush, early stop).
+
+        The warmup edge, the observer, the controller and the budget form one
+        :class:`~repro.sim.batch.RunEdges` chain, dispatched in that order.
         """
         if max_records_per_core <= 0:
             raise ValueError("max_records_per_core must be positive")
@@ -175,6 +152,8 @@ class SimulationEngine:
                 f"warmup_records_per_core must be in [0, max_records_per_core), "
                 f"got {warmup_records_per_core} with max_records_per_core={max_records_per_core}"
             )
+        if max_total_records is not None and max_total_records <= 0:
+            raise ValueError("max_total_records must be positive (or None for no cap)")
         # Wall time is reported, never simulated: it feeds the results'
         # wall_time_seconds diagnostic only.  # repro: allow[determinism]
         start_time = time.perf_counter()
@@ -199,8 +178,6 @@ class SimulationEngine:
             )
 
         measurement_started = warmup_records_per_core <= 0
-        warmup_threshold = num_cores * warmup_records_per_core
-        total_budget = max_total_records if max_total_records is not None else float("inf")
 
         # Resume state loaded by restore(): the run continues from the
         # snapshot's processed counts (with the same run arguments as the
@@ -224,35 +201,28 @@ class SimulationEngine:
         # The cumulative count lives in ``total_records_processed``.
         self.records_processed = 0
 
-        observing = observer is not None
+        warmup_end = None if measurement_started else num_cores * warmup_records_per_core
         if observer is not None:
-            observer.begin(
-                system, warmup=not measurement_started, start_record=start_record
-            )
+            observer.begin(system, warmup_end=warmup_end, start_record=start_record)
+        edges = RunEdges(system, [
+            WarmupEdge(warmup_end, events) if warmup_end is not None else None,
+            observer,
+            controller,
+            RunBudget(max_total_records) if max_total_records is not None else None,
+        ], start_record, measurement_started)
 
         if self.mode == "scalar":
-            processed = self._run_scalar(
-                max_records_per_core, total_budget, warmup_threshold,
-                measurement_started, observer, events, controller, resume,
-            )
+            processed, consumed = self._run_scalar(max_records_per_core, edges, resume)
         else:
-            runner = BatchRunner(system, vectorize=self.mode == "numpy")
-            try:
-                processed = runner.run(
-                    max_records_per_core, total_budget, warmup_threshold,
-                    measurement_started, observer, events, controller, resume,
-                )
-            finally:
-                runner.detach()
+            processed, consumed = BatchRunner(system).run(max_records_per_core, edges, resume)
+        edges.finish(processed, consumed)
 
         self.records_processed = processed
         self.total_records_processed += processed
-        if observer is not None:
-            observer.finish(processed)
         system.finalize()
         elapsed = time.perf_counter() - start_time  # repro: allow[determinism]
         results = system.collect_results(wall_time_seconds=elapsed)
-        if observing and observer is not None:
+        if observer is not None:
             results.timeline = observer.timeline.to_dict()
         if events is not None:
             events.emit(
@@ -267,30 +237,20 @@ class SimulationEngine:
     def _run_scalar(
         self,
         max_records_per_core: int,
-        total_budget: float,
-        warmup_threshold: int,
-        measurement_started: bool,
-        observer: Optional["TimelineObserver"],
-        events: Optional["EventLog"],
-        controller: Optional[RunController] = None,
+        edges: RunEdges,
         resume: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """The reference per-record loop; returns the records processed."""
+    ) -> Tuple[int, List[int]]:
+        """The reference per-record loop; returns (processed, consumed per core)."""
         system = self.system
         workload = system.workload
         num_cores = system.config.num_cores
         processed = int(resume["processed"]) if resume is not None else 0
-
-        # Observer state: ``observing`` is the single boolean the disabled
-        # path pays per record; window boundaries are plain int compares.
-        observing = observer is not None
-        next_window = processed + observer.interval if observer is not None else 0
-        controlling = controller is not None
-        ctrl_next = (
-            _controller_stop(controller, processed)
-            if controller is not None
-            else float("inf")
+        consumed = (
+            [int(count) for count in resume["consumed_per_core"]]
+            if resume is not None
+            else [0] * num_cores
         )
+        next_stop = edges.next_at
 
         # Hot loop: everything it touches per record is a local.
         process_cols = system.process_record_cols
@@ -298,51 +258,27 @@ class SimulationEngine:
         if num_cores == 1:
             # Single-core fast path: with one core there is nothing to
             # interleave, so the heap (and its per-record tuple allocation)
-            # is pure overhead.  The processing order is trivially identical.
+            # is pure overhead.  The processing order is trivially identical,
+            # and the one core's consumed count is ``processed`` itself.
             iterator = workload.trace(0)
-            remaining0 = max_records_per_core
             if resume is not None:
-                remaining0 -= self._skip(iterator, 0, resume["consumed_per_core"][0])
-            while remaining0 > 0 and processed < total_budget:  # repro: hotpath
+                self._skip(iterator, 0, consumed[0])
+            while processed < max_records_per_core:  # repro: hotpath
                 try:
                     gap, addr, is_write = next(iterator)
                 except StopIteration:
                     break
                 process_cols(0, gap, addr, is_write)
-                remaining0 -= 1
                 processed += 1
-                if not measurement_started and processed >= warmup_threshold:
-                    system.begin_measurement()
-                    measurement_started = True
-                    if observer is not None:
-                        observer.start_measurement(processed)
-                        next_window = processed + observer.interval
-                    if events is not None:
-                        events.emit("warmup_end", records=processed)
-                if observing and processed >= next_window and observer is not None:
-                    observer.snapshot(processed)
-                    next_window = processed + observer.interval
-                if controlling and processed >= ctrl_next and controller is not None:
-                    stop_run = _edge_single(
-                        controller, system, processed,
-                        max_records_per_core - remaining0, measurement_started,
-                    )
-                    ctrl_next = _controller_stop(controller, processed)
-                    if stop_run:
+                if processed >= next_stop:
+                    consumed[0] = processed
+                    if edges.edge(processed, consumed):
                         break
-            if controller is not None:
-                controller.on_finish(EngineCursor(
-                    system, processed, [max_records_per_core - remaining0],
-                    measurement_started,
-                ))
-            return processed
+                    next_stop = edges.next_at
+            consumed[0] = processed
+            return processed, consumed
 
         iterators = [workload.trace(core_id) for core_id in range(num_cores)]
-        remaining = [max_records_per_core] * num_cores
-        # Unconsumed remainder of streams that exhausted early — the one
-        # case where ``remaining`` over-counts a core's consumption (see
-        # _edge_from_remaining); only ever touched on the exhaustion path.
-        shortfall = [0] * num_cores
         if resume is None:
             heap = [(0.0, core_id) for core_id in range(num_cores)]
         else:
@@ -350,63 +286,34 @@ class SimulationEngine:
             # before a core's first record, its clock afterwards.
             heap = []
             for core_id in range(num_cores):
-                count = self._skip(
-                    iterators[core_id], core_id, resume["consumed_per_core"][core_id]
-                )
-                remaining[core_id] -= count
-                if remaining[core_id] > 0:
+                count = self._skip(iterators[core_id], core_id, consumed[core_id])
+                if count < max_records_per_core:
                     key = system.cores[core_id].clock if count > 0 else 0.0
                     heap.append((key, core_id))
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
-        while heap and processed < total_budget:  # repro: hotpath
+        # Every heap entry is a core with records left to run: a core is
+        # pushed back only below its budget, and dropped when its stream
+        # runs dry.
+        while heap:  # repro: hotpath
             _clock, core_id = heappop(heap)
-            if remaining[core_id] <= 0:
-                continue
             try:
                 gap, addr, is_write = next(iterators[core_id])
             except StopIteration:
-                shortfall[core_id] = remaining[core_id]
-                remaining[core_id] = 0
                 continue
             new_clock = process_cols(core_id, gap, addr, is_write)
-            remaining[core_id] -= 1
             processed += 1
-            if not measurement_started and processed >= warmup_threshold:
-                system.begin_measurement()
-                measurement_started = True
-                if observer is not None:
-                    # Force a window boundary exactly at the warmup edge so
-                    # the first measured window starts at begin_measurement.
-                    observer.start_measurement(processed)
-                    next_window = processed + observer.interval
-                if events is not None:
-                    events.emit("warmup_end", records=processed)
-            if observing and processed >= next_window and observer is not None:
-                observer.snapshot(processed)
-                next_window = processed + observer.interval
-            if remaining[core_id] > 0:
+            consumed[core_id] += 1
+            if consumed[core_id] < max_records_per_core:
                 # heapq's API requires a fresh (clock, core) entry; this is
                 # the loop's one deliberate per-record allocation.
                 heappush(heap, (new_clock, core_id))  # repro: allow[hotpath-alloc]
-            if controlling and processed >= ctrl_next and controller is not None:
-                stop_run = _edge_from_remaining(
-                    controller, system, processed, max_records_per_core,
-                    remaining, shortfall, measurement_started,
-                )
-                ctrl_next = _controller_stop(controller, processed)
-                if stop_run:
+            if processed >= next_stop:
+                if edges.edge(processed, consumed):
                     break
-        if controller is not None:
-            consumed = [
-                max_records_per_core - remaining[core_id] - shortfall[core_id]
-                for core_id in range(num_cores)
-            ]
-            controller.on_finish(
-                EngineCursor(system, processed, consumed, measurement_started)
-            )
-        return processed
+                next_stop = edges.next_at
+        return processed, consumed
 
     @staticmethod
     def _skip(iterator: Any, core_id: int, count: int) -> int:

@@ -65,10 +65,6 @@ class Tlb:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: Bumped on every membership change (fill / invalidate / shootdown).
-        #: The batch engine's vectorized front end rebuilds its flat key
-        #: mirror only when this moves, so hit bursts pay nothing for it.
-        self.version = 0
 
     def lookup(self, vpn: int) -> Optional[TlbEntry]:
         """Return the entry for ``vpn`` or None on a TLB miss."""
@@ -96,7 +92,6 @@ class Tlb:
         )
         self._entries[pte.vpn] = entry
         self._entries.move_to_end(pte.vpn)
-        self.version += 1
         return entry
 
     def invalidate_all(self) -> int:
@@ -104,15 +99,11 @@ class Tlb:
         dropped = len(self._entries)
         self._entries.clear()
         self.invalidations += 1
-        self.version += 1
         return dropped
 
     def invalidate(self, vpn: int) -> bool:
         """Drop a single entry (used by HMA's per-page remaps)."""
-        if self._entries.pop(vpn, None) is not None:
-            self.version += 1
-            return True
-        return False
+        return self._entries.pop(vpn, None) is not None
 
     @property
     def occupancy(self) -> int:

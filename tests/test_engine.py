@@ -1,9 +1,11 @@
-"""Boundary tests for the engine's run-parameter validation."""
+"""Boundary tests for the engine's run-parameter validation and edge protocol."""
 
 import pytest
 
+from repro.obs.timeline import TimelineObserver
+from repro.sim.batch import RunBudget, RunController
 from repro.sim.config import SystemConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
 from repro.workloads.registry import get_workload
 
@@ -49,3 +51,86 @@ def test_rejects_unknown_engine_mode():
 
 def test_default_engine_mode_is_batch():
     assert make_engine().mode == "batch"
+
+
+def test_rejects_non_positive_total_budget():
+    with pytest.raises(ValueError, match="max_total_records"):
+        make_engine().run(100, max_total_records=0)
+
+
+# ------------------------------------------------------------ edge protocol
+
+
+class _Log:
+    """Event-log stand-in recording the warmup edge into a shared list."""
+
+    def __init__(self, fired):
+        self.fired = fired
+
+    def emit(self, event, **fields):
+        if event == "warmup_end":
+            self.fired.append(("warmup", fields["records"]))
+
+
+class _RecordingObserver(TimelineObserver):
+    def __init__(self, interval, fired):
+        super().__init__(interval)
+        self.fired = fired
+
+    def on_edge(self, cursor):
+        self.fired.append(("observer", cursor.processed))
+        return super().on_edge(cursor)
+
+
+class _StopAt(RunController):
+    def __init__(self, target, fired):
+        self.target = target
+        self.fired = fired
+
+    def next_stop(self, processed):
+        return self.target if processed < self.target else None
+
+    def on_edge(self, cursor):
+        self.fired.append(("controller", cursor.processed, cursor.measurement_started))
+        return False
+
+
+@pytest.mark.parametrize("num_cores", [1, 4])
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+def test_coinciding_edges_fire_once_in_dispatch_order(mode, num_cores, monkeypatch):
+    """Warmup, an observer window, a controller stop and the budget all land
+    on one processed count: each fires exactly once, in chain order, and the
+    run stops at exactly the budget with the uncontrolled run's results."""
+    warmup = 200 // num_cores
+    edge = warmup * num_cores
+    fired = []
+
+    def budget_edge(self, cursor):
+        fired.append(("budget", cursor.processed))
+        return True
+
+    monkeypatch.setattr(RunBudget, "on_edge", budget_edge)
+
+    def engine():
+        config = SystemConfig.tiny(scheme="banshee", num_cores=num_cores, seed=2)
+        workload = get_workload("gcc", num_cores, scale=0.05, seed=2)
+        return SimulationEngine(System(config, workload), mode=mode)
+
+    controlled = engine()
+    result = controlled.run(
+        400, max_total_records=edge, warmup_records_per_core=warmup,
+        observer=_RecordingObserver(edge, fired), events=_Log(fired),
+        controller=_StopAt(edge, fired),
+    )
+    assert fired == [
+        ("warmup", edge), ("observer", edge), ("controller", edge, True), ("budget", edge),
+    ]
+    assert controlled.records_processed == edge
+
+    fired.clear()
+    plain = engine()
+    expected = plain.run(400, max_total_records=edge, warmup_records_per_core=warmup)
+    assert plain.records_processed == edge
+    got = result.identity_dict()
+    assert got.pop("timeline") is not None
+    assert got == expected.identity_dict()

@@ -25,17 +25,6 @@ from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-#: Engine modes testable on this host (the numpy front end needs numpy).
-TESTABLE_MODES = [
-    mode for mode in ENGINE_MODES if mode != "numpy" or HAVE_NUMPY
-]
-
 
 def make_engine(scheme="banshee", workload="gcc", num_cores=2, scale=0.05, seed=1):
     config = SystemConfig.tiny(scheme=scheme, num_cores=num_cores, seed=seed)
@@ -165,7 +154,7 @@ def load_goldens():
         return json.load(fh)["cells"]
 
 
-@pytest.mark.parametrize("mode", TESTABLE_MODES)
+@pytest.mark.parametrize("mode", ENGINE_MODES)
 @pytest.mark.parametrize(
     "cell", load_goldens(), ids=lambda cell: f"{cell['scheme']}-{cell['workload']}"
 )
@@ -175,7 +164,7 @@ def test_fast_path_matches_pre_refactor_goldens(cell, mode):
     The goldens were captured from the original allocating pipeline (before
     the allocation-free fast path landed); JSON round-trip on both sides
     makes float comparison exact (shortest-round-trip formatting).  The
-    scalar, batch and numpy engines all replay the same golden cells.
+    scalar and batch engines both replay the same golden cells.
     """
     config = SystemConfig.scaled_default(
         scheme=cell["scheme"], num_cores=cell["num_cores"], seed=cell["seed"]
@@ -208,14 +197,6 @@ def test_batch_engine_matches_scalar_for_every_variant(scheme):
     cuts at the warmup edge are exercised too.
     """
     assert _identity(scheme, "batch") == _identity(scheme, "scalar")
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy engine mode requires numpy")
-@pytest.mark.parametrize("scheme", ["banshee", "nocache", "hma"])
-def test_numpy_engine_matches_scalar(scheme):
-    """The vectorized front end must not change a single result bit."""
-    assert _identity(scheme, "numpy", workload="pagerank", num_cores=1) == \
-        _identity(scheme, "scalar", workload="pagerank", num_cores=1)
 
 
 def test_single_core_scalar_fast_path_matches_multicore_semantics():

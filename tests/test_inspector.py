@@ -28,14 +28,6 @@ from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-TESTABLE_MODES = [mode for mode in ENGINE_MODES if mode != "numpy" or HAVE_NUMPY]
-
 
 class SnapshotAt(RunController):
     """Test controller: capture one snapshot at global record ``target``."""
@@ -81,7 +73,7 @@ def run_resumed(config, workload, records, warmup, snap_at, mode):
 # -------------------------------------------------------------- resume identity
 
 
-@pytest.mark.parametrize("mode", TESTABLE_MODES)
+@pytest.mark.parametrize("mode", ENGINE_MODES)
 @pytest.mark.parametrize("scheme", ["banshee", "alloy", "unison"])
 def test_resume_at_record_is_bit_identical(scheme, mode):
     """Interrupt at record N, restore into a fresh system, finish: identical."""
@@ -243,7 +235,7 @@ def test_watch_hits_identical_across_engine_modes():
         400, warmup_records_per_core=100
     ).identity_dict()
     reference_hits = None
-    for mode in TESTABLE_MODES:
+    for mode in ENGINE_MODES:
         result, hits, summary = _watched_run(mode)
         assert result == baseline, f"watching changed results in {mode} mode"
         assert hits, f"expected watch hits in {mode} mode"

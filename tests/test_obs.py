@@ -18,7 +18,7 @@ from repro.obs.events import (
     validate_event,
 )
 from repro.obs.heartbeat import HeartbeatWriter, is_stale, read_heartbeats
-from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram, MetricsRegistry
+from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.obs.timeline import (
     PHASE_MEASURE,
     PHASE_WARMUP,
@@ -57,32 +57,13 @@ def tiny_spec(name, timeline_interval=None, schemes=("banshee",)):
 # ------------------------------------------------------------------- metrics
 
 
-def test_metrics_registry_counters_gauges_histograms():
-    registry = MetricsRegistry()
-    counter = registry.counter("records")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-    assert registry.counter("records") is counter
-
-    gauge = registry.gauge("depth")
-    gauge.set(3.5)
-    gauge.add(-1.5)
-    assert gauge.value == 2.0
-
-    histogram = registry.histogram("lat", bounds=(10.0, 100.0))
+def test_histogram_counts_observations_per_bucket():
+    histogram = Histogram("lat", bounds=(10.0, 100.0))
     for value in (5, 50, 500):
         histogram.observe(value)
     assert histogram.counts == [1, 1, 1]
     assert histogram.total == 3
-    with pytest.raises(ValueError):
-        registry.histogram("lat", bounds=(1.0, 2.0))  # conflicting bounds
-
-    payload = registry.as_dict()
-    assert payload["counters"]["records"] == 5
-    assert payload["histograms"]["lat"]["counts"] == [1, 1, 1]
+    assert histogram.snapshot() == [1, 1, 1]
 
 
 def test_histogram_quantile_and_bounds_validation():

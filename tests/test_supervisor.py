@@ -31,14 +31,17 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.cli import _print_live
+from repro.campaign.executor import _ProgressBeat
 from repro.campaign.export import result_rows
 from repro.campaign.supervisor import (
     install_signal_handlers,
     restore_signal_handlers,
 )
 from repro.faults import FaultInjected, FaultInjector, FaultPlan, FaultSpec
-from repro.obs.events import ObsSink
+from repro.experiments.runner import run_simulation
+from repro.obs.events import EventLog, ObsSink, read_events
 from repro.obs.heartbeat import HeartbeatWriter, pid_alive, read_heartbeats, sweep_dead
+from repro.sim.config import SystemConfig
 
 RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
 
@@ -255,6 +258,33 @@ def test_injected_error_is_cell_error_not_retry(tmp_path):
 # ------------------------------------------------------- snapshots and resume
 
 
+class _CountingHeartbeat:
+    def __init__(self):
+        self.beats = 0
+
+    def beat(self, **fields):
+        self.beats += 1
+
+
+@pytest.mark.parametrize("engine_mode", ["scalar", "batch"])
+def test_heartbeat_edges_do_not_trigger_auto_snapshots(tmp_path, engine_mode):
+    """Each chained controller fires only at its own stops: a 600-record
+    cell beating every 20 records and snapshotting every 100 beats 30 times
+    and saves 6 snapshots — not one snapshot per heartbeat."""
+    heartbeat = _CountingHeartbeat()
+    log = EventLog(tmp_path / "events.jsonl")
+    run_simulation(
+        SystemConfig.tiny(scheme="banshee", num_cores=2, seed=1), workload_name="gcc",
+        records_per_core=300, scale=0.05, events=log, engine_mode=engine_mode,
+        snapshot_dir=str(tmp_path / "snaps"), snapshot_every=100,
+        controller=_ProgressBeat(heartbeat, 20, cell="c", key="k"),
+    )
+    saves = [e["records"] for e in read_events(log.path) if e["event"] == "snapshot_saved"]
+    assert saves == [100, 200, 300, 400, 500, 600]
+    assert heartbeat.beats == 30
+
+
+
 def test_retry_resumes_from_mid_cell_snapshot(tmp_path):
     cells = tiny_spec().cells()
     faults.install("kill@records=400", state_dir=str(tmp_path / "faults"))
@@ -270,7 +300,7 @@ def test_retry_resumes_from_mid_cell_snapshot(tmp_path):
     assert identity(out[0]) == identity(SerialExecutor().run(cells)[0])
 
 
-@pytest.mark.parametrize("engine_mode", ["scalar", "batch", "numpy"])
+@pytest.mark.parametrize("engine_mode", ["scalar", "batch"])
 def test_rerun_resumes_killed_campaign_bit_identical(tmp_path, monkeypatch, engine_mode):
     """The ISSUE's acceptance scenario: a campaign whose cell is SIGKILLed
     mid-run (every attempt, so run #1 quarantines it) is re-run and must
