@@ -12,9 +12,10 @@ The layer every other subsystem reports through:
   :class:`ObsSink` bundling a campaign's event/heartbeat destinations;
 * :mod:`repro.obs.heartbeat` — per-worker liveness files behind
   ``python -m repro.campaign status --live``;
-* :mod:`repro.obs.snapshot` — :class:`EngineSnapshot` serializes full
-  engine state at a record boundary; restoring resumes bit-identically in
-  every engine mode (and backs campaign warmup checkpointing);
+* :mod:`repro.obs.snapshot` — :class:`EngineSnapshot` pickles the whole
+  system at a record boundary; restoring resumes bit-identically in every
+  engine mode (and backs campaign warmup checkpointing), and
+  :func:`~repro.obs.snapshot.state_view` renders it as diffable JSON;
 * :mod:`repro.obs.watch` — :class:`Watchpoint`/:class:`WatchSession`
   declarative triggers on addresses, pages and cache sets emitting
   fill/evict/writeback/touch events;
@@ -40,7 +41,7 @@ from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_tr
 from repro.obs.heartbeat import HeartbeatWriter, is_stale, read_heartbeats
 from repro.obs.inspect import InspectorClient, InspectorServer
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
-from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor, register_scheme_codec
+from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor
 from repro.obs.timeline import (
     DEFAULT_INTERVAL_RECORDS,
     Timeline,
@@ -73,7 +74,6 @@ __all__ = [
     "merge_events",
     "read_events",
     "read_heartbeats",
-    "register_scheme_codec",
     "timeline_to_trace",
     "validate_event",
     "write_events",

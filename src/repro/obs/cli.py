@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    summarize      describe an event log, a timeline file, or a store's timelines
+    summarize      describe an event log, a timeline file, a store's timelines,
+                   or an engine snapshot
     merge          merge several JSONL event logs into one, ordered by timestamp
     export         export stored timelines as CSV or JSONL
     export-chrome  render timelines/events as Chrome trace JSON (Perfetto)
@@ -38,11 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    summarize = sub.add_parser("summarize", help="describe an event log, timeline, or store")
+    summarize = sub.add_parser("summarize",
+                               help="describe an event log, timeline, store, or snapshot")
     group = summarize.add_mutually_exclusive_group(required=True)
     group.add_argument("--events", help="JSONL event log path")
     group.add_argument("--timeline", help="timeline file path (CSV or JSONL)")
     group.add_argument("--store", help="result-store directory: summarize stored timelines")
+    group.add_argument("--snapshot", help="engine snapshot JSON: its envelope "
+                                          "(with --json, plus a diffable state view)")
     summarize.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     merge = sub.add_parser("merge", help="merge event logs ordered by timestamp")
@@ -91,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--engine", choices=ENGINE_MODES,
                         help=f"engine mode (default: {DEFAULT_ENGINE_MODE})")
     replay.add_argument("--scale", type=float,
-                        help="workload scale override (when the snapshot meta lacks one)")
+                        help="workload scale of the original run (required when the "
+                             "snapshot metadata records none)")
     replay.add_argument("--timeline", type=int,
                         help="attach a TimelineObserver with this interval")
     replay.add_argument("--timeline-output", help="write the replay timeline here (CSV)")
@@ -161,7 +166,25 @@ def _stored_timelines(store_dir: str, label: Optional[str] = None,
     return selected
 
 
+def _summarize_snapshot(path: str, as_json: bool, stream) -> int:
+    from repro.obs.snapshot import EngineSnapshot, state_view
+
+    snapshot = EngineSnapshot.load(path)
+    if as_json:
+        payload = dict(snapshot.to_dict(), view=state_view(snapshot.load_system()))
+        del payload["system"]  # the pickle itself; the view replaces it
+        json.dump(payload, stream, indent=2, sort_keys=True)
+        stream.write("\n")
+        return 0
+    print(f"snapshot: {path}", file=stream)
+    for key, value in snapshot.summary().items():
+        print(f"  {key:<20s} {value}", file=stream)
+    return 0
+
+
 def cmd_summarize(args: argparse.Namespace, stream) -> int:
+    if args.snapshot:
+        return _summarize_snapshot(args.snapshot, args.json, stream)
     if args.events:
         info = _summarize_events(args.events)
         if args.json:
@@ -425,27 +448,35 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
     from repro.sim.config import config_from_dict
     from repro.sim.engine import SimulationEngine
     from repro.sim.system import System
-    from repro.workloads.registry import get_workload
+    from repro.workloads.registry import TRACE_PREFIX, get_workload
 
     snapshot = EngineSnapshot.load(args.snapshot)
-    meta = snapshot.workload
+    meta = snapshot.workload or {}
     if "name" not in meta:
         raise ValueError(f"snapshot {args.snapshot} carries no workload name; "
                          "replay needs workload metadata to rebuild the streams")
+    name = str(meta["name"])
     config = config_from_dict(snapshot.config)
-    scale = args.scale if args.scale is not None else float(meta.get("scale", 1.0))
+    if args.scale is not None:
+        scale = args.scale
+    elif "scale" in meta:
+        scale = float(meta["scale"])
+    elif name.startswith(TRACE_PREFIX):
+        scale = 1.0  # a captured trace replays as recorded
+    else:
+        raise ValueError(f"snapshot {args.snapshot} records no workload scale; "
+                         f"pass --scale with the scale of the original {name} run")
     workload = get_workload(
-        str(meta["name"]),
+        name,
         int(meta.get("num_cores", config.num_cores)),
         scale=scale,
         seed=int(meta.get("seed", config.seed)),
         page_size=int(meta.get("page_size", config.dram_cache.page_size)),
     )
-    system = System(config, workload)
-    engine = SimulationEngine(system, mode=args.engine)
+    engine = SimulationEngine(System(config, workload), mode=args.engine)
     engine.restore(snapshot)
     resumed_at = snapshot.progress["processed"]
-    print(f"replaying {meta['name']}/{system.scheme.name} from record "
+    print(f"replaying {name}/{engine.system.scheme.name} from record "
           f"{resumed_at} to {args.records} per core "
           f"({engine.mode} engine)", file=stream)
     observer = None

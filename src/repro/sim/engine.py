@@ -84,17 +84,21 @@ class SimulationEngine:
         self._resume: Optional[Dict[str, Any]] = None
 
     def restore(self, snapshot: "EngineSnapshot") -> None:
-        """Load ``snapshot`` into the system; the next :meth:`run` resumes it.
+        """Replace ``self.system`` with the snapshot's; the next :meth:`run` resumes it.
 
-        The snapshot must have been captured under the same configuration
-        (validated by config hash) and the engine's workload must match the
-        one the snapshot was taken from.  The next ``run()`` call — with the
-        same ``max_records_per_core``/warmup/budget arguments as the
-        original — fast-forwards each core's stream by the snapshot's
-        consumed counts and continues bit-identically to the uninterrupted
-        run, in every engine mode.
+        The kind, version, config digest (against the live configuration),
+        source digest and core count are all checked before anything
+        changes, so a rejected snapshot (``ValueError``) leaves the engine
+        untouched.  Then the unpickled system replaces ``self.system``, with
+        the live workload re-attached — it must be the one the snapshot was
+        taken from.  Observers and watch sessions hook the system they are
+        given, so attach them to ``engine.system`` *after* ``restore``.  The
+        next ``run()`` call — with the same ``max_records_per_core``/warmup/
+        budget arguments as the original — fast-forwards each core's stream
+        by the snapshot's consumed counts and continues bit-identically to
+        the uninterrupted run, in every engine mode.
         """
-        snapshot.restore_into(self.system)
+        system = snapshot.load_system(self.system.config)
         progress = snapshot.progress
         consumed = [int(count) for count in progress["consumed_per_core"]]
         num_cores = self.system.config.num_cores
@@ -102,11 +106,14 @@ class SimulationEngine:
             raise ValueError(
                 f"snapshot covers {len(consumed)} cores, system has {num_cores}"
             )
-        self._resume = {
+        resume: Dict[str, Any] = {
             "processed": int(progress["processed"]),
             "consumed_per_core": consumed,
             "measurement_started": bool(progress["measurement_started"]),
         }
+        system.workload = self.system.workload
+        self.system = system
+        self._resume = resume
 
     def run(
         self,

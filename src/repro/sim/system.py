@@ -10,7 +10,7 @@ top of the page table, TLBs and core models.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.core import CoreModel
@@ -134,6 +134,19 @@ class System:
         # contract as the latency hook: None when detached (one check per
         # record), read-only when attached, so results stay bit-identical.
         self._obs_watch_hook = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickled state (engine snapshots): everything but the workload and hooks.
+
+        Workload generators hold lambdas, and the restoring engine
+        re-attaches its own live workload; the obs hooks belong to the
+        capturing run's observer or watch session.
+        """
+        state = dict(self.__dict__)
+        state["workload"] = None
+        state["_obs_latency_hook"] = None
+        state["_obs_watch_hook"] = None
+        return state
 
     # ------------------------------------------------------------------ per-record processing
 
