@@ -5,10 +5,11 @@ matrices behind the paper's figures into first-class objects:
 
 * :class:`~repro.campaign.spec.CampaignSpec` / :class:`~repro.campaign.spec.SweepGrid`
   declare a sweep and expand it into simulation cells;
-* :class:`~repro.campaign.supervisor.SupervisedExecutor` (the default
-  parallel path) fans cells out across directly-managed worker processes
-  with leases, retry/backoff, quarantine and mid-cell snapshot resume;
-  :class:`~repro.campaign.executor.ParallelExecutor` is the plain pool;
+* :class:`~repro.campaign.supervisor.SupervisedExecutor` (the parallel
+  path) fans cells out across long-lived, directly-managed worker
+  processes with leases, retry/backoff, quarantine and mid-cell snapshot
+  resume; :class:`~repro.campaign.executor.SerialExecutor` is the serial
+  reference path;
 * :class:`~repro.campaign.store.ResultStore` persists every result on disk
   under content-hashed keys, making campaigns resumable and letting the
   figure functions in :mod:`repro.experiments.figures` rebuild reports
@@ -18,7 +19,7 @@ matrices behind the paper's figures into first-class objects:
 """
 
 from repro.campaign.driver import CampaignReport, run_campaign
-from repro.campaign.executor import CellOutcome, ParallelExecutor, SerialExecutor, execute_cell
+from repro.campaign.executor import CellOutcome, SerialExecutor, execute_cell
 from repro.campaign.export import export_csv, export_json, result_rows
 from repro.campaign.spec import CampaignCell, CampaignSpec, SweepGrid
 from repro.campaign.store import ResultStore
@@ -34,7 +35,6 @@ __all__ = [
     "CampaignReport",
     "CampaignSpec",
     "CellOutcome",
-    "ParallelExecutor",
     "ResultStore",
     "SerialExecutor",
     "SupervisedExecutor",

@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "it for cells sharing (config, workload, warmup)")
     run_parser.add_argument("--no-obs", action="store_true",
                             help="disable the event log / heartbeats under <store>/obs")
-    run_parser.add_argument("--no-supervise", action="store_true",
-                            help="with --workers >1: use the plain process pool instead "
-                                 "of the supervised executor (no retry/quarantine)")
     run_parser.add_argument("--retries", type=int, default=None, metavar="N",
                             help="supervised mode: give up on a cell after N failed "
                                  "attempts (worker deaths/timeouts; default 3)")
@@ -296,7 +293,6 @@ def cmd_run(args: argparse.Namespace, stream: TextIO) -> int:
                               force=args.force, obs=obs,
                               checkpoint_warmup=args.checkpoint_warmup,
                               supervisor=_supervisor_config(args),
-                              supervise=not args.no_supervise,
                               snapshot_every=args.snapshot_every or None)
     except KeyboardInterrupt:
         # Serial path interrupts land here (the supervised executor converts

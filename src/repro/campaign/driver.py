@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.campaign.executor import (
-    CellOutcome,
-    ParallelExecutor,
-    ProgressFn,
-    SerialExecutor,
-)
+from repro.campaign.executor import CellOutcome, ProgressFn, SerialExecutor
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.supervisor import SupervisedExecutor, SupervisorConfig
@@ -94,7 +89,6 @@ def run_campaign(
     obs: Optional["ObsSink"] = None,
     checkpoint_warmup: bool = False,
     supervisor: Optional[SupervisorConfig] = None,
-    supervise: bool = True,
     snapshot_every: Optional[int] = None,
 ) -> CampaignReport:
     """Run (or resume) a campaign.
@@ -103,7 +97,10 @@ def run_campaign(
         spec: the campaign to run.
         store: persistent store to resume from and record into; ``None``
             keeps everything in memory (nothing is skipped or persisted).
-        workers: >1 fans pending cells out over that many processes.
+        workers: >1 runs pending cells under :class:`SupervisedExecutor`
+            on that many long-lived worker processes — dead or wedged
+            workers are detected, their cells retried, and repeat
+            offenders quarantined.
         progress: callback ``(done, total, outcome)``; store hits are
             reported first, then live cells as they complete.
         force: re-simulate even cells the store already holds (the fresh
@@ -120,10 +117,6 @@ def run_campaign(
         supervisor: retry/backoff/quarantine knobs for the supervised
             parallel path (``None`` uses :class:`SupervisorConfig` defaults;
             ``spec.cell_timeout_seconds`` fills an unset ``cell_timeout``).
-        supervise: ``workers > 1`` runs under :class:`SupervisedExecutor`
-            by default — dead or wedged workers are detected, their cells
-            retried, and repeat offenders quarantined.  ``False`` falls back
-            to the plain :class:`ParallelExecutor` pool (no recovery).
         snapshot_every: emit a mid-cell auto-snapshot every N processed
             records into ``<store>/obs/autosnapshots`` so a killed campaign
             resumes mid-cell; needs a ``store``, ``None`` disables.
@@ -164,14 +157,12 @@ def run_campaign(
             first_pending_by_key[key] = index
             pending.append(index)
 
-    executor: Union[SerialExecutor, ParallelExecutor, SupervisedExecutor]
-    if workers > 1 and supervise:
+    executor: Union[SerialExecutor, SupervisedExecutor]
+    if workers > 1:
         config = supervisor if supervisor is not None else SupervisorConfig()
         if config.cell_timeout is None and spec.cell_timeout_seconds is not None:
             config = dataclasses.replace(config, cell_timeout=spec.cell_timeout_seconds)
         executor = SupervisedExecutor(workers, config=config)
-    elif workers > 1:
-        executor = ParallelExecutor(workers)
     else:
         executor = SerialExecutor()
     checkpoint_dir = None

@@ -1,20 +1,23 @@
-"""Cell executors: serial reference path and multiprocessing fan-out.
+"""Cell execution: the per-cell runner and the serial reference executor.
 
-Both executors take a list of :class:`~repro.campaign.spec.CampaignCell`
-and return one :class:`CellOutcome` per cell, in input order.  A cell that
-raises is captured as an error outcome instead of aborting the campaign, so
-one bad configuration cannot sink a thousand-cell overnight run.
+:func:`execute_cell` runs one :class:`~repro.campaign.spec.CampaignCell`;
+:class:`SerialExecutor` runs a list of them in this process and returns
+one :class:`CellOutcome` per cell, in input order (the parallel path is
+:class:`~repro.campaign.supervisor.SupervisedExecutor`, with the same
+contract).  A cell that raises is captured as an error outcome instead of
+aborting the campaign, so one bad configuration cannot sink a
+thousand-cell overnight run.
 
 Determinism: workloads are rebuilt inside each worker from (name, seed,
 scale, page_size), and the simulator is seeded from the cell alone, so the
 parallel path produces results bit-identical to the serial path (modulo
 ``wall_time_seconds``, which measures the host) — including any attached
 interval timeline, which is built from simulated state only.  Results cross
-the process boundary as ``SimulationResults.to_dict()`` payloads via
-pickle, which preserves floats exactly.
+the process boundary as ``SimulationResults.to_dict()`` payloads, which
+preserve floats exactly.
 
-Observability: given an :class:`~repro.obs.events.ObsSink`, both executors
-emit structured ``cell_start``/``cell_finish``/``cell_error``/``heartbeat``
+Observability: given an :class:`~repro.obs.events.ObsSink`, every cell
+emits structured ``cell_start``/``cell_finish``/``cell_error``/``heartbeat``
 events to its JSONL log (one appended line per event, safe across
 processes), and every worker process maintains a heartbeat file in the
 sink's heartbeat directory — what ``python -m repro.campaign status
@@ -23,18 +26,17 @@ sink's heartbeat directory — what ``python -m repro.campaign status
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro import faults
 from repro.campaign.spec import CampaignCell
 from repro.experiments.runner import run_simulation
 from repro.obs.events import ObsSink
-from repro.obs.heartbeat import HeartbeatWriter, sweep_dead
+from repro.obs.heartbeat import HeartbeatWriter
 from repro.sim.batch import RunController
 from repro.sim.results import SimulationResults
 
@@ -121,6 +123,7 @@ def execute_cell(
     can tell a slow worker from a wedged one.
     """
     start = time.perf_counter()
+    faults.set_current_cell(cell_index)
     key = cell.key()
     events = obs.event_log() if obs is not None else None
     worker = worker or f"pid-{os.getpid()}"
@@ -134,7 +137,6 @@ def execute_cell(
                     label=cell.label, scheme=cell.scheme,
                     workload=cell.workload, seed=cell.seed)
         events.emit("heartbeat", worker=worker, state="running", key=key)
-    faults.set_current_cell(cell_index)
     controller: Optional[RunController] = None
     if heartbeat is not None and beat_records > 0:
         controller = _ProgressBeat(heartbeat, beat_records, describe, key)
@@ -179,28 +181,6 @@ def execute_cell(
         return CellOutcome(cell, key, None, error=error, wall_seconds=wall)
 
 
-#: Per-process heartbeat writer for pool workers (processes are reused
-#: across cells, so the writer — and its cells_done counter — persists).
-_WORKER_HEARTBEAT = None
-
-
-def _worker(
-    payload: Tuple[int, CampaignCell, Optional[ObsSink], Optional[str],
-                   Optional[str], Optional[int]]
-) -> Tuple[int, str, Optional[dict], Optional[str], float]:
-    """Pool worker: returns the result as a plain dict so transport is explicit."""
-    global _WORKER_HEARTBEAT
-    index, cell, obs, checkpoint_dir, snapshot_dir, snapshot_every = payload
-    worker = f"worker-{os.getpid()}"
-    if obs is not None and _WORKER_HEARTBEAT is None:
-        _WORKER_HEARTBEAT = obs.heartbeat_writer(worker)
-    outcome = execute_cell(cell, obs=obs, worker=worker, heartbeat=_WORKER_HEARTBEAT,
-                           checkpoint_dir=checkpoint_dir, cell_index=index,
-                           snapshot_dir=snapshot_dir, snapshot_every=snapshot_every)
-    result_dict = outcome.result.to_dict() if outcome.result is not None else None
-    return (index, outcome.key, result_dict, outcome.error, outcome.wall_seconds)
-
-
 class SerialExecutor:
     """Run cells one after another in this process (the reference path)."""
 
@@ -227,53 +207,3 @@ class SerialExecutor:
             if heartbeat is not None:
                 heartbeat.clear()
         return outcomes
-
-
-class ParallelExecutor:
-    """Fan cells out across worker processes with ``multiprocessing.Pool``.
-
-    Args:
-        workers: process count (default: ``os.cpu_count()`` via Pool).
-        mp_start_method: ``"fork"`` / ``"spawn"`` / ``"forkserver"``; ``None``
-            uses the platform default.
-    """
-
-    def __init__(self, workers: Optional[int] = None, mp_start_method: Optional[str] = None) -> None:
-        if workers is not None and workers <= 0:
-            raise ValueError("workers must be positive")
-        self.workers = workers
-        self.mp_start_method = mp_start_method
-
-    def run(
-        self,
-        cells: Sequence[CampaignCell],
-        progress: Optional[ProgressFn] = None,
-        obs: Optional[ObsSink] = None,
-        checkpoint_dir: Optional[str] = None,
-        snapshot_dir: Optional[str] = None,
-        snapshot_every: Optional[int] = None,
-    ) -> List[CellOutcome]:
-        if not cells:
-            return []
-        context = multiprocessing.get_context(self.mp_start_method)
-        outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-        payloads = [(index, cell, obs, checkpoint_dir, snapshot_dir, snapshot_every)
-                    for index, cell in enumerate(cells)]
-        done = 0
-        try:
-            with context.Pool(processes=self.workers) as pool:
-                for index, key, result_dict, error, wall in pool.imap_unordered(_worker, payloads, chunksize=1):
-                    cell = cells[index]
-                    result = SimulationResults.from_dict(result_dict) if result_dict is not None else None
-                    outcome = CellOutcome(cell, key, result, error=error, wall_seconds=wall)
-                    outcomes[index] = outcome
-                    done += 1
-                    if progress is not None:
-                        progress(done, len(cells), outcome)
-        finally:
-            # Pool workers cannot hook their own exit; drop the heartbeat
-            # files their (now gone) PIDs left so finished campaigns do not
-            # show ghost workers in ``status --live``.
-            if obs is not None and obs.heartbeat_dir:
-                sweep_dead(obs.heartbeat_dir)
-        return [outcome for outcome in outcomes if outcome is not None]

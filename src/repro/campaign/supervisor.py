@@ -1,25 +1,30 @@
 """Fault-tolerant campaign execution: worker leases, retries, quarantine.
 
-:class:`SupervisedExecutor` is the default parallel path for campaigns.
-Unlike the opaque :class:`multiprocessing.Pool` of
-:class:`~repro.campaign.executor.ParallelExecutor`, it manages worker
-processes directly, which is what lets it survive the failures long
-overnight runs actually hit:
+:class:`SupervisedExecutor` is the campaign's parallel path.  It manages
+one long-lived worker process per slot directly, which is what lets it
+survive the failures long overnight runs actually hit:
 
-* **Leases.**  Every cell attempt runs in its own worker process under a
-  *lease*: the supervisor knows which worker holds which cell, since when,
-  and until when (``cell_timeout``).  The worker writes its outcome to a
-  spool file (atomic rename) and exits; losing the process can never lose
-  an already-completed outcome.
-* **Dead-worker detection.**  A worker that is OOM-killed or SIGKILLed
-  mid-cell is noticed at the next poll (process exit without an outcome
-  file); a *wedged* worker is noticed by its lease deadline or by its
-  heartbeat going stale (heartbeats advance with simulation progress — see
+* **Leases.**  Every cell attempt runs on a worker slot under a *lease*:
+  the supervisor knows which worker holds which cell, since when, and
+  until when (``cell_timeout``).  The slot's process receives the cell
+  over a pipe, writes its outcome to a spool file (atomic rename) and only
+  then sends a completion notice, so losing the process can never lose an
+  already-completed outcome.  It then collects its heap and waits for the
+  next lease: each cell starts from a collected heap, and no cell pays
+  for a process start.
+* **Dead-worker detection.**  The supervisor sleeps until a leased worker
+  sends its notice or exits, so a worker that is OOM-killed or SIGKILLed
+  mid-cell is noticed at once (process exit without an outcome file).  A
+  *wedged* worker is noticed by its lease deadline or by its heartbeat
+  going stale (heartbeats advance with simulation progress — see
   :class:`~repro.campaign.executor._ProgressBeat` — so a hung loop goes
-  quiet even though the process is alive).
-* **Retry with capped exponential backoff.**  A revoked cell is requeued
-  after ``backoff_base * 2**(failures-1)`` seconds (capped) and retried on
-  a fresh worker.  If mid-cell auto-snapshots are enabled, the retry
+  quiet even though the process is alive); ``poll_interval`` bounds how
+  late those two checks run.  Deadlines, staleness and backoff use the
+  monotonic clock, so a wall-clock step (NTP, VM resume) revokes nothing.
+* **Retry with capped exponential backoff.**  Revoking a lease kills that
+  slot's process; the next grant on the slot starts a fresh one.  A
+  revoked cell is requeued after ``backoff_base * 2**(failures-1)``
+  seconds (capped).  If mid-cell auto-snapshots are enabled, the retry
   resumes from the last snapshot instead of record zero — bit-identical to
   an uninterrupted run.
 * **Quarantine.**  After ``max_attempts`` revocations the cell is given up
@@ -40,6 +45,7 @@ assert them deterministically.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import multiprocessing.process
@@ -49,7 +55,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.executor import CellOutcome, ProgressFn, execute_cell
 from repro.campaign.spec import CampaignCell
@@ -57,17 +63,22 @@ from repro.obs.events import EventLog, ObsSink
 from repro.obs.heartbeat import STALE_AFTER_SECONDS, sweep_dead
 from repro.sim.results import SimulationResults
 
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
 
 @dataclass
 class SupervisorConfig:
     """Robustness knobs for :class:`SupervisedExecutor`.
 
-    ``cell_timeout`` is the per-*attempt* wall-clock deadline; ``None``
+    ``cell_timeout`` is the per-*attempt* deadline in seconds; ``None``
     disables deadline revocation (death and staleness still apply).
     ``stale_after`` revokes a lease whose worker heartbeat has not advanced
     in that many seconds; ``None`` disables the staleness check.
     ``snapshot_every`` (records) turns on mid-cell auto-snapshots so
     retries — and whole re-runs of a killed campaign — resume mid-cell.
+    ``poll_interval`` bounds how late deadlines and staleness are checked;
+    completions and worker deaths wake the supervisor at once.
     """
 
     max_attempts: int = 3
@@ -107,7 +118,10 @@ class CampaignInterrupted(KeyboardInterrupt):
 
 @dataclass
 class _Lease:
-    """One outstanding cell attempt: which worker, since when, until when."""
+    """One outstanding cell attempt: which worker, since when, until when.
+
+    Times are :func:`time.monotonic` readings.
+    """
 
     index: int
     cell: CampaignCell
@@ -115,61 +129,95 @@ class _Lease:
     attempt: int
     worker: str
     process: "multiprocessing.process.BaseProcess"
+    conn: "Connection"
     started: float
     deadline: Optional[float]
     outcome_path: Path
     heartbeat_path: Optional[Path]
+    #: The heartbeat's last ``updated_ts`` (the worker's wall clock, only
+    #: ever compared for change) and when it was first seen.
+    beat_ts: Optional[float] = None
+    beat_seen: float = 0.0
 
 
 def _worker_main(
     worker: str,
-    index: int,
-    cell: CampaignCell,
+    conn: "Connection",
     obs: Optional[ObsSink],
     checkpoint_dir: Optional[str],
     snapshot_dir: Optional[str],
     snapshot_every: Optional[int],
-    outcome_path: str,
 ) -> None:
-    """Child process body: run one cell, spool the outcome, exit 0.
+    """Worker slot body: run leased cells until told to stop.
 
-    The outcome crosses back as JSON via an atomic rename, so a crash at
-    any point leaves either no file (the lease is revoked and retried) or a
-    complete one — never a half-written outcome.
+    Each lease arrives as ``(index, cell, outcome_path)``.  The outcome
+    crosses back as JSON via an atomic rename *before* the completion
+    notice, so a crash at any point leaves either no file (the lease is
+    revoked and retried) or a complete one — never a half-written outcome.
+    ``None``, a hang-up or a vanished supervisor ends the loop.
     """
+    # The supervisor owns shutdown: a terminal Ctrl-C reaches the whole
+    # process group, and SIGTERM must not run the CLI's handler here.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Everything alive now is long-lived; freezing it keeps the per-cell
+    # collection below from scanning the inherited heap.
+    gc.freeze()
+    supervisor = os.getppid()
     heartbeat = obs.heartbeat_writer(worker) if obs is not None else None
     try:
-        outcome = execute_cell(
-            cell, obs=obs, worker=worker, heartbeat=heartbeat,
-            checkpoint_dir=checkpoint_dir, cell_index=index,
-            snapshot_dir=snapshot_dir, snapshot_every=snapshot_every,
-        )
-        payload = {
-            "key": outcome.key,
-            "result": outcome.result.to_dict() if outcome.result is not None else None,
-            "error": outcome.error,
-            "wall_seconds": outcome.wall_seconds,
-        }
-        tmp = outcome_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, outcome_path)
+        while True:
+            # A supervisor killed outright (OOM killer, SIGKILL, an injected
+            # crash) cannot stop its workers, so an orphan exits on its own.
+            while not conn.poll(1.0):
+                if os.getppid() != supervisor:
+                    return
+            try:
+                lease = conn.recv()
+            except EOFError:
+                return
+            if lease is None:
+                return
+            index, cell, outcome_path = lease
+            outcome = execute_cell(
+                cell, obs=obs, worker=worker, heartbeat=heartbeat,
+                checkpoint_dir=checkpoint_dir, cell_index=index,
+                snapshot_dir=snapshot_dir, snapshot_every=snapshot_every,
+            )
+            payload = {
+                "key": outcome.key,
+                "result": outcome.result.to_dict() if outcome.result is not None else None,
+                "error": outcome.error,
+                "wall_seconds": outcome.wall_seconds,
+            }
+            tmp = outcome_path + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, outcome_path)
+            try:
+                conn.send(index)
+            except OSError:
+                return  # the supervisor is gone
+            del outcome, payload
+            # Cyclic garbage from this cell's System would otherwise pile
+            # up across cells and inflate the worker's resident memory.
+            gc.collect()
     finally:
         if heartbeat is not None:
             heartbeat.clear()
 
 
 class SupervisedExecutor:
-    """Run cells across directly-managed worker processes with leases.
+    """Run cells across long-lived, directly-managed worker processes with leases.
 
-    Drop-in replacement for
-    :class:`~repro.campaign.executor.ParallelExecutor` (same ``run``
-    contract: one outcome per cell, in input order, bit-identical results)
-    plus the recovery behaviour described in the module docstring.  One
-    process is spawned per cell *attempt*; worker slots are named ``w0``,
-    ``w1``, ... and reused, so heartbeat files stay per-slot.
+    Same ``run`` contract as :class:`~repro.campaign.executor.SerialExecutor`
+    (one outcome per cell, in input order, bit-identical results) plus the
+    recovery behaviour described in the module docstring.  Worker slots
+    are named ``w0``, ``w1``, ...; each keeps one process, which runs cell
+    after cell and is replaced only when a lease on it is revoked, so
+    heartbeat files stay per-slot.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -192,6 +240,9 @@ class SupervisedExecutor:
     ) -> List[CellOutcome]:
         if not cells:
             return []
+        # Imported here: at module level it lengthens every campaign import.
+        from multiprocessing.connection import wait
+
         cfg = self.config
         if snapshot_every is None:
             snapshot_every = cfg.snapshot_every
@@ -207,9 +258,15 @@ class SupervisedExecutor:
         queue: List[List[float]] = [[index, 1, 0.0] for index in range(total)]
         failures: Dict[int, int] = {}
         leases: Dict[str, _Lease] = {}
+        #: Each started slot's process and the supervisor's end of its pipe.
+        slots: Dict[str, Tuple["multiprocessing.process.BaseProcess", "Connection"]] = {}
+        # Granted from the end: a released slot (process alive) goes last
+        # and a revoked one first, so a degraded pool keeps no idle
+        # processes beyond its target.
         free_slots = [f"w{slot}" for slot in reversed(range(self.workers))]
         target_workers = min(self.workers, total)
         done = 0
+        drained = False
 
         with tempfile.TemporaryDirectory(prefix="repro-supervisor-") as spool:
 
@@ -220,32 +277,54 @@ class SupervisedExecutor:
                 if progress is not None:
                     progress(done, total, outcome)
 
+            def start_worker(worker: str) -> Tuple["multiprocessing.process.BaseProcess",
+                                                   "Connection"]:
+                ours, theirs = context.Pipe()
+                process = context.Process(
+                    target=_worker_main,
+                    args=(worker, theirs, obs, checkpoint_dir, snapshot_dir, snapshot_every),
+                    daemon=True,
+                )
+                process.start()
+                theirs.close()
+                return process, ours
+
             def grant(entry: List[float]) -> None:
                 index, attempt = int(entry[0]), int(entry[1])
                 cell = cells[index]
                 key = cell.key()
                 worker = free_slots.pop()
+                if worker not in slots:
+                    slots[worker] = start_worker(worker)
+                process, conn = slots[worker]
                 outcome_path = Path(spool) / f"outcome-{index}-{attempt}.json"
-                process = context.Process(
-                    target=_worker_main,
-                    args=(worker, index, cell, obs, checkpoint_dir,
-                          snapshot_dir, snapshot_every, str(outcome_path)),
-                    daemon=True,
-                )
-                process.start()
-                now = time.time()
+                try:
+                    conn.send((index, cell, str(outcome_path)))
+                except OSError:
+                    pass  # the idle worker died; its sentinel revokes the lease
+                now = time.monotonic()
                 deadline = now + cfg.cell_timeout if cfg.cell_timeout is not None else None
                 leases[worker] = _Lease(
                     index=index, cell=cell, key=key, attempt=attempt,
-                    worker=worker, process=process, started=now, deadline=deadline,
-                    outcome_path=outcome_path,
+                    worker=worker, process=process, conn=conn, started=now,
+                    deadline=deadline, outcome_path=outcome_path,
                     heartbeat_path=(heartbeat_dir / f"{worker}.hb.json"
                                     if heartbeat_dir is not None else None),
+                    beat_seen=now,
                 )
                 if events is not None:
                     events.emit("lease_granted", key=key, cell=cell.describe(),
                                 worker=worker, attempt=attempt,
                                 timeout=cfg.cell_timeout)
+
+            def retire(worker: str, grace: float = 0.0) -> None:
+                """Stop a slot's process, killing it after ``grace`` seconds."""
+                process, conn = slots.pop(worker)
+                process.join(timeout=grace)
+                if process.is_alive():
+                    process.kill()
+                process.join(timeout=10.0)
+                conn.close()
 
             def read_outcome(lease: _Lease) -> Optional[CellOutcome]:
                 if not lease.outcome_path.exists():
@@ -261,37 +340,31 @@ class SupervisedExecutor:
                 )
 
             def heartbeat_stale(lease: _Lease, now: float) -> bool:
+                # The worker's timestamps come from its wall clock, which
+                # may step; only a change of value counts, timed here.
                 if cfg.stale_after is None:
                     return False
-                last = lease.started
                 if lease.heartbeat_path is not None:
                     try:
                         with lease.heartbeat_path.open("r", encoding="utf-8") as handle:
-                            beat = json.load(handle)
-                        last = max(last, float(beat.get("updated_ts", 0.0)))
+                            beat = json.load(handle).get("updated_ts")
                     except (OSError, ValueError):
-                        pass
-                return (now - last) > cfg.stale_after
+                        beat = lease.beat_ts
+                    if beat != lease.beat_ts:
+                        lease.beat_ts, lease.beat_seen = beat, now
+                return (now - lease.beat_seen) > cfg.stale_after
 
             def revoke(lease: _Lease, reason: str) -> None:
                 nonlocal target_workers
-                process = lease.process
-                if process.is_alive():
-                    process.kill()
-                process.join(timeout=10.0)
+                retire(lease.worker)
                 # The worker may have spooled its outcome in the race window
                 # before the kill landed; a completed cell is never retried.
                 finished = read_outcome(lease)
                 del leases[lease.worker]
-                free_slots.append(lease.worker)
+                free_slots.insert(0, lease.worker)
                 if finished is not None:
                     complete(lease.index, finished)
                     return
-                if lease.heartbeat_path is not None:
-                    try:
-                        lease.heartbeat_path.unlink()
-                    except OSError:
-                        pass
                 count = failures.get(lease.index, 0) + 1
                 failures[lease.index] = count
                 # Involuntary deaths erode trust in parallelism: shrink the
@@ -319,59 +392,61 @@ class SupervisedExecutor:
                     events.emit("cell_retry", key=lease.key,
                                 cell=lease.cell.describe(), attempt=count + 1,
                                 backoff_seconds=round(delay, 3), reason=reason)
-                queue.append([lease.index, count + 1, time.time() + delay])
+                queue.append([lease.index, count + 1, time.monotonic() + delay])
 
             try:
                 while queue or leases:
-                    now = time.time()
+                    now = time.monotonic()
                     # Dispatch every ready cell onto a free slot, up to the
                     # (possibly degraded) concurrency target.
                     queue.sort(key=lambda entry: entry[2])
                     while queue and len(leases) < target_workers and queue[0][2] <= now:
                         grant(queue.pop(0))
 
-                    progressed = False
+                    # Sleep until a leased worker sends its notice or exits,
+                    # a retry's backoff expires, or deadlines and staleness
+                    # are due for a check.
+                    timeout = cfg.poll_interval
+                    if queue and len(leases) < target_workers:
+                        timeout = min(timeout, max(0.0, queue[0][2] - now))
+                    ready = wait([lease.conn for lease in leases.values()]
+                                 + [lease.process.sentinel for lease in leases.values()],
+                                 timeout)
+                    now = time.monotonic()
                     for lease in list(leases.values()):
+                        if lease.conn in ready:
+                            try:
+                                lease.conn.recv()  # the notice; the spool file holds the outcome
+                            except EOFError:
+                                pass  # the worker is exiting: handled as a death below
                         outcome = read_outcome(lease)
                         if outcome is not None:
-                            lease.process.join(timeout=10.0)
                             del leases[lease.worker]
                             free_slots.append(lease.worker)
                             complete(lease.index, outcome)
-                            progressed = True
                         elif not lease.process.is_alive():
                             revoke(lease,
                                    reason=f"worker-died (exitcode {lease.process.exitcode})")
-                            progressed = True
                         elif lease.deadline is not None and now > lease.deadline:
                             revoke(lease, reason="timeout")
-                            progressed = True
                         elif heartbeat_stale(lease, now):
                             revoke(lease, reason="stale-heartbeat")
-                            progressed = True
-                    if progressed:
-                        continue
-                    # Nothing moved: sleep until the next backoff expiry (or
-                    # one poll interval while leases are outstanding).
-                    if leases:
-                        time.sleep(cfg.poll_interval)
-                    elif queue:
-                        time.sleep(max(0.0, min(cfg.poll_interval,
-                                                queue[0][2] - time.time())))
+                drained = True
             except KeyboardInterrupt:
-                # Graceful stop: kill outstanding leases, keep what finished.
-                for lease in list(leases.values()):
-                    if lease.process.is_alive():
-                        lease.process.kill()
-                    lease.process.join(timeout=10.0)
-                    if lease.heartbeat_path is not None:
-                        try:
-                            lease.heartbeat_path.unlink()
-                        except OSError:
-                            pass
-                leases.clear()
+                # Graceful stop: kill every worker, keep what finished.
                 raise CampaignInterrupted() from None
             finally:
+                # After a normal finish every worker is idle and exits on
+                # request (clearing its heartbeat); otherwise all are killed.
+                if drained:
+                    for _process, conn in slots.values():
+                        try:
+                            conn.send(None)
+                        except OSError:
+                            pass
+                for worker in list(slots):
+                    retire(worker, grace=10.0 if drained else 0.0)
+                # Killed workers leave heartbeat files; their pids are gone.
                 if heartbeat_dir is not None:
                     sweep_dead(heartbeat_dir)
 

@@ -39,8 +39,8 @@ Fault kinds: ``kill`` (SIGKILL this process), ``hang`` (stop making
 progress — and stop heartbeating — until killed), ``error`` (raise
 :class:`FaultInjected`, exercising the per-cell error path),
 ``truncate-store`` (write half the pending store line, then die — a crash
-mid-append), ``drop-heartbeat`` (silence this worker's heartbeat file from
-here on, exercising stale-lease revocation).
+mid-append), ``drop-heartbeat`` (silence this worker's heartbeat file for
+the rest of the cell, exercising stale-lease revocation).
 
 Everything here is stdlib-only and deliberately free of any simulator
 dependency, so the store, the heartbeat writer and the runner can call
@@ -323,9 +323,15 @@ def reset() -> None:
 
 
 def set_current_cell(index: Optional[int]) -> None:
-    """Record which campaign cell this process is executing (fire context)."""
+    """Record which campaign cell this process is executing (fire context).
+
+    A new cell also starts with a live heartbeat: ``drop-heartbeat``
+    silences one cell attempt, even in a worker that runs many cells.
+    """
     global _CURRENT_CELL
     _CURRENT_CELL = index
+    if _INJECTOR is not None:
+        _INJECTOR.heartbeats_dropped = False
 
 
 def current_cell() -> Optional[int]:

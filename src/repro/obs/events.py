@@ -10,8 +10,8 @@ key, workload, wall seconds, ...).
 
 Writes are one ``write()`` call of one line on a file opened in append
 mode, so concurrent emitters — the campaign driver and every
-:class:`~repro.campaign.executor.ParallelExecutor` worker append to the
-same file — interleave at line granularity on POSIX and a truncated tail
+:class:`~repro.campaign.supervisor.SupervisedExecutor` worker append to
+the same file — interleave at line granularity on POSIX and a truncated tail
 (crash mid-write) costs at most one line, exactly like the result store.
 
 :class:`EventLog` is picklable (it holds only the path), which is what

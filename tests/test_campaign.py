@@ -7,9 +7,10 @@ import pytest
 
 from repro.campaign import (
     CampaignSpec,
-    ParallelExecutor,
     ResultStore,
     SerialExecutor,
+    SupervisedExecutor,
+    SupervisorConfig,
     SweepGrid,
     export_csv,
     export_json,
@@ -229,7 +230,7 @@ def test_parallel_matches_serial_bit_identically():
     spec = tiny_spec(schemes=["banshee", "alloy"], workloads=["gcc", "mcf"])
     cells = spec.cells()
     serial = SerialExecutor().run(cells)
-    parallel = ParallelExecutor(workers=4).run(cells)
+    parallel = SupervisedExecutor(workers=4).run(cells)
     assert len(serial) == len(parallel) == 4
     for s, p in zip(serial, parallel):
         assert s.ok and p.ok
@@ -263,11 +264,16 @@ def test_traces_stable_across_interpreter_hash_seeds():
 
 
 def test_spawn_parallel_matches_serial():
-    spec = tiny_spec(workloads=["gcc"], records_per_core=300)
+    # More cells than workers: spawned workers each serve several cells.
+    spec = tiny_spec(workloads=["gcc"], seeds=[1, 2, 3, 4, 5], records_per_core=300)
     cells = spec.cells()
     serial = SerialExecutor().run(cells)
-    spawned = ParallelExecutor(workers=2, mp_start_method="spawn").run(cells)
+    spawned = SupervisedExecutor(
+        workers=2, config=SupervisorConfig(mp_start_method="spawn")
+    ).run(cells)
     assert serial[0].result.identity_dict() == spawned[0].result.identity_dict()
+    assert ([o.result.identity_dict() for o in serial]
+            == [o.result.identity_dict() for o in spawned])
 
 
 def test_executor_captures_per_cell_errors():

@@ -407,8 +407,9 @@ def test_trace_cells_survive_spawn_workers(tmp_path):
     """Spawn workers re-resolve trace cells from scratch (fresh cwd, fresh
     module state), so the cell must carry everything needed to reopen the
     file — the absolute path the spec normalisation bakes in."""
-    from repro.campaign.executor import ParallelExecutor, SerialExecutor
+    from repro.campaign.executor import SerialExecutor
     from repro.campaign.spec import CampaignSpec, SweepGrid
+    from repro.campaign.supervisor import SupervisedExecutor, SupervisorConfig
 
     path, _ = capture(tmp_path, records=120)
     spec = CampaignSpec(
@@ -422,7 +423,9 @@ def test_trace_cells_survive_spawn_workers(tmp_path):
     cells = spec.cells()
     assert cells[0].workload == f"trace:{path}"  # relative path absolutized
     serial = SerialExecutor().run(cells)
-    spawned = ParallelExecutor(workers=1, mp_start_method="spawn").run(cells)
+    spawned = SupervisedExecutor(
+        workers=1, config=SupervisorConfig(mp_start_method="spawn")
+    ).run(cells)
     assert spawned[0].ok, spawned[0].error
     assert serial[0].result.identity_dict() == spawned[0].result.identity_dict()
 

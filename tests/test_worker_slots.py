@@ -1,0 +1,242 @@
+"""Long-lived supervised worker slots: reuse, shutdown, clocks and signals.
+
+Each :class:`SupervisedExecutor` slot keeps one process that runs cell
+after cell; only a revoked lease replaces it.  These tests pin what that
+design must keep: results equal to the serial path, per-process heartbeat
+counters, no process outliving a run (however it ends), leases immune to
+wall-clock steps, and a quiet process group on Ctrl-C.
+"""
+
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from collections import Counter, defaultdict
+from pathlib import Path
+
+import pytest
+
+from repro import faults
+from repro.campaign import (
+    CampaignSpec,
+    ResultStore,
+    SerialExecutor,
+    SupervisedExecutor,
+    SupervisorConfig,
+    SweepGrid,
+    run_campaign,
+)
+from repro.obs.events import EventLog, ObsSink, read_events
+from repro.obs.heartbeat import HeartbeatWriter, pid_alive, read_heartbeats
+
+RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
+
+#: Snappy supervisor for tests: near-instant backoff, fast polling.
+FAST = dict(backoff_base=0.01, backoff_cap=0.05, poll_interval=0.01)
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Inline CLI campaign of 4 short cells (pending order: banshee/gcc,
+#: banshee/mcf, alloy/gcc, alloy/mcf).
+CLI_CAMPAIGN = ["--schemes", "banshee", "alloy", "--workloads", "gcc", "mcf",
+                "--seeds", "1", "--records", "600", "--cores", "2", "--preset", "tiny",
+                "--workers", "2"]
+
+
+def tiny_spec(schemes=("banshee",), workloads=("gcc",), seeds=(1,)):
+    return CampaignSpec(
+        name="slots",
+        grids=[SweepGrid(schemes=list(schemes), workloads=list(workloads), seeds=list(seeds))],
+        **RUN,
+    )
+
+
+@pytest.fixture(autouse=True)
+def clean_faults():
+    """No fault plan (or claim state) leaks between tests or into workers."""
+    faults.install(None)
+    faults.reset()
+    yield
+    faults.install(None)
+    faults.reset()
+
+
+def events_of(path, event):
+    return [record for record in read_events(path) if record["event"] == event]
+
+
+def identities(outcomes):
+    return [outcome.result.identity_dict() for outcome in outcomes]
+
+
+def cli_run(store_dir, plan):
+    """The CLI command line running :data:`CLI_CAMPAIGN` under fault ``plan``."""
+    return ([sys.executable, "-m", "repro.campaign", "run", "--store", str(store_dir)]
+            + CLI_CAMPAIGN + ["--inject", plan])
+
+
+def cli_env(tmp_path):
+    return dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
+
+
+def test_workers_serve_many_cells(tmp_path, monkeypatch):
+    """6 cells on 2 fork workers: 2 processes, each heartbeating with one
+    start time and a done counter that reaches the cells it finished."""
+    cells = tiny_spec(schemes=["banshee", "alloy", "nocache"], seeds=[1, 2]).cells()
+    beats_path = tmp_path / "beats.jsonl"
+    beat = HeartbeatWriter.beat
+
+    def logged_beat(self, *args, **kwargs):
+        payload = beat(self, *args, **kwargs)
+        with open(beats_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload) + "\n")
+        return payload
+
+    # Forked workers inherit the wrapper.
+    monkeypatch.setattr(HeartbeatWriter, "beat", logged_beat)
+    obs = ObsSink.for_directory(tmp_path / "obs")
+    out = SupervisedExecutor(
+        workers=2, config=SupervisorConfig(mp_start_method="fork", **FAST)
+    ).run(cells, obs=obs)
+    assert multiprocessing.active_children() == []
+    assert identities(out) == identities(SerialExecutor().run(cells))
+
+    pids = {record["pid"] for record in events_of(obs.events_path, "cell_start")}
+    assert len(pids) == 2
+    finished = Counter(record["pid"] for record in events_of(obs.events_path, "cell_finish"))
+    assert sum(finished.values()) == len(cells)
+    beats = defaultdict(list)
+    for line in beats_path.read_text().splitlines():
+        payload = json.loads(line)
+        beats[payload["pid"]].append(payload)
+    assert set(beats) == pids
+    for pid, payloads in beats.items():
+        assert len({payload["started_ts"] for payload in payloads}) == 1
+        assert max(payload["cells_done"] for payload in payloads) == finished[pid]
+    assert read_heartbeats(obs.heartbeat_dir) == []
+
+
+@pytest.mark.parametrize("times", [1, 3], ids=["retried", "quarantined"])
+def test_revoked_slot_restarts_and_nothing_outlives_the_run(tmp_path, times):
+    cells = tiny_spec(schemes=["banshee", "alloy"], seeds=[1, 2]).cells()
+    faults.install(f"kill@cell=0:times={times}", state_dir=str(tmp_path / "faults"))
+    obs = ObsSink.for_directory(tmp_path / "obs")
+    out = SupervisedExecutor(
+        workers=2, config=SupervisorConfig(max_attempts=3, **FAST)
+    ).run(cells, obs=obs)
+    assert [outcome.ok for outcome in out] == [times == 1, True, True, True]
+    assert [outcome.quarantined for outcome in out] == [times == 3, False, False, False]
+    revocations = len(events_of(obs.events_path, "lease_revoked"))
+    assert revocations == times
+    pids = {record["pid"] for record in events_of(obs.events_path, "cell_start")}
+    assert len(pids) <= 2 + revocations
+    assert multiprocessing.active_children() == []
+    assert read_heartbeats(obs.heartbeat_dir) == []
+
+
+def test_interrupt_stops_every_worker(tmp_path):
+    spec = tiny_spec(schemes=["banshee", "alloy"], seeds=[1, 2])
+    obs = ObsSink.for_directory(tmp_path / "store" / "obs")
+
+    def interrupt_after_first(done, total, outcome):
+        raise KeyboardInterrupt()
+
+    report = run_campaign(spec, store=ResultStore(tmp_path / "store"), workers=2, obs=obs,
+                          progress=interrupt_after_first, supervisor=SupervisorConfig(**FAST))
+    assert report.interrupted and len(report.outcomes) == 1
+    assert multiprocessing.active_children() == []
+    assert read_heartbeats(obs.heartbeat_dir) == []
+
+
+def test_wall_clock_jump_revokes_no_lease(tmp_path, monkeypatch):
+    """A +1 h wall-clock step after the first grant (NTP step, VM resume)
+    must not look like a blown deadline or a stale heartbeat."""
+    cells = tiny_spec(schemes=["banshee", "alloy"]).cells()
+    real_time = time.time
+    jumped = []
+    emit = EventLog.emit
+
+    def stepped_clock():
+        return real_time() + (3600.0 if jumped else 0.0)
+
+    def emit_then_jump(self, event, **fields):
+        record = emit(self, event, **fields)
+        if event == "lease_granted":
+            jumped.append(True)
+        return record
+
+    monkeypatch.setattr(time, "time", stepped_clock)
+    monkeypatch.setattr(EventLog, "emit", emit_then_jump)
+    obs = ObsSink.for_directory(tmp_path / "obs")
+    out = SupervisedExecutor(
+        workers=2, config=SupervisorConfig(cell_timeout=30, **FAST)
+    ).run(cells, obs=obs)
+    assert jumped
+    assert events_of(obs.events_path, "lease_revoked") == []
+    assert identities(out) == identities(SerialExecutor().run(cells))
+
+
+def test_drop_heartbeat_lasts_one_cell():
+    faults.install("drop-heartbeat@cell=0")
+    faults.set_current_cell(0)
+    faults.fire("cell", cell=0)
+    assert faults.heartbeat_dropped()
+    faults.set_current_cell(1)
+    assert not faults.heartbeat_dropped()
+
+
+def test_cli_ctrl_c_to_process_group_is_quiet(tmp_path):
+    """A terminal Ctrl-C signals the whole process group: the supervisor
+    stops the run (exit 130) and no worker prints a traceback or lives on."""
+    store_dir = tmp_path / "store"
+    events_path = store_dir / "obs" / "events.jsonl"
+    proc = subprocess.Popen(cli_run(store_dir, "hang@cell=2"), env=cli_env(tmp_path),
+                            cwd=str(REPO), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 240
+        while len(events_of(events_path, "cell_finish")) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "two cells never finished"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, stdout + stderr
+    assert "Traceback" not in stderr, stderr
+    assert not [line for line in stderr.splitlines() if line.startswith("Process ")], stderr
+    pids = {record["pid"] for record in events_of(events_path, "cell_start")}
+    assert pids and not [pid for pid in pids if pid_alive(pid)]
+    assert read_heartbeats(store_dir / "obs" / "heartbeats") == []
+
+
+def _running(pid):
+    """Whether ``pid`` is a live, non-zombie process (an orphan's reaper may be slow)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_their_supervisor_dies(tmp_path):
+    """A supervisor killed outright (here mid-append to the store) cannot
+    stop its workers; idle ones notice the lost parent and exit instead of
+    waiting for leases forever."""
+    store_dir = tmp_path / "store"
+    crashed = subprocess.run(cli_run(store_dir, "truncate-store@put=1"), env=cli_env(tmp_path),
+                             cwd=str(REPO), capture_output=True, text=True, timeout=300)
+    assert crashed.returncode == 1, crashed.stdout + crashed.stderr
+    pids = {record["pid"] for record in
+            events_of(store_dir / "obs" / "events.jsonl", "cell_start")}
+    assert pids
+    deadline = time.monotonic() + 30
+    while [pid for pid in pids if _running(pid)] and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not [pid for pid in pids if _running(pid)]
