@@ -5,6 +5,10 @@ time ``now`` waits until the channel is free, then occupies it for the
 transfer time of its payload.  The returned latency therefore includes
 queueing delay, which is how bandwidth contention — the central quantity in
 the Banshee evaluation — shows up as performance loss.
+
+:meth:`DramChannel.access_latency` is the whole timing model in one frame:
+it calls nothing on a transfer-memo hit, so a device access costs two Python
+frames (device, channel).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class ChannelAccess:
 
 
 class DramChannel:
-    """One DRAM channel with a simple row-buffer locality approximation.
+    """One DRAM channel that tracks its open row.
 
     Two priority classes are modelled, mirroring how memory controllers
     schedule traffic:
@@ -42,58 +46,47 @@ class DramChannel:
     Without the second class a single 4 KB page move would block a later
     demand read for thousands of cycles, which is not how real controllers
     with read-priority scheduling behave.
+
+    An access to the row of the previous access is a row-buffer hit (CAS
+    only); any other row pays precharge + activate + CAS.
     """
 
-    def __init__(
-        self,
-        channel_id: int,
-        timing: DramTiming,
-        row_hit_fraction: float = 0.5,
-        background_buffer_cycles: int = 4096,
-    ) -> None:
-        if not 0.0 <= row_hit_fraction <= 1.0:
-            raise ValueError("row_hit_fraction must be in [0, 1]")
+    def __init__(self, channel_id: int, timing: DramTiming, background_buffer_cycles: int = 4096) -> None:
         if background_buffer_cycles < 0:
             raise ValueError("background_buffer_cycles must be non-negative")
         self.channel_id = channel_id
         self.timing = timing
-        self.row_hit_fraction = row_hit_fraction
         self.background_buffer_cycles = background_buffer_cycles
         self.busy_until = 0
         self.total_busy_cycles = 0
         self.total_requests = 0
         self._background_backlog = 0
         self._last_row: int = -1
-        # Row-hit threshold hoisted out of the per-access path.
-        self._row_hit_percent = int(row_hit_fraction * 100)
-        # Detail fields of the most recent ``access_latency`` call; the
-        # :class:`ChannelAccess`-returning wrapper reads them back so the
-        # hot path never allocates.
+        # Read on every access without a call: the timing's transfer memo
+        # (shared, filled by ``DramTiming.transfer_cycles`` on a miss) and
+        # the two device latencies.
+        self._transfer_memo = timing.transfer_memo
+        self._row_hit_cycles = timing.row_hit_latency_cycles
+        self._row_miss_cycles = timing.row_miss_latency_cycles
+        # Detail fields of the most recent ``access_latency`` call.  The
+        # :class:`ChannelAccess`-returning :meth:`access` reads them back, so
+        # the hot path never allocates, and the queue delay is what stall
+        # attribution needs.
         self.last_queue_delay = 0
         self.last_transfer_cycles = 0
         self.last_completion_time = 0
 
-    def _drain_background(self, now: int) -> None:
-        """Use any idle time before ``now`` to drain buffered background work."""
-        if self._background_backlog <= 0 or self.busy_until >= now:
-            return
-        idle = now - self.busy_until
-        drained = min(idle, self._background_backlog)
-        self.busy_until += drained
-        self._background_backlog -= drained
-
-    def access(self, now: int, num_bytes: int, row: int = -1, background: bool = False) -> ChannelAccess:
+    def access(self, now: int, num_bytes: int, row: int, background: bool = False) -> ChannelAccess:
         """Issue one transfer of ``num_bytes`` at time ``now``.
 
         Args:
             now: current CPU cycle at the requesting core.
             num_bytes: payload size; occupancy is proportional to it.
-            row: row identifier for row-buffer locality (-1 to use the
-                statistical row-hit fraction instead).
+            row: non-negative row identifier for row-buffer locality.
             background: True for fills/replacement/writeback traffic that is
                 not on any core's critical path.
         """
-        latency = self.access_latency(now, num_bytes, row=row, background=background)
+        latency = self.access_latency(now, num_bytes, row, background)
         return ChannelAccess(
             latency=latency,
             queue_delay=self.last_queue_delay,
@@ -101,7 +94,7 @@ class DramChannel:
             completion_time=self.last_completion_time,
         )
 
-    def access_latency(self, now: int, num_bytes: int, row: int = -1, background: bool = False) -> int:
+    def access_latency(self, now: int, num_bytes: int, row: int, background: bool = False) -> int:
         """Allocation-free :meth:`access`: returns the latency only.
 
         The queue-delay / transfer / completion details of the call are left
@@ -110,34 +103,46 @@ class DramChannel:
         """
         if now < 0:
             raise ValueError("time must be non-negative")
-        transfer = self.timing.transfer_cycles(num_bytes)
-        if row >= 0:
-            row_hit = row == self._last_row
-            self._last_row = row
+        transfer = self._transfer_memo.get(num_bytes)
+        if transfer is None:
+            transfer = self.timing.transfer_cycles(num_bytes)
+        if row == self._last_row:
+            device_latency = self._row_hit_cycles
         else:
-            # Statistical approximation: alternate deterministically around
-            # the configured fraction so behaviour stays reproducible.
-            row_hit = (self.total_requests % 100) < self._row_hit_percent
-        device_latency = self.timing.access_latency_cycles(row_hit)
+            device_latency = self._row_miss_cycles
+            self._last_row = row
 
-        self._drain_background(now)
+        # Idle time before ``now`` drains buffered background work first.
+        busy_until = self.busy_until
+        backlog = self._background_backlog
+        if backlog > 0 and busy_until < now:
+            drained = now - busy_until
+            if drained > backlog:
+                drained = backlog
+            busy_until += drained
+            backlog -= drained
         self.total_busy_cycles += transfer
         self.total_requests += 1
         self.last_transfer_cycles = transfer
 
         if background:
-            self._background_backlog += transfer
-            overflow = self._background_backlog - self.background_buffer_cycles
+            backlog += transfer
+            overflow = backlog - self.background_buffer_cycles
             if overflow > 0:
                 # The fill/writeback buffers are full: the excess applies
                 # back-pressure and delays demand traffic like any transfer.
-                self.busy_until = max(self.busy_until, now) + overflow
-                self._background_backlog = self.background_buffer_cycles
+                if busy_until < now:
+                    busy_until = now
+                busy_until += overflow
+                backlog = self.background_buffer_cycles
+            self.busy_until = busy_until
+            self._background_backlog = backlog
             self.last_queue_delay = 0
-            self.last_completion_time = max(now, self.busy_until) + device_latency + transfer
+            self.last_completion_time = (busy_until if busy_until > now else now) + device_latency + transfer
             return device_latency + transfer
 
-        start = max(now, self.busy_until)
+        self._background_backlog = backlog
+        start = busy_until if busy_until > now else now
         queue_delay = start - now
         self.last_queue_delay = queue_delay
         self.last_completion_time = start + device_latency + transfer

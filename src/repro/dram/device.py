@@ -33,13 +33,7 @@ class DramAccessResult:
 class DramDevice:
     """One DRAM device (in-package or off-package)."""
 
-    def __init__(
-        self,
-        config: DramConfig,
-        cpu_freq_ghz: float,
-        page_size: int = 4096,
-        row_hit_fraction: float = 0.5,
-    ) -> None:
+    def __init__(self, config: DramConfig, cpu_freq_ghz: float, page_size: int = 4096) -> None:
         self.config = config
         self.page_size = page_size
         self.timing = DramTiming(
@@ -48,9 +42,7 @@ class DramDevice:
             latency_scale=config.latency_scale,
             bandwidth_scale=config.bandwidth_scale,
         )
-        self.channels: List[DramChannel] = [
-            DramChannel(i, self.timing, row_hit_fraction=row_hit_fraction) for i in range(config.num_channels)
-        ]
+        self.channels: List[DramChannel] = [DramChannel(i, self.timing) for i in range(config.num_channels)]
         self._num_channels = config.num_channels
         self.traffic = TrafficStats(config.name)
 
@@ -67,13 +59,12 @@ class DramDevice:
     def access(
         self, now: int, addr: int, num_bytes: int, category: TrafficCategory, background: bool = False
     ) -> DramAccessResult:
-        """Perform one access of ``num_bytes`` at ``addr`` and record its traffic."""
+        """:meth:`access_latency` plus the queue delay and the channel it used."""
+        latency = self.access_latency(now, addr, num_bytes, category, background)
         channel = self.channel_for(addr)
-        outcome = channel.access(now, num_bytes, row=addr // 8192, background=background)
-        self.traffic.record(category, num_bytes)
         return DramAccessResult(
-            latency=outcome.latency,
-            queue_delay=outcome.queue_delay,
+            latency=latency,
+            queue_delay=channel.last_queue_delay,
             num_bytes=num_bytes,
             channel_id=channel.channel_id,
         )
@@ -81,15 +72,22 @@ class DramDevice:
     def access_latency(
         self, now: int, addr: int, num_bytes: int, category: TrafficCategory, background: bool = False
     ) -> int:
-        """Allocation-free :meth:`access` returning only the latency.
+        """Perform one access of ``num_bytes`` at ``addr``; return its latency.
 
-        This is the path the DRAM-cache schemes drive for every LLC miss;
-        it performs the same channel/traffic bookkeeping without building
-        :class:`DramAccessResult`/:class:`ChannelAccess` objects.
+        The only per-access entry point: the DRAM-cache schemes drive it for
+        every LLC miss and writeback.  It validates the byte count before it
+        changes any state, runs the owning channel's timing model, then
+        records the traffic inline (the work of :meth:`TrafficStats.record`
+        without its call and repeated check).
         """
-        channel = self.channels[(addr // self.page_size) % self._num_channels]
-        latency = channel.access_latency(now, num_bytes, row=addr // 8192, background=background)
-        self.traffic.record(category, num_bytes)
+        if num_bytes < 0:
+            raise ValueError(f"traffic bytes must be non-negative, got {num_bytes}")
+        latency = self.channels[(addr // self.page_size) % self._num_channels].access_latency(
+            now, num_bytes, addr // 8192, background
+        )
+        traffic = self.traffic
+        traffic._bytes[category] += num_bytes
+        traffic._accesses += 1
         return latency
 
     def record_only(self, num_bytes: int, category: TrafficCategory) -> None:

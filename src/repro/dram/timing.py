@@ -5,11 +5,14 @@ into CPU-cycle latencies and transfer occupancies.  The model is deliberately
 simple — a fixed device access latency (activate + CAS) plus a transfer time
 proportional to the number of bytes moved — because the paper's evaluation is
 dominated by *bandwidth* (channel occupancy) rather than detailed bank-level
-timing.  Row-buffer behaviour is approximated with a configurable hit
-fraction that removes the activate component for that fraction of accesses.
+timing.  Row-buffer behaviour comes from each channel tracking its open
+8 KB row (:class:`repro.dram.channel.DramChannel`): a row hit pays CAS only,
+a row miss pays precharge + activate + CAS.
 """
 
 from __future__ import annotations
+
+from typing import Dict
 
 from repro.sim.config import DramTimingConfig
 
@@ -50,7 +53,8 @@ class DramTiming:
         self._row_hit_cycles = max(1, int(round(self._row_hit_latency)))
         # Transfer-cycle memo: only a handful of distinct payload sizes occur
         # (line, line+tag, page, metadata), so cache the rounding result.
-        self._transfer_cache: dict = {}
+        # Channels read it directly and call ``transfer_cycles`` on a miss.
+        self.transfer_memo: Dict[int, int] = {}
 
     @property
     def row_miss_latency_cycles(self) -> int:
@@ -69,7 +73,7 @@ class DramTiming:
         technology (32 B for HBM-class links), which is exactly why a 64 B
         line plus an 8 B tag costs 96 B on the wire in the paper.
         """
-        cached = self._transfer_cache.get(num_bytes)
+        cached = self.transfer_memo.get(num_bytes)
         if cached is not None:
             return cached
         if num_bytes <= 0:
@@ -78,9 +82,5 @@ class DramTiming:
             granule = self.config.min_transfer_bytes
             effective = ((num_bytes + granule - 1) // granule) * granule
             cycles = max(1, int(round(effective * self._cycles_per_byte)))
-        self._transfer_cache[num_bytes] = cycles
+        self.transfer_memo[num_bytes] = cycles
         return cycles
-
-    def access_latency_cycles(self, row_hit: bool) -> int:
-        """Device latency component for one access."""
-        return self._row_hit_cycles if row_hit else self._row_miss_cycles

@@ -28,6 +28,13 @@ class TrafficCategory(Enum):
     REPLACEMENT = "Replacement"
     WRITEBACK = "Writeback"
 
+    # Every DRAM access bumps a counter keyed by one of these members, and
+    # Enum's own ``__hash__`` is a Python-level call that hashes the name.
+    # Members are singletons compared by identity, so the identity hash in C
+    # is equivalent: dicts keep insertion order and members pickle by value,
+    # so breakdowns, results and snapshots do not change.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -69,7 +76,12 @@ class StatsSet:
 
 
 class TrafficStats:
-    """Bytes moved on one DRAM device, by traffic category."""
+    """Bytes moved on one DRAM device, by traffic category.
+
+    ``DramDevice.access_latency`` validates its byte count itself and then
+    bumps ``_bytes``/``_accesses`` inline; :meth:`record` is the checked
+    entry for every other caller.
+    """
 
     def __init__(self, device_name: str) -> None:
         self.device_name = device_name

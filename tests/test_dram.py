@@ -1,12 +1,14 @@
 """Unit tests for the DRAM substrate (timing, channel, device)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dram.channel import DramChannel
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTiming
-from repro.sim.config import DramConfig, DramTimingConfig
-from repro.sim.stats import TrafficCategory
+from repro.sim.config import DramConfig, DramTimingConfig, SystemConfig
+from repro.sim.stats import TrafficCategory, TrafficStats
 
 
 def make_timing(bandwidth_scale=1.0, latency_scale=1.0):
@@ -41,8 +43,8 @@ def test_bandwidth_scale_changes_transfer_time():
 
 def test_channel_queueing_delay_accumulates():
     channel = DramChannel(0, make_timing())
-    first = channel.access(0, 4096)
-    second = channel.access(0, 64)
+    first = channel.access(0, 4096, 0)
+    second = channel.access(0, 64, 0)
     assert first.queue_delay == 0
     assert second.queue_delay > 0
     assert channel.total_requests == 2
@@ -50,39 +52,39 @@ def test_channel_queueing_delay_accumulates():
 
 def test_channel_idle_requests_have_no_queue_delay():
     channel = DramChannel(0, make_timing())
-    first = channel.access(0, 64)
-    later = channel.access(first.completion_time + 10_000, 64)
+    first = channel.access(0, 64, 0)
+    later = channel.access(first.completion_time + 10_000, 64, 0)
     assert later.queue_delay == 0
 
 
 def test_channel_background_traffic_is_buffered():
     channel = DramChannel(0, make_timing(), background_buffer_cycles=100_000)
-    channel.access(0, 4096, background=True)
-    demand = channel.access(0, 64)
+    channel.access(0, 4096, 0, background=True)
+    demand = channel.access(0, 64, 0)
     # The buffered page move does not block the demand read.
     assert demand.queue_delay == 0
 
 
 def test_channel_background_overflow_applies_backpressure():
     channel = DramChannel(0, make_timing(), background_buffer_cycles=10)
-    channel.access(0, 1 << 16, background=True)
-    demand = channel.access(0, 64)
+    channel.access(0, 1 << 16, 0, background=True)
+    demand = channel.access(0, 64, 0)
     assert demand.queue_delay > 0
 
 
 def test_channel_background_drains_in_idle_gaps():
     channel = DramChannel(0, make_timing(), background_buffer_cycles=1 << 30)
-    channel.access(0, 4096, background=True)
+    channel.access(0, 4096, 0, background=True)
     backlog = channel.background_backlog_cycles
     assert backlog > 0
-    channel.access(backlog + 10_000, 64)
+    channel.access(backlog + 10_000, 64, 0)
     assert channel.background_backlog_cycles == 0
 
 
 def test_channel_rejects_negative_time():
     channel = DramChannel(0, make_timing())
     with pytest.raises(ValueError):
-        channel.access(-1, 64)
+        channel.access(-1, 64, 0)
 
 
 def test_device_routes_by_page_and_records_traffic():
@@ -117,3 +119,211 @@ def test_device_utilization_bounded():
     for i in range(10):
         device.access(i, 0, 64, TrafficCategory.HIT_DATA)
     assert 0.0 <= device.utilization(10_000) <= 1.0
+
+
+# ------------------------------------------------------ rejected accesses
+
+
+def _channel_state(channel):
+    return (
+        channel.busy_until,
+        channel.background_backlog_cycles,
+        channel.total_requests,
+        channel.total_busy_cycles,
+        channel._last_row,
+        channel.last_queue_delay,
+        channel.last_transfer_cycles,
+        channel.last_completion_time,
+    )
+
+
+def _device_state(device):
+    return (
+        [_channel_state(channel) for channel in device.channels],
+        device.traffic.breakdown(),
+        device.traffic.total_accesses,
+    )
+
+
+@pytest.mark.parametrize("method", ["access", "access_latency"])
+@pytest.mark.parametrize("dram", ["in_package_dram", "off_package_dram"])
+def test_device_rejects_negative_bytes_before_changing_state(dram, method):
+    config = SystemConfig.scaled_default(num_cores=4)
+    device = DramDevice(getattr(config, dram), config.core.freq_ghz)
+    device.access_latency(0, 0, 4096, TrafficCategory.REPLACEMENT, background=True)
+    assert device.channels[0].background_backlog_cycles > 0
+    before = _device_state(device)
+    with pytest.raises(ValueError):
+        getattr(device, method)(50_000, 24_576, -64, TrafficCategory.HIT_DATA)
+    assert _device_state(device) == before
+
+
+# ------------------------------------------- reference model of the access path
+#
+# ``access_latency``/``_drain_background`` below are the original multi-call
+# channel implementation and ``record`` the original traffic accounting,
+# copied unmodified; the fused device/channel path must match them exactly.
+
+
+class _ReferenceTiming(DramTiming):
+    def access_latency_cycles(self, row_hit: bool) -> int:
+        """Device latency component for one access."""
+        return self._row_hit_cycles if row_hit else self._row_miss_cycles
+
+
+class _ReferenceChannel:
+    def __init__(self, timing, background_buffer_cycles=4096):
+        self.timing = timing
+        self.background_buffer_cycles = background_buffer_cycles
+        self.busy_until = 0
+        self.total_busy_cycles = 0
+        self.total_requests = 0
+        self._background_backlog = 0
+        self._last_row = -1
+        self._row_hit_percent = 50
+        self.last_queue_delay = 0
+        self.last_transfer_cycles = 0
+        self.last_completion_time = 0
+
+    def _drain_background(self, now: int) -> None:
+        """Use any idle time before ``now`` to drain buffered background work."""
+        if self._background_backlog <= 0 or self.busy_until >= now:
+            return
+        idle = now - self.busy_until
+        drained = min(idle, self._background_backlog)
+        self.busy_until += drained
+        self._background_backlog -= drained
+
+    def access_latency(self, now: int, num_bytes: int, row: int = -1, background: bool = False) -> int:
+        """Allocation-free :meth:`access`: returns the latency only.
+
+        The queue-delay / transfer / completion details of the call are left
+        in ``last_queue_delay`` / ``last_transfer_cycles`` /
+        ``last_completion_time`` for callers that need them.
+        """
+        if now < 0:
+            raise ValueError("time must be non-negative")
+        transfer = self.timing.transfer_cycles(num_bytes)
+        if row >= 0:
+            row_hit = row == self._last_row
+            self._last_row = row
+        else:
+            # Statistical approximation: alternate deterministically around
+            # the configured fraction so behaviour stays reproducible.
+            row_hit = (self.total_requests % 100) < self._row_hit_percent
+        device_latency = self.timing.access_latency_cycles(row_hit)
+
+        self._drain_background(now)
+        self.total_busy_cycles += transfer
+        self.total_requests += 1
+        self.last_transfer_cycles = transfer
+
+        if background:
+            self._background_backlog += transfer
+            overflow = self._background_backlog - self.background_buffer_cycles
+            if overflow > 0:
+                # The fill/writeback buffers are full: the excess applies
+                # back-pressure and delays demand traffic like any transfer.
+                self.busy_until = max(self.busy_until, now) + overflow
+                self._background_backlog = self.background_buffer_cycles
+            self.last_queue_delay = 0
+            self.last_completion_time = max(now, self.busy_until) + device_latency + transfer
+            return device_latency + transfer
+
+        start = max(now, self.busy_until)
+        queue_delay = start - now
+        self.last_queue_delay = queue_delay
+        self.last_completion_time = start + device_latency + transfer
+        self.busy_until = start + transfer
+        return queue_delay + device_latency + transfer
+
+
+class _ReferenceTraffic(TrafficStats):
+    def record(self, category: TrafficCategory, num_bytes: int) -> None:
+        """Record ``num_bytes`` of traffic in ``category``."""
+        if num_bytes < 0:
+            raise ValueError(f"traffic bytes must be non-negative, got {num_bytes}")
+        self._bytes[category] += num_bytes
+        self._accesses += 1
+
+
+class _ReferenceDevice:
+    def __init__(self, config, cpu_freq_ghz, page_size=4096):
+        timing = _ReferenceTiming(
+            config.timing, cpu_freq_ghz, latency_scale=config.latency_scale, bandwidth_scale=config.bandwidth_scale
+        )
+        self.page_size = page_size
+        self.channels = [_ReferenceChannel(timing) for _ in range(config.num_channels)]
+        self.traffic = _ReferenceTraffic(config.name)
+
+    def access_latency(self, now, addr, num_bytes, category, background=False):
+        channel = self.channels[(addr // self.page_size) % len(self.channels)]
+        latency = channel.access_latency(now, num_bytes, row=addr // 8192, background=background)
+        self.traffic.record(category, num_bytes)
+        return latency
+
+
+_SIZES = st.one_of(st.sampled_from([32, 64, 96, 128, 256, 4096]), st.integers(min_value=0, max_value=20_000))
+_ADVANCES = st.one_of(
+    st.just(0),  # dense bursts: back-to-back transfers overflow the background buffer
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=5_000, max_value=200_000),  # idle gaps drain the backlog
+)
+# Optionally move time to exactly one cycle before, at or after the target
+# channel's busy edge, where every ``<``/``>`` of the timing model flips.
+_SNAPS = st.one_of(st.none(), st.sampled_from([-1, 0, 1]))
+_ACCESSES = st.tuples(
+    _ADVANCES,
+    _SNAPS,
+    st.integers(min_value=0, max_value=(1 << 17) - 1),  # 16 rows over 4 channels
+    _SIZES,
+    st.sampled_from(list(TrafficCategory)),
+    st.booleans(),
+)
+_BURST_THEN_IDLE = (
+    [(0, None, 4096 * i, 4096, TrafficCategory.REPLACEMENT, True) for i in range(12)]
+    + [(0, None, 64 * i, 64, TrafficCategory.HIT_DATA, False) for i in range(4)]
+    + [(100_000, None, 8192, 96, TrafficCategory.MISS_DATA, False), (0, 1, 8192 + 64, 64, TrafficCategory.TAG, True)]
+    # On one channel: a demand read; one cycle after it ends, a background
+    # transfer that overflows the empty buffer on its own; a demand read one
+    # cycle before the channel frees up; another one cycle after, with a
+    # backlog to drain.
+    + [
+        (0, None, 12288, 64, TrafficCategory.HIT_DATA, False),
+        (0, 1, 12288, 12_000, TrafficCategory.REPLACEMENT, True),
+        (0, -1, 12288 + 64, 64, TrafficCategory.HIT_DATA, False),
+        (0, 1, 12288 + 128, 64, TrafficCategory.HIT_DATA, False),
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ACCESSES, max_size=300))
+@example(_BURST_THEN_IDLE)
+def test_device_matches_reference_access_path(accesses):
+    config = SystemConfig.scaled_default(num_cores=4)
+    dram = config.in_package_dram
+    device = DramDevice(dram, config.core.freq_ghz)
+    reference = _ReferenceDevice(dram, config.core.freq_ghz)
+    assert len(device.channels) > 1
+    now = 0
+    for advance, snap, addr, num_bytes, category, background in accesses:
+        now += advance
+        if snap is not None:
+            now = max(now, device.channel_for(addr).busy_until + snap)
+        got = device.access_latency(now, addr, num_bytes, category, background=background)
+        expected = reference.access_latency(now, addr, num_bytes, category, background=background)
+        assert got == expected
+        for channel, ref in zip(device.channels, reference.channels):
+            assert _channel_state(channel) == (
+                ref.busy_until,
+                ref._background_backlog,
+                ref.total_requests,
+                ref.total_busy_cycles,
+                ref._last_row,
+                ref.last_queue_delay,
+                ref.last_transfer_cycles,
+                ref.last_completion_time,
+            )
+        assert device.traffic.breakdown() == reference.traffic.breakdown()
+        assert device.traffic.total_accesses == reference.traffic.total_accesses

@@ -9,6 +9,7 @@ Covers the three guarantees of the allocation-free record pipeline:
   (golden results captured from the original composed-API pipeline).
 """
 
+import dataclasses
 import json
 import os
 
@@ -100,25 +101,56 @@ def test_no_warmup_stats_unchanged():
 
 
 def _reference_walk(hierarchy, core_id, addr, is_write):
-    """The pre-refactor composed walk, via the allocating public APIs."""
-    outcome = hierarchy.access(core_id, addr, is_write)
-    return outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks]
+    """The walk rebuilt from per-level ``SramCache.access``/``fill`` calls.
+
+    L1 access; a dirty L1 victim fills L2; a dirty L2 victim fills L3; a
+    dirty L3 victim becomes a writeback; then the L2 access and the L3
+    access, whose dirty victims go down the same way.
+    """
+    l1, l2, l3 = hierarchy.l1[core_id], hierarchy.l2[core_id], hierarchy.l3
+    writebacks = []
+
+    def into_l3(victim):
+        if victim is not None and victim.dirty:
+            evicted = l3.fill(victim.addr, dirty=True)
+            if evicted is not None and evicted.dirty:
+                writebacks.append((evicted.addr, evicted.dirty))
+
+    result = l1.access(addr, is_write)
+    if result.hit:
+        return "l1", False, writebacks
+    if result.eviction is not None and result.eviction.dirty:
+        into_l3(l2.fill(result.eviction.addr, dirty=True))
+    result = l2.access(addr, is_write)
+    if result.hit:
+        return "l2", False, writebacks
+    into_l3(result.eviction)
+    result = l3.access(addr, is_write)
+    if result.hit:
+        return "l3", False, writebacks
+    if result.eviction is not None and result.eviction.dirty:
+        writebacks.append((result.eviction.addr, result.eviction.dirty))
+    return "memory", True, writebacks
 
 
 def test_hierarchy_fast_path_matches_public_api():
-    config = SystemConfig.tiny(num_cores=2)
-    slow = CacheHierarchy(config, rng=DeterministicRng(3))
-    fast = CacheHierarchy(config, rng=DeterministicRng(3))
-    rng = DeterministicRng(11)
-    for i in range(4000):
-        core_id = i % 2
-        addr = (rng.randint(0, 1 << 18)) * 16
-        is_write = rng.chance(0.3)
-        expected = _reference_walk(slow, core_id, addr, is_write)
-        outcome = fast.access_reused(core_id, addr, is_write)
-        got = (outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks])
-        assert got == expected
-    assert fast.stats() == slow.stats()
+    for policy in ("lru", "fifo", "random"):
+        config = SystemConfig.tiny(num_cores=2)
+        config = config.with_overrides(
+            **{level: dataclasses.replace(getattr(config, level), replacement=policy) for level in ("l1", "l2", "l3")}
+        )
+        slow = CacheHierarchy(config, rng=DeterministicRng(3))
+        fast = CacheHierarchy(config, rng=DeterministicRng(3))
+        rng = DeterministicRng(11)
+        for i in range(4000):
+            core_id = i % 2
+            addr = (rng.randint(0, 1 << 18)) * 16
+            is_write = rng.chance(0.3)
+            expected = _reference_walk(slow, core_id, addr, is_write)
+            outcome = fast.access_reused(core_id, addr, is_write)
+            got = (outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks])
+            assert got == expected
+        assert fast.stats() == slow.stats()
 
 
 def test_sram_fast_path_matches_public_api():

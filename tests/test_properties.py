@@ -71,7 +71,12 @@ def test_frequency_counters_stay_in_range(pages):
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=0, max_value=1 << 16), st.integers(min_value=1, max_value=4096), st.booleans()),
+        st.tuples(
+            st.integers(min_value=0, max_value=1 << 16),
+            st.integers(min_value=1, max_value=4096),
+            st.integers(min_value=0, max_value=3),
+            st.booleans(),
+        ),
         max_size=200,
     )
 )
@@ -79,9 +84,9 @@ def test_channel_time_never_goes_backwards(requests):
     channel = DramChannel(0, DramTiming(DramTimingConfig(), 2.7))
     now = 0
     previous_busy = 0
-    for advance, num_bytes, background in requests:
+    for advance, num_bytes, row, background in requests:
         now += advance
-        outcome = channel.access(now, num_bytes, background=background)
+        outcome = channel.access(now, num_bytes, row, background=background)
         assert outcome.latency >= 0
         assert outcome.transfer_cycles >= 1
         assert channel.busy_until >= 0
