@@ -34,9 +34,8 @@ class AnalyzerConfig:
         "HmaCache._remap",
         # The engine's one edge entry point: every loop guards it behind
         # ``processed >= next_stop`` (the edge chain's next requested cut),
-        # so the warmup edge, observer windows, snapshot capture, watch
-        # flushes and inspector mailbox work run at run cuts, never per
-        # record.
+        # so the warmup edge, observer windows and snapshot capture run at
+        # run cuts, never per record.
         "RunEdges.edge",
     )
 

@@ -16,15 +16,10 @@ The layer every other subsystem reports through:
   system at a record boundary; restoring resumes bit-identically in every
   engine mode (and backs campaign warmup checkpointing), and
   :func:`~repro.obs.snapshot.state_view` renders it as diffable JSON;
-* :mod:`repro.obs.watch` — :class:`Watchpoint`/:class:`WatchSession`
-  declarative triggers on addresses, pages and cache sets emitting
-  fill/evict/writeback/touch events;
-* :mod:`repro.obs.inspect` — :class:`InspectorServer`/:class:`InspectorClient`
-  file-mailbox attach protocol (pause, step, dump, watch a live run);
 * :mod:`repro.obs.export_chrome` — Chrome trace-event JSON export of
-  timelines, events and watch hits (open in Perfetto);
+  timelines and event logs (open in Perfetto);
 * ``python -m repro.obs`` (:mod:`repro.obs.cli`) summarizes, merges,
-  exports, attaches and replays all of the above.
+  exports and replays all of the above.
 """
 
 from repro.obs.events import (
@@ -39,7 +34,6 @@ from repro.obs.events import (
 )
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
 from repro.obs.heartbeat import HeartbeatWriter, is_stale, read_heartbeats
-from repro.obs.inspect import InspectorClient, InspectorServer
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor
 from repro.obs.timeline import (
@@ -48,7 +42,6 @@ from repro.obs.timeline import (
     TimelineObserver,
     TimelineWindow,
 )
-from repro.obs.watch import WatchSession, Watchpoint
 
 __all__ = [
     "DEFAULT_INTERVAL_RECORDS",
@@ -58,14 +51,10 @@ __all__ = [
     "EventLog",
     "HeartbeatWriter",
     "Histogram",
-    "InspectorClient",
-    "InspectorServer",
     "ObsSink",
     "Timeline",
     "TimelineObserver",
     "TimelineWindow",
-    "WatchSession",
-    "Watchpoint",
     "capture",
     "capture_cursor",
     "events_to_trace",

@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — summarize, merge, export and inspect runs.
+"""``python -m repro.obs`` — summarize, merge, export and replay runs.
 
 Subcommands::
 
@@ -6,16 +6,15 @@ Subcommands::
                    or an engine snapshot
     merge          merge several JSONL event logs into one, ordered by timestamp
     export         export stored timelines as CSV or JSONL
-    export-chrome  render timelines/events as Chrome trace JSON (Perfetto)
-    attach         attach to a live run's inspector mailbox (pause/step/dump)
+    export-chrome  render a timeline or an event log as Chrome trace JSON (Perfetto)
     replay         rebuild an engine from a snapshot and re-run the remainder
 
 Timelines come out of ``SimulationResults.timeline`` (attach a
 :class:`~repro.obs.timeline.TimelineObserver`, or pass ``--timeline N`` to
 ``python -m repro.campaign run``); event logs are written by the engine,
 the campaign executors and the driver (``<store>/obs/events.jsonl``);
-inspector mailboxes live wherever the run placed its control directory
-(see :mod:`repro.obs.inspect`).
+snapshots are a campaign's auto-snapshots and warmup checkpoints
+(``<store>/obs/autosnapshots``, ``<store>/obs/checkpoints``).
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import merge_events, read_events, validate_event, write_events
-from repro.obs.timeline import Timeline
+from repro.obs.timeline import Timeline, TimelineObserver
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,24 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
         "export-chrome",
         help="export telemetry as Chrome trace-event JSON (open in ui.perfetto.dev)",
     )
-    chrome.add_argument("--timeline", help="timeline file (CSV or JSONL); record-count axis")
-    chrome.add_argument("--store", help="result-store directory: pick one stored timeline")
+    source = chrome.add_mutually_exclusive_group(required=True)
+    source.add_argument("--timeline", help="timeline file (CSV or JSONL); record-count axis")
+    source.add_argument("--store", help="result-store directory: pick one stored timeline")
+    source.add_argument("--events", help="JSONL event log; wall-clock axis")
     chrome.add_argument("--label", help="filter: scheme label (with --store)")
     chrome.add_argument("--workload", help="filter: workload name (with --store)")
     chrome.add_argument("--seed", type=int, help="filter: RNG seed (with --store)")
-    chrome.add_argument("--events", help="JSONL event log: instants alongside a "
-                                         "timeline, or wall-clock spans alone")
     chrome.add_argument("--output", required=True, help="trace JSON output path")
-
-    attach = sub.add_parser("attach", help="attach to a live run's inspector mailbox")
-    attach.add_argument("dir", help="inspector control directory (holds state.json)")
-    attach.add_argument("--timeout", type=float, default=30.0,
-                        help="seconds to wait for each reply (default 30)")
 
     replay = sub.add_parser(
         "replay", help="restore an engine snapshot and re-run the remainder"
     )
-    replay.add_argument("snapshot", help="snapshot JSON (from dump / --checkpoint-warmup)")
+    replay.add_argument("snapshot", help="snapshot JSON (an auto-snapshot or a "
+                                         "--checkpoint-warmup checkpoint)")
     replay.add_argument("--records", type=int, required=True,
                         help="records per core of the ORIGINAL run (resume target)")
     replay.add_argument("--warmup", type=int, default=0,
@@ -318,126 +313,39 @@ def cmd_export(args: argparse.Namespace, stream) -> int:
 def cmd_export_chrome(args: argparse.Namespace, stream) -> int:
     from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
 
-    if args.timeline and args.store:
-        raise ValueError("--timeline and --store are mutually exclusive")
-    records = read_events(args.events) if args.events else None
-    if args.events and records is not None and not records:
-        raise ValueError(f"no events in {args.events}")
-    timeline = None
-    label = "simulation"
-    if args.timeline:
-        timeline = _load_timeline_file(args.timeline)
-    elif args.store:
-        entries = _stored_timelines(args.store, label=args.label,
-                                    workload=args.workload, seed=args.seed)
-        if not entries:
-            raise ValueError(f"no stored timelines match in {args.store} "
-                             "(run cells with --timeline N to capture them)")
-        if len(entries) > 1:
-            matches = ", ".join(
-                f"{e['meta'].get('label', '?')}/{e['meta'].get('workload', '?')}"
-                f" seed={e['meta'].get('seed', '?')}" for e in entries
-            )
-            raise ValueError(f"{len(entries)} cells match ({matches}); narrow "
-                             "with --label/--workload/--seed")
-        meta = entries[0]["meta"]
-        label = f"{meta.get('label', '?')}/{meta.get('workload', '?')}"
-        timeline = entries[0]["timeline"]
-    if timeline is not None:
-        trace = timeline_to_trace(timeline, events=records, label=label)
-        axis = "record-count axis (1 us = 1 record)"
-    elif records is not None:
+    if args.events:
+        records = read_events(args.events)
+        if not records:
+            raise ValueError(f"no events in {args.events}")
         trace = events_to_trace(records)
         axis = "wall-clock axis"
     else:
-        raise ValueError("provide --timeline, --store, or --events")
+        trace = timeline_to_trace(*_chrome_timeline(args))
+        axis = "record-count axis (1 us = 1 record)"
     count = write_trace(trace, args.output)
     print(f"wrote {count} trace events to {args.output} on the {axis}; "
           "open in ui.perfetto.dev or chrome://tracing", file=stream)
     return 0
 
 
-# ------------------------------------------------------------------- attach
-
-
-#: One usage line per inspector command (shown on attach and on 'help').
-_ATTACH_HELP = (
-    "commands: state | pause [N] | resume | step [n] | dump [path] | "
-    "watch <kind:value[:hits]> | unwatch <wid> | watches | quit | detach"
-)
-
-
-def _attach_command(client, line: str, stream) -> bool:
-    """Execute one attach-shell line; returns False when the shell ends."""
-    tokens = line.split(None, 1)
-    if not tokens:
-        return True
-    name, rest = tokens[0], (tokens[1].strip() if len(tokens) > 1 else "")
-    if name in ("detach", "exit"):
-        return False
-    if name == "help":
-        print(_ATTACH_HELP, file=stream)
-        return True
-    try:
-        if name == "state":
-            reply = client.request("state")
-        elif name == "pause":
-            reply = client.request("pause", **({"at": int(rest, 0)} if rest else {}))
-        elif name == "resume":
-            reply = client.request("resume")
-        elif name == "step":
-            reply = client.request("step", n=int(rest, 0) if rest else 1)
-        elif name == "dump":
-            reply = client.request("dump", **({"path": rest} if rest else {}))
-        elif name == "watch":
-            if not rest:
-                raise ValueError("usage: watch kind:value[:hit1|hit2]")
-            reply = client.request("watch", spec=rest)
-        elif name == "unwatch":
-            if not rest:
-                raise ValueError("usage: unwatch <wid>")
-            reply = client.request("unwatch", wid=rest)
-        elif name == "watches":
-            reply = client.request("watches")
-        elif name == "quit":
-            reply = client.request("quit")
-            print(json.dumps(reply, sort_keys=True), file=stream)
-            return False
-        else:
-            raise ValueError(f"unknown command {name!r} ({_ATTACH_HELP})")
-    except (ValueError, TimeoutError) as exc:
-        print(f"error: {exc}", file=stream)
-        return True
-    print(json.dumps(reply, sort_keys=True), file=stream)
-    return True
-
-
-def cmd_attach(args: argparse.Namespace, stream, input_stream) -> int:
-    from repro.obs.inspect import InspectorClient
-
-    client = InspectorClient(args.dir, timeout=args.timeout)
-    state = client.state()
-    if state is None:
-        raise ValueError(
-            f"no inspector mailbox at {args.dir} (no state.json); start the "
-            "run with an InspectorServer controller first"
+def _chrome_timeline(args: argparse.Namespace) -> Tuple[Timeline, str]:
+    """The (timeline, label) ``export-chrome --timeline/--store`` renders."""
+    if args.timeline:
+        return _load_timeline_file(args.timeline), "simulation"
+    entries = _stored_timelines(args.store, label=args.label,
+                                workload=args.workload, seed=args.seed)
+    if not entries:
+        raise ValueError(f"no stored timelines match in {args.store} "
+                         "(run cells with --timeline N to capture them)")
+    if len(entries) > 1:
+        matches = ", ".join(
+            f"{e['meta'].get('label', '?')}/{e['meta'].get('workload', '?')}"
+            f" seed={e['meta'].get('seed', '?')}" for e in entries
         )
-    print(f"attached: pid {state.get('pid')} {state.get('workload')}/"
-          f"{state.get('scheme')} at record {state.get('processed')} "
-          f"[{state.get('status')}]", file=stream)
-    print(_ATTACH_HELP, file=stream)
-    source = input_stream if input_stream is not None else sys.stdin
-    prompt = getattr(source, "isatty", lambda: False)()
-    while True:
-        if prompt:
-            stream.write("(inspect) ")
-            stream.flush()
-        line = source.readline()
-        if not line:
-            break
-        if not _attach_command(client, line.strip(), stream):
-            break
-    return 0
+        raise ValueError(f"{len(entries)} cells match ({matches}); narrow "
+                         "with --label/--workload/--seed")
+    meta = entries[0]["meta"]
+    return entries[0]["timeline"], f"{meta.get('label', '?')}/{meta.get('workload', '?')}"
 
 
 # ------------------------------------------------------------------- replay
@@ -450,6 +358,8 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
     from repro.sim.system import System
     from repro.workloads.registry import TRACE_PREFIX, get_workload
 
+    if args.timeline_output and not args.timeline:
+        raise ValueError("--timeline-output requires --timeline N")
     snapshot = EngineSnapshot.load(args.snapshot)
     meta = snapshot.workload or {}
     if "name" not in meta:
@@ -479,11 +389,7 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
     print(f"replaying {name}/{engine.system.scheme.name} from record "
           f"{resumed_at} to {args.records} per core "
           f"({engine.mode} engine)", file=stream)
-    observer = None
-    if args.timeline:
-        from repro.obs.timeline import TimelineObserver
-
-        observer = TimelineObserver(args.timeline)
+    observer = TimelineObserver(args.timeline) if args.timeline else None
     result = engine.run(
         args.records, warmup_records_per_core=args.warmup, observer=observer
     )
@@ -495,16 +401,13 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
     }
     json.dump(payload, stream, indent=2, sort_keys=True, default=str)
     stream.write("\n")
-    if args.timeline_output and result.timeline is not None:
-        from repro.obs.timeline import Timeline
-
-        Path(args.timeline_output).write_text(
-            Timeline.from_dict(result.timeline).to_csv(), encoding="utf-8")
+    if observer is not None and args.timeline_output:
+        Path(args.timeline_output).write_text(observer.timeline.to_csv(), encoding="utf-8")
         print(f"wrote replay timeline to {args.timeline_output}", file=stream)
     return 0
 
 
-def main(argv: Optional[List[str]] = None, stream=None, input_stream=None) -> int:
+def main(argv: Optional[List[str]] = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
@@ -514,8 +417,6 @@ def main(argv: Optional[List[str]] = None, stream=None, input_stream=None) -> in
             return cmd_merge(args, stream)
         if args.command == "export-chrome":
             return cmd_export_chrome(args, stream)
-        if args.command == "attach":
-            return cmd_attach(args, stream, input_stream)
         if args.command == "replay":
             return cmd_replay(args, stream)
         return cmd_export(args, stream)

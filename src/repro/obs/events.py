@@ -42,12 +42,7 @@ EVENT_TYPES = frozenset({
     "heartbeat",       # executor worker liveness
     "campaign_start",  # driver: campaign expansion done, execution begins
     "campaign_end",    # driver: campaign finished
-    "watch_hit",       # watch: a watchpoint fired (touch/fill/evict/writeback)
-    "watch_set",       # watch/inspector: a watchpoint was installed
-    "watch_clear",     # watch/inspector: a watchpoint was removed
-    "inspect_pause",   # inspector: engine paused at a record boundary
-    "inspect_resume",  # inspector: engine resumed after a pause
-    "snapshot_saved",  # inspector/checkpoint: engine snapshot written to disk
+    "snapshot_saved",  # runner: a warmup checkpoint or auto-snapshot written to disk
     "checkpoint_hit",  # campaign: a cell restored a shared warmup checkpoint
     "snapshot_restored",  # runner: a cell resumed mid-run from an auto-snapshot
     "lease_granted",   # supervisor: a cell was leased to a worker process

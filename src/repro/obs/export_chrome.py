@@ -7,9 +7,8 @@ Two timebases, two entry points:
   deterministic simulation axis every other repro artefact uses.  Each
   :class:`~repro.obs.timeline.TimelineWindow` becomes an ``X`` (complete)
   slice carrying its metrics as args, plus ``C`` counter tracks for hit
-  ratio, bandwidth split and TLB miss ratio.  Event-log records that carry
-  a record position (``watch_hit``, ``warmup_end``, ``inspect_pause``,
-  ``snapshot_saved``, ...) are placed as instants on the same axis.
+  ratio, bandwidth split and TLB miss ratio.  A ``warmup_end`` instant
+  marks where the first measured window opens.
 
 * :func:`events_to_trace` — **wall-clock timebase**.  For event logs alone
   (e.g. a campaign's ``<store>/obs/events.jsonl``): start/end pairs are
@@ -26,21 +25,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.timeline import Timeline
-
-#: Event types whose payload carries a record position (``record`` for
-#: per-record watch hits, ``records`` for run-edge marks), letting them be
-#: placed on the record-count axis next to a timeline.
-RECORD_MARK_EVENTS = {
-    "watch_hit": "record",
-    "warmup_end": "records",
-    "inspect_pause": "records",
-    "inspect_resume": "records",
-    "snapshot_saved": "records",
-    "checkpoint_hit": "records",
-}
 
 #: start-event -> (end events, slice name) pairs folded into spans.
 _SPAN_PAIRS = {
@@ -54,7 +41,6 @@ _SPAN_ENDS = {end: start for start, (ends, _) in _SPAN_PAIRS.items() for end in 
 _PID_TIMELINE = 1
 _TID_WINDOWS = 1
 _TID_MARKS = 2
-_TID_WATCH = 3
 
 
 def _meta(pid: int, name: str, tid: Optional[int] = None,
@@ -72,19 +58,15 @@ def _meta(pid: int, name: str, tid: Optional[int] = None,
     return events
 
 
-def timeline_to_trace(
-    timeline: Any,
-    events: Optional[Iterable[Dict[str, Any]]] = None,
-    label: str = "simulation",
-) -> Dict[str, Any]:
-    """Render a timeline (plus optional event records) on the record axis.
+def timeline_to_trace(timeline: Any, label: str = "simulation") -> Dict[str, Any]:
+    """Render a timeline on the record axis.
 
     One trace microsecond = one processed record.  ``timeline`` is a
     :class:`~repro.obs.timeline.Timeline` or its dict form (what
-    ``SimulationResults.timeline`` holds).  ``events`` may be any iterable
-    of parsed event-log records; only those listed in
-    :data:`RECORD_MARK_EVENTS` land in the trace (the rest have no defined
-    position on the record axis — export them with :func:`events_to_trace`).
+    ``SimulationResults.timeline`` holds).  When warmup windows precede the
+    first measured one, a ``warmup_end`` instant marks its start: the
+    observer forces a window boundary at the warmup edge, so that is the
+    processed count the engine's ``warmup_end`` event carries.
     """
     if isinstance(timeline, dict):
         timeline = Timeline.from_dict(timeline)
@@ -127,31 +109,19 @@ def timeline_to_trace(
                                 "writeback": window.writeback_bytes}))
         trace.append(dict(counter_common, name="tlb_miss_ratio",
                           args={"tlb_miss_ratio": round(window.tlb_miss_ratio, 6)}))
-    for record in events or ():
-        event = record.get("event")
-        position_field = RECORD_MARK_EVENTS.get(event)
-        if position_field is None or position_field not in record:
-            continue
-        args = {key: value for key, value in record.items()
-                if key not in ("ts", "pid", "event")}
-        name = event
-        tid = _TID_MARKS
-        if event == "watch_hit":
-            name = f"watch:{record.get('watch', '?')}:{record.get('kind', '?')}"
-            tid = _TID_WATCH
+    measured = timeline.measured
+    if measured and timeline.warmup:
+        start = measured[0].start_record
         trace.append({
             "ph": "i",
-            "name": name,
+            "name": "warmup_end",
             "cat": "events",
             "pid": _PID_TIMELINE,
-            "tid": tid,
-            "ts": int(record[position_field]),
+            "tid": _TID_MARKS,
+            "ts": start,
             "s": "t",
-            "args": args,
+            "args": {"records": start},
         })
-    if any(entry.get("tid") == _TID_WATCH for entry in trace):
-        trace.extend(_meta(_PID_TIMELINE, f"{label} (1 us = 1 record)",
-                           _TID_WATCH, "watchpoints"))
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
 
 

@@ -6,7 +6,7 @@ down to each RNG stream — plus the progress needed to resume: records
 processed, per-core consumed counts, and whether measurement has begun.
 No code here names a simulator class, so state a component gains is
 captured without a codec to extend.  ``System.__getstate__`` leaves the
-workload (its generators hold lambdas) and the obs hooks behind;
+workload (its generators hold lambdas) and the obs hook behind;
 :meth:`SimulationEngine.restore` swaps the unpickled system in with the
 live workload re-attached, and the next run continues **bit-identically**
 to the uninterrupted one in every engine mode (the engine fast-forwards
@@ -19,7 +19,7 @@ that wrote it: :func:`source_digest` fingerprints the ``repro`` sources,
 Python and numpy, and a mismatch is rejected before anything is
 unpickled.  Snapshots are trusted local files — unpickling runs code, so
 never load one from elsewhere.  :func:`state_view` renders a snapshot as
-read-only JSON for reading and diffing dumps
+read-only JSON for reading and diffing snapshots
 (``python -m repro.obs summarize --snapshot PATH --json``).
 
 Snapshots double as **warm-state checkpoints**: ``campaign run
@@ -269,7 +269,7 @@ _METHODS = (types.MethodType, types.BuiltinMethodType)
 
 
 def state_view(obj: Any) -> Any:
-    """Read-only JSON view of an object graph, for reading and diffing dumps.
+    """Read-only JSON view of an object graph, for reading and diffing snapshots.
 
     Primitives are themselves, an ``Enum`` its value; dicts become ordered
     ``[key, value]`` lists, lists and tuples element lists, sets sorted

@@ -24,8 +24,8 @@ A member fires only when the edge reached *its own* stop; only then is its
 :meth:`RunController.next_stop` asked again.  To steer a run, subclass
 :class:`RunController`: return the next processed count you want from
 ``next_stop`` (``None`` for no more), do your work in ``on_edge`` (it may
-block, capture a snapshot, or return ``True`` to stop the run) and clean up
-in ``on_finish``.  An attached controller costs the loops nothing but the
+capture a snapshot, or return ``True`` to stop the run) and clean up in
+``on_finish``.  An attached controller costs the loops nothing but the
 extra run cuts, and results stay bit-identical: edges fall between records.
 
 Batch scheduling and order preservation
@@ -104,11 +104,11 @@ class RunController:
 
     A controller names the next processed-record count it wants control at
     (:meth:`next_stop`); the engine cuts its runs there and calls
-    :meth:`on_edge` with an :class:`EngineCursor`.  ``on_edge`` may block
-    (pause), mutate its own state, capture snapshots, or return ``True`` to
-    stop the run early.  :meth:`on_finish` fires once after the last record
-    (or after an early stop).  See the module docstring for where a
-    controller sits among the engine's own edges.
+    :meth:`on_edge` with an :class:`EngineCursor`.  ``on_edge`` may mutate
+    its own state, capture snapshots, or return ``True`` to stop the run
+    early.  :meth:`on_finish` fires once after the last record (or after an
+    early stop).  See the module docstring for where a controller sits
+    among the engine's own edges.
     """
 
     def next_stop(self, processed: int) -> Optional[int]:
@@ -306,13 +306,8 @@ class BatchRunner:
         # The inline hit path replicates process_record_cols's TLB-hit +
         # L1-hit branch, which is only reachable when no per-record hook is
         # attached (HMA's cycle notifications, the observer's latency
-        # histogram, a watchpoint hook).  With a hook attached every record
-        # takes the full path.
-        self._fast_ok = (
-            system._notify_cycle is None
-            and system._obs_latency_hook is None
-            and system._obs_watch_hook is None
-        )
+        # histogram).  With a hook attached every record takes the full path.
+        self._fast_ok = system._notify_cycle is None and system._obs_latency_hook is None
         self._sources: List[_CoreSource] = []
 
     def _init_schedule(

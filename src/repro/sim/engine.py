@@ -91,12 +91,13 @@ class SimulationEngine:
         changes, so a rejected snapshot (``ValueError``) leaves the engine
         untouched.  Then the unpickled system replaces ``self.system``, with
         the live workload re-attached — it must be the one the snapshot was
-        taken from.  Observers and watch sessions hook the system they are
-        given, so attach them to ``engine.system`` *after* ``restore``.  The
-        next ``run()`` call — with the same ``max_records_per_core``/warmup/
-        budget arguments as the original — fast-forwards each core's stream
-        by the snapshot's consumed counts and continues bit-identically to
-        the uninterrupted run, in every engine mode.
+        taken from.  The next ``run()`` call — with the same
+        ``max_records_per_core``/warmup/budget arguments as the original —
+        fast-forwards each core's stream by the snapshot's consumed counts
+        and continues bit-identically to the uninterrupted run, in every
+        engine mode.  A snapshot taken inside warmup needs a warmup edge
+        after the records it already processed, or ``run`` raises
+        ``ValueError`` and leaves the restored state in place.
         """
         system = snapshot.load_system(self.system.config)
         progress = snapshot.progress
@@ -146,8 +147,8 @@ class SimulationEngine:
                 (several: a :class:`~repro.sim.batch.ControllerChain`);
                 the run is cut at the controller's requested processed
                 counts and ``on_edge`` fires there with an
-                :class:`~repro.sim.batch.EngineCursor` (pause, snapshot,
-                watch-flush, early stop).
+                :class:`~repro.sim.batch.EngineCursor` (snapshot, early
+                stop).
 
         The warmup edge, the observer, the controller and the budget form one
         :class:`~repro.sim.batch.RunEdges` chain, dispatched in that order.
@@ -174,6 +175,30 @@ class SimulationEngine:
                 "longer trace"
             )
         num_cores = system.config.num_cores
+        # Resume state loaded by restore(): the run continues from the
+        # snapshot's processed counts (with the same run arguments as the
+        # original run, for bit-identity).  Checked before anything is
+        # emitted or cleared, so a rejected call changes nothing.
+        resume = self._resume
+        measurement_started = warmup_records_per_core <= 0
+        start_record = 0
+        if resume is not None:
+            start_record = int(resume["processed"])
+            for core_id, count in enumerate(resume["consumed_per_core"]):
+                if count > max_records_per_core:
+                    raise ValueError(
+                        f"snapshot consumed {count} records on core {core_id}, "
+                        f"beyond max_records_per_core={max_records_per_core}"
+                    )
+            measurement_started = bool(resume["measurement_started"])
+        warmup_end = None if measurement_started else num_cores * warmup_records_per_core
+        if warmup_end is not None and warmup_end <= start_record:
+            raise ValueError(
+                f"snapshot was taken inside warmup at record {start_record}, but "
+                f"warmup_records_per_core={warmup_records_per_core} puts the warmup "
+                "edge at or before it; resume with the original run's warmup"
+            )
+        self._resume = None
         if events is not None:
             events.emit(
                 "run_start",
@@ -184,31 +209,12 @@ class SimulationEngine:
                 warmup_records_per_core=warmup_records_per_core,
             )
 
-        measurement_started = warmup_records_per_core <= 0
-
-        # Resume state loaded by restore(): the run continues from the
-        # snapshot's processed counts (with the same run arguments as the
-        # original run, for bit-identity).
-        resume = self._resume
-        self._resume = None
-        start_record = 0
-        if resume is not None:
-            measurement_started = bool(resume["measurement_started"])
-            start_record = int(resume["processed"])
-            for core_id, count in enumerate(resume["consumed_per_core"]):
-                if count > max_records_per_core:
-                    raise ValueError(
-                        f"snapshot consumed {count} records on core {core_id}, "
-                        f"beyond max_records_per_core={max_records_per_core}"
-                    )
-
         # The per-run counter must start at zero: a reused engine otherwise
         # trips the warmup threshold immediately and burns the whole
         # ``max_total_records`` budget before processing a single record.
         # The cumulative count lives in ``total_records_processed``.
         self.records_processed = 0
 
-        warmup_end = None if measurement_started else num_cores * warmup_records_per_core
         if observer is not None:
             observer.begin(system, warmup_end=warmup_end, start_record=start_record)
         edges = RunEdges(system, [

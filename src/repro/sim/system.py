@@ -130,22 +130,17 @@ class System:
         # ``is None`` check per record and the observer only ever *reads*
         # state — results stay bit-identical either way.
         self._obs_latency_hook = None
-        # Optional per-record watchpoint hook (repro.obs watch); same
-        # contract as the latency hook: None when detached (one check per
-        # record), read-only when attached, so results stay bit-identical.
-        self._obs_watch_hook = None
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickled state (engine snapshots): everything but the workload and hooks.
+        """Pickled state (engine snapshots): everything but the workload and the hook.
 
         Workload generators hold lambdas, and the restoring engine
-        re-attaches its own live workload; the obs hooks belong to the
-        capturing run's observer or watch session.
+        re-attaches its own live workload; the obs hook belongs to the
+        capturing run's observer.
         """
         state = dict(self.__dict__)
         state["workload"] = None
         state["_obs_latency_hook"] = None
-        state["_obs_watch_hook"] = None
         return state
 
     # ------------------------------------------------------------------ per-record processing
@@ -219,8 +214,6 @@ class System:
                 self._controllers_access(now, wb_request)
         if self._notify_cycle is not None:
             self._notify_cycle(int(core.clock))
-        if self._obs_watch_hook is not None:
-            self._obs_watch_hook(core_id, addr, is_write, outcome)
         return core.clock
 
     def _translate(self, core_id: int, addr: int, core: CoreModel) -> MappingInfo:

@@ -1,11 +1,10 @@
-"""Tests for the engine inspector stack: snapshots (capture / serialize /
-restore / resume), watchpoints, the file-mailbox attach protocol, warmup
-checkpointing and the Chrome trace-event export."""
+"""Tests for engine snapshots and what rides on them: capture / serialize /
+restore / resume, ``replay``, warmup checkpointing and the Chrome
+trace-event export."""
 
+import io
 import json
-import multiprocessing
 import os
-import threading
 
 import pytest
 
@@ -15,10 +14,8 @@ from repro.dramcache.variants import available_scheme_names
 from repro.obs.cli import main as obs_main
 from repro.obs.events import EventLog, make_event, read_events
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
-from repro.obs.inspect import InspectorClient, InspectorServer
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor
-from repro.obs.timeline import TimelineObserver
-from repro.obs.watch import WatchSession, Watchpoint
+from repro.obs.timeline import Timeline, TimelineObserver
 from repro.sim.batch import RunController
 from repro.sim.config import SystemConfig, config_from_dict, config_hash
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
@@ -32,8 +29,9 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.js
 class SnapshotAt(RunController):
     """Test controller: capture one snapshot at global record ``target``."""
 
-    def __init__(self, target):
+    def __init__(self, target, workload_meta=None):
         self.target = target
+        self.workload_meta = workload_meta
         self.snapshot = None
 
     def next_stop(self, processed):
@@ -41,7 +39,7 @@ class SnapshotAt(RunController):
 
     def on_edge(self, cursor):
         if self.snapshot is None and cursor.processed >= self.target:
-            self.snapshot = capture_cursor(cursor)
+            self.snapshot = capture_cursor(cursor, workload_meta=self.workload_meta)
         return False
 
     def on_finish(self, cursor):
@@ -144,6 +142,57 @@ def test_resume_before_warmup_edge_preserves_measurement():
     assert got == expected
 
 
+GCC_META = {"name": "gcc", "num_cores": 2, "scale": 0.05, "seed": 1}
+
+
+def gcc_snapshot(snap_at, records=600, warmup=300):
+    """A snapshot of a 2-core tiny banshee/gcc run, with replay metadata."""
+    config = SystemConfig.tiny(num_cores=2, seed=1)
+    workload = get_workload("gcc", 2, scale=0.05, seed=1)
+    controller = SnapshotAt(snap_at, workload_meta=GCC_META)
+    SimulationEngine(System(config, workload)).run(
+        records, warmup_records_per_core=warmup, controller=controller
+    )
+    return controller.snapshot
+
+
+def test_resume_inside_warmup_rejects_an_earlier_warmup_edge(tmp_path):
+    """A warmup-phase snapshot resumed with its warmup edge at or before the
+    snapshot would never open the measurement window: the run raises, emits
+    nothing and keeps the restored state, so a correct resume still works."""
+    config = SystemConfig.tiny(num_cores=2, seed=1)
+    workload = get_workload("gcc", 2, scale=0.05, seed=1)
+    expected = SimulationEngine(System(config, workload)).run(
+        600, warmup_records_per_core=300
+    ).identity_dict()
+    snapshot = gcc_snapshot(200)
+    engine = SimulationEngine(System(config, workload))
+    engine.restore(snapshot)
+    events = EventLog(str(tmp_path / "events.jsonl"))
+    for warmup in (0, 100):
+        with pytest.raises(ValueError, match="inside warmup"):
+            engine.run(600, warmup_records_per_core=warmup, events=events)
+    with pytest.raises(ValueError, match="beyond max_records_per_core"):
+        engine.run(50, warmup_records_per_core=25, events=events)
+    assert read_events(events.path) == []
+    assert engine.run(600, warmup_records_per_core=300).identity_dict() == expected
+
+    path = snapshot.save(str(tmp_path / "snap.json"))
+    assert obs_main(["replay", path, "--records", "600"], stream=io.StringIO()) == 2
+
+
+def test_replay_timeline_output_requires_timeline(tmp_path, capsys):
+    path = gcc_snapshot(600).save(str(tmp_path / "snap.json"))
+    output = tmp_path / "replay.csv"
+    base = ["replay", path, "--records", "600", "--warmup", "300",
+            "--timeline-output", str(output)]
+    assert obs_main(base, stream=io.StringIO()) == 2
+    assert "--timeline-output requires --timeline N" in capsys.readouterr().err
+    assert not output.exists()
+    assert obs_main(base + ["--timeline", "100"], stream=io.StringIO()) == 0
+    assert Timeline.from_csv(output.read_text(encoding="utf-8")).measured
+
+
 # ------------------------------------------------------------ snapshot serde
 
 
@@ -191,190 +240,17 @@ def test_config_from_dict_round_trips_presets():
         assert config_hash(rebuilt) == config_hash(config)
 
 
-# ---------------------------------------------------------------- watchpoints
-
-
-def test_watchpoint_parse_and_validation():
-    point = Watchpoint.parse("page:0x12")
-    assert (point.kind, point.value) == ("page", 0x12)
-    assert point.on == ("touch", "fill", "evict", "writeback")
-    assert Watchpoint.parse("addr:4096:touch").on == ("touch",)
-    assert Watchpoint.parse("set:7").on == ("touch", "writeback")
-    assert Watchpoint.parse("page:300:fill|evict").on == ("fill", "evict")
-    with pytest.raises(ValueError, match="unknown watch kind"):
-        Watchpoint.parse("frame:1")
-    with pytest.raises(ValueError, match="bad watch spec"):
-        Watchpoint.parse("page")
-    with pytest.raises(ValueError, match="page-granular"):
-        Watchpoint.parse("set:3:fill")
-    with pytest.raises(ValueError, match="duplicate"):
-        WatchSession([Watchpoint.parse("page:1"), Watchpoint.parse("page:1")])
-
-
-def _watched_run(mode, flush_interval=4096, events=None):
-    engine = build_engine(scheme="banshee", mode=mode, seed=11)
-    watch = WatchSession(
-        [
-            Watchpoint("hot-page", "page", 0x20),
-            Watchpoint("one-addr", "addr", 0x20000, on=["touch"]),
-            Watchpoint("one-set", "set", 3),
-        ],
-        events=events,
-        flush_interval=flush_interval,
-    )
-    watch.attach(engine.system)
-    result = engine.run(400, warmup_records_per_core=100, controller=watch)
-    watch.detach()
-    return result.identity_dict(), watch.hits, watch.summary()
-
-
-def test_watch_hits_identical_across_engine_modes():
-    """Hit payloads are simulation-derived: identical in every engine mode,
-    and watching never perturbs the simulation itself."""
-    baseline = build_engine(scheme="banshee", seed=11).run(
-        400, warmup_records_per_core=100
-    ).identity_dict()
-    reference_hits = None
-    for mode in ENGINE_MODES:
-        result, hits, summary = _watched_run(mode)
-        assert result == baseline, f"watching changed results in {mode} mode"
-        assert hits, f"expected watch hits in {mode} mode"
-        if reference_hits is None:
-            reference_hits = hits
-        else:
-            assert hits == reference_hits, f"{mode} hits differ from reference"
-        assert summary["hits"] == len(hits)
-
-
-def test_watch_flush_interval_does_not_change_hits(tmp_path):
-    log = EventLog(str(tmp_path / "events.jsonl"))
-    _, coarse, _ = _watched_run("batch")
-    _, fine, _ = _watched_run("batch", flush_interval=32, events=log)
-    assert fine == coarse
-    emitted = [e for e in read_events(log.path) if e["event"] == "watch_hit"]
-    assert [
-        {k: e[k] for k in ("watch", "kind", "record", "core", "addr", "page", "write")}
-        for e in emitted
-    ] == [{k: h[k] for k in ("watch", "kind", "record", "core", "addr", "page", "write")}
-          for h in coarse]
-
-
-def _watch_hits_worker(path):
-    _, hits, _ = _watched_run("batch")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hits, fh)
-
-
-def test_watch_hits_identical_across_processes(tmp_path):
-    """Hit payloads carry no process state: a worker process reproduces the
-    serial run's hits exactly (only the event-log envelope may differ)."""
-    _, serial_hits, _ = _watched_run("batch")
-    out = str(tmp_path / "hits.json")
-    ctx = multiprocessing.get_context("fork")
-    proc = ctx.Process(target=_watch_hits_worker, args=(out,))
-    proc.start()
-    proc.join(120)
-    assert proc.exitcode == 0
-    with open(out, encoding="utf-8") as fh:
-        worker_hits = json.load(fh)
-    assert worker_hits == serial_hits
-
-
-# ------------------------------------------------------------ attach protocol
-
-
-def test_inspector_pause_step_dump_watch_resume(tmp_path):
-    control = tmp_path / "control"
-    events = EventLog(str(tmp_path / "events.jsonl"))
-    engine = build_engine(scheme="banshee", seed=13)
-    watch = WatchSession(events=events)
-    watch.attach(engine.system)
-    server = InspectorServer(
-        control, watch=watch, events=events, poll_records=100, pause_at=300
-    )
-
-    done = {}
-
-    def simulate():
-        done["result"] = engine.run(600, controller=server)
-        watch.detach()
-
-    thread = threading.Thread(target=simulate)
-    thread.start()
-    try:
-        client = InspectorClient(control, timeout=30.0)
-        state = client.wait_for_status("paused")
-        assert state["processed"] == 300
-        payload = client.request("state")
-        assert payload["ok"] and payload["processed"] == 300
-        assert sum(payload["consumed_per_core"]) == 300
-        reply = client.request("watch", spec="page:0x10")
-        assert reply["ok"]
-        reply = client.request("step", n=100)
-        assert reply["ok"]
-        state = client.wait_for_status("paused")
-        assert state["processed"] == 400
-        dump = client.request("dump")
-        assert dump["ok"] and dump["processed"] == 400
-        listed = client.request("watches")
-        assert listed["ok"] and listed["watchpoints"]
-        assert client.request("unwatch", wid="page:0x10")["removed"]
-        bad = client.request("nonsense")
-        assert not bad["ok"] and "unknown command" in bad["error"]
-        assert client.request("resume")["ok"]
-        client.wait_for_status("finished")
-    finally:
-        thread.join(60)
-    assert not thread.is_alive()
-
-    # The dumped snapshot resumes bit-identically to the inspected run.
-    snapshot = EngineSnapshot.load(dump["path"])
-    assert snapshot.progress["processed"] == 400
-    resumed = build_engine(scheme="banshee", seed=13)
-    resumed.restore(snapshot)
-    assert resumed.run(600).identity_dict() == done["result"].identity_dict()
-
-    names = [e["event"] for e in read_events(events.path)]
-    assert "inspect_pause" in names and "inspect_resume" in names
-    assert "snapshot_saved" in names and "watch_set" in names and "watch_clear" in names
-
-
-def test_inspector_quit_stops_run_early(tmp_path):
-    control = tmp_path / "control"
-    engine = build_engine(seed=17)
-    server = InspectorServer(control, poll_records=100, pause_at=200)
-    done = {}
-
-    def simulate():
-        done["result"] = engine.run(2000, controller=server)
-
-    thread = threading.Thread(target=simulate)
-    thread.start()
-    try:
-        client = InspectorClient(control, timeout=30.0)
-        client.wait_for_status("paused")
-        assert client.request("quit")["ok"]
-    finally:
-        thread.join(60)
-    assert not thread.is_alive()
-    assert engine.records_processed == 200
-
-
 # --------------------------------------------------------------- chrome export
 
 
 def test_timeline_to_trace_structure(tmp_path):
     events = EventLog(str(tmp_path / "events.jsonl"))
     engine = build_engine(scheme="banshee", seed=19)
-    watch = WatchSession([Watchpoint("hot", "page", 0x20)], events=events)
-    watch.attach(engine.system)
     observer = TimelineObserver(100)
     result = engine.run(
-        600, warmup_records_per_core=200, observer=observer,
-        events=events, controller=watch,
+        600, warmup_records_per_core=200, observer=observer, events=events,
     )
-    watch.detach()
-    trace = timeline_to_trace(result.timeline, events=read_events(events.path))
+    trace = timeline_to_trace(result.timeline)
     assert set(trace) == {"traceEvents", "displayTimeUnit"}
     rows = trace["traceEvents"]
     slices = [e for e in rows if e["ph"] == "X"]
@@ -386,9 +262,10 @@ def test_timeline_to_trace_structure(tmp_path):
     assert {s["name"] for s in slices} == {"warmup", "measure"}
     # Record-count timebase: slice starts line up with window boundaries.
     assert [s["ts"] for s in slices] == [w["start_record"] for w in windows]
-    marks = {e["name"] for e in instants}
-    assert "warmup_end" in marks
-    assert any(name.startswith("watch:hot:") for name in marks)
+    # One warmup_end instant, at the count the engine's event carries.
+    assert [e["name"] for e in instants] == ["warmup_end"]
+    (warmup_end,) = [e for e in read_events(events.path) if e["event"] == "warmup_end"]
+    assert instants[0]["ts"] == warmup_end["records"]
     count = write_trace(trace, str(tmp_path / "trace.json"))
     assert count == len(rows)
     with open(tmp_path / "trace.json", encoding="utf-8") as fh:
@@ -411,12 +288,41 @@ def test_events_to_trace_pairs_spans(tmp_path):
     assert len(unclosed) == 1
 
 
+def test_export_chrome_store_marks_only_its_own_warmup_end(tmp_path):
+    """Engine events carry no cell identity, so a store cell's record axis
+    takes its warmup_end from that cell's timeline, never from the log."""
+    store_dir = str(tmp_path / "st")
+    code = campaign_main(
+        ["run", "--name", "two", "--schemes", "banshee", "alloy", "--workloads", "gcc",
+         "--seeds", "1", "--records", "600", "--cores", "2", "--preset", "tiny",
+         "--warmup", "0.5", "--timeline", "200", "--store", store_dir],
+        stream=io.StringIO(),
+    )
+    assert code == 0
+    events = str(tmp_path / "st" / "obs" / "events.jsonl")
+    assert [e["event"] for e in read_events(events)].count("warmup_end") == 2
+    out = str(tmp_path / "trace.json")
+    code = obs_main(["export-chrome", "--store", store_dir, "--label", "banshee",
+                     "--output", out], stream=io.StringIO())
+    assert code == 0
+    with open(out, encoding="utf-8") as fh:
+        rows = json.load(fh)["traceEvents"]
+    first_measured = next(e["ts"] for e in rows if e["ph"] == "X" and e["name"] == "measure")
+    assert first_measured == 600
+    instants = [(e["name"], e["ts"]) for e in rows if e["ph"] == "i"]
+    assert instants == [("warmup_end", first_measured)]
+    with pytest.raises(SystemExit) as exit_info:
+        obs_main(["export-chrome", "--store", store_dir, "--label", "banshee",
+                  "--events", events, "--output", out], stream=io.StringIO())
+    assert exit_info.value.code == 2
+
+
 def test_obs_cli_export_chrome(tmp_path):
     events = EventLog(str(tmp_path / "events.jsonl"))
     events.emit("run_start", workload="gcc", scheme="banshee")
     events.emit("run_end", workload="gcc")
     out = str(tmp_path / "trace.json")
-    stream = __import__("io").StringIO()
+    stream = io.StringIO()
     code = obs_main(["export-chrome", "--events", events.path, "--output", out], stream=stream)
     assert code == 0
     with open(out, encoding="utf-8") as fh:
@@ -501,7 +407,6 @@ def test_timeline_bounds_extend_cell_key_only_when_set():
 
 
 def test_campaign_cli_checkpoint_warmup_and_stale_after(tmp_path):
-    import io
     import time
 
     store_dir = str(tmp_path / "store")

@@ -27,7 +27,7 @@ from repro.obs.timeline import (
 )
 from repro.experiments.runner import run_simulation
 from repro.sim.config import SystemConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
 from repro.workloads.registry import get_workload
 
@@ -135,6 +135,28 @@ def test_observer_rejects_nonpositive_interval():
         TimelineObserver(0)
     with pytest.raises(ValueError):
         Timeline(interval_records=-5)
+
+
+@pytest.mark.parametrize(
+    "scheme,num_cores", [("banshee", 1), ("banshee", 2), ("hma", 4), ("alloy", 4)]
+)
+def test_timeline_identical_across_engine_modes(scheme, num_cores):
+    """Every window, latency histogram included, matches between the scalar
+    and batch engines, and observing changes no result in either mode
+    (hma overrides ``notify_cycle``, the other per-record hook)."""
+    config = SystemConfig.tiny(scheme=scheme, num_cores=num_cores, seed=3)
+    workload = get_workload("gcc", num_cores, scale=0.05, seed=3)
+    timelines = {}
+    for mode in ENGINE_MODES:
+        def run(observer=None):
+            engine = SimulationEngine(System(config, workload), mode=mode)
+            return engine.run(500, warmup_records_per_core=100, observer=observer)
+
+        observed = run(TimelineObserver(97)).identity_dict()
+        timelines[mode] = observed.pop("timeline")
+        assert observed == run().identity_dict()
+    assert timelines["scalar"] == timelines["batch"]
+    assert {w["phase"] for w in timelines["batch"]["windows"]} == {PHASE_WARMUP, PHASE_MEASURE}
 
 
 def test_engine_detaches_latency_hook_after_run():
