@@ -6,7 +6,7 @@ replaying a capture is bit-identical to re-running its generator, interleaves
 the captures into a custom multi-programmed mix that no generator defines,
 and finally runs that mix against two scheme variants of the tag-buffer axis
 — all through the ordinary ``trace:<path>`` workload name, so the same files
-work with ``repro.campaign``, ``repro.perf`` and the figure functions.
+work with ``repro.campaign`` and the figure functions.
 
 Usage::
 

@@ -130,6 +130,10 @@ def run_campaign(
     preset default, or overlapping grids) are simulated once; the extra
     cells share the result and are reported as store hits.
     """
+    if snapshot_every is not None and snapshot_every <= 0:
+        raise ValueError("snapshot_every must be positive (or None to disable)")
+    if snapshot_every is not None and store is None:
+        raise ValueError("snapshot_every requires a store (snapshots live under <store>/obs)")
     cells = spec.cells()
     total = len(cells)
     outcomes_by_index: Dict[int, CellOutcome] = {}

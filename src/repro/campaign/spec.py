@@ -27,7 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.sim.config import SystemConfig
 from repro.util.serde import dataclass_from_dict
-from repro.workloads.registry import TRACE_PREFIX, trace_path, validate_workload_name
+from repro.workloads.registry import TRACE_PREFIX, get_workload, trace_path, validate_workload_name
 
 #: Normalised scheme entry: (display label, scheme name, DramCacheConfig overrides).
 SchemeEntry = Tuple[str, str, Dict]
@@ -207,6 +207,8 @@ class CampaignSpec:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         if self.records_per_core <= 0:
             raise ValueError("records_per_core must be positive")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
         if self.timeline_interval is not None and self.timeline_interval <= 0:
             raise ValueError("timeline_interval must be positive (or None to disable)")
         if self.timeline_bounds is not None:
@@ -240,7 +242,13 @@ class CampaignSpec:
         return SystemConfig.paper_default(scheme=scheme).with_overrides(seed=seed, **cores)
 
     def cells(self) -> List[CampaignCell]:
-        """Expand every grid into concrete cells (configs validated eagerly)."""
+        """Expand every grid into concrete cells (configs validated eagerly).
+
+        A ``trace:`` workload is checked against each cell it expands into:
+        a replay needs the core count and page size it was captured with and
+        at least ``records_per_core`` records on every core, so a mismatch
+        fails the spec here instead of every such cell mid-campaign.
+        """
         expanded: List[CampaignCell] = []
         for grid in self.grids:
             points = itertools.product(
@@ -269,6 +277,8 @@ class CampaignSpec:
                             config.in_package_dram, capacity_bytes=cache_size
                         )
                     )
+                if trace_path(workload) is not None:
+                    self._check_trace(workload, config)
                 expanded.append(
                     CampaignCell(
                         label=label,
@@ -285,6 +295,17 @@ class CampaignSpec:
                     )
                 )
         return expanded
+
+    def _check_trace(self, workload: str, config: SystemConfig) -> None:
+        # Opening the replay as the cell will raises on a core-count or
+        # page-size mismatch; the record budget is checked here.
+        replay = get_workload(workload, config.num_cores, page_size=config.dram_cache.page_size)
+        available = replay.max_records_per_core
+        if available is not None and self.records_per_core > available:
+            raise ValueError(
+                f"trace workload {workload!r} holds only {available} records per core, "
+                f"records_per_core={self.records_per_core} requested"
+            )
 
     @property
     def num_cells(self) -> int:

@@ -1,25 +1,7 @@
-"""Microbenchmark harness for the per-record hot path.
+"""Record-generation timing for the repository benchmark.
 
-``python -m repro.perf`` times records/second for a scheme × workload
-matrix and writes the numbers to ``BENCH_hotpath.json`` at the repo root,
-so the simulator's raw-run throughput is tracked as a first-class
-trajectory across PRs (the same way the campaign store tracks result
-trajectories).
+Speed is measured with ``python3 perfbench/run.py`` (workloads and bounds in
+``BENCHMARK.json``, method in ``perfbench/README.md``).  The benchmark
+imports :func:`repro.perf.harness.measure_generation` to split a round's
+wall time into record generation and simulation; nothing else lives here.
 """
-
-from repro.perf.compare import compare_payloads, format_comparison
-from repro.perf.harness import (
-    DEFAULT_SCHEMES,
-    DEFAULT_WORKLOADS,
-    BenchCell,
-    run_benchmark,
-)
-
-__all__ = [
-    "BenchCell",
-    "DEFAULT_SCHEMES",
-    "DEFAULT_WORKLOADS",
-    "compare_payloads",
-    "format_comparison",
-    "run_benchmark",
-]

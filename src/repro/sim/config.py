@@ -350,6 +350,8 @@ class SystemConfig:
             raise ValueError("in-package pages must be divisible by DRAM cache associativity")
         if self.l3.size_bytes >= self.in_package_dram.capacity_bytes:
             raise ValueError("the LLC must be smaller than the in-package DRAM cache")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     # ------------------------------------------------------------------ presets
 

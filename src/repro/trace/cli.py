@@ -7,8 +7,8 @@ Subcommands::
     transform  derive a new trace: slice / interleave / remap / scale / filter
     replay     simulate a trace against a scheme and print the result summary
 
-The ``trace:<path>`` workload form accepted by ``repro.campaign`` and
-``repro.perf`` resolves the same files, so a typical workflow is: capture
+The ``trace:<path>`` workload form accepted by ``repro.campaign`` and the
+figure functions resolves the same files, so a typical workflow is: capture
 once here, then sweep the file through campaigns by name.
 """
 
@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     record = sub.add_parser("record", help="capture a registry workload to an .rtrace file")
     record.add_argument("--workload", required=True,
-                        help="registry workload name (see python -m repro.perf --help)")
+                        help="registry workload name, e.g. gcc or pagerank "
+                             "(an unknown name lists them all)")
     record.add_argument("--output", required=True, help="output .rtrace path")
     record.add_argument("--records", type=int, default=10000, help="records per core (default 10000)")
     record.add_argument("--cores", type=int, default=2, help="simulated cores (default 2)")

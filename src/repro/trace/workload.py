@@ -3,11 +3,11 @@
 A :class:`TraceWorkload` is resolvable everywhere a workload name is
 accepted via the ``trace:<path>`` form (see
 :func:`repro.workloads.registry.get_workload`), so captured traces flow
-unchanged through ``SystemConfig`` presets, ``repro.campaign`` cells,
-``repro.perf`` benchmarks and the figure functions.  Replay is
-bit-identical: the stored records and workload attributes (name, mlp, page
-size) are exactly what the originating generator produced, so the simulated
-results match the generator run field for field.
+unchanged through ``SystemConfig`` presets, ``repro.campaign`` cells and
+the figure functions.  Replay is bit-identical: the stored records and
+workload attributes (name, mlp, page size) are exactly what the originating
+generator produced, so the simulated results match the generator run field
+for field.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ SPEC benchmark used inside the mixes.
 Beyond generator names, the registry resolves ``trace:<path>`` to a
 :class:`~repro.trace.workload.TraceWorkload` replaying a captured
 ``.rtrace`` file — so captured traces run everywhere a workload name is
-accepted (``SystemConfig`` harnesses, ``repro.campaign``, ``repro.perf``,
-the figure functions).
+accepted (``SystemConfig`` harnesses, ``repro.campaign``, the figure
+functions).
 """
 
 from __future__ import annotations

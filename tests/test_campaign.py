@@ -355,6 +355,33 @@ def test_cli_run_status_export(tmp_path):
     assert code == 0 and json.loads(out)[0]["workload"] == "gcc"
 
 
+@pytest.mark.parametrize("extra", [
+    ("--scale", "0"),
+    ("--seeds", "-1"),
+    ("--snapshot-every", "-5"),
+    ("--workloads", "trace:{trace}", "--records", "400"),
+    ("--workloads", "trace:{trace}", "--cores", "4"),
+], ids=["scale-0", "seed-negative", "snapshot-every-negative", "trace-too-short",
+        "trace-core-mismatch"])
+def test_cli_rejects_bad_inputs_before_any_cell_runs(tmp_path, capsys, extra):
+    from repro.trace import record_named
+
+    trace = tmp_path / "short.rtrace"
+    record_named("gcc", str(trace), records_per_core=300, num_cores=2, scale=0.05, seed=1)
+    argv = ["run", "--store", str(tmp_path / "store"), "--schemes", "banshee",
+            "--workloads", "gcc", "--records", "300", "--cores", "2", "--preset", "tiny",
+            "--quiet"]
+    code, out = run_cli(*argv, *(arg.format(trace=trace) for arg in extra))
+    assert code == 2, out
+    assert capsys.readouterr().err.startswith("error: ")
+    assert "ERROR in" not in out
+
+
+def test_run_campaign_rejects_snapshot_every_without_store():
+    with pytest.raises(ValueError, match="snapshot_every requires a store"):
+        run_campaign(tiny_spec(), snapshot_every=100)
+
+
 def test_cli_spec_file_and_status_pending(tmp_path):
     spec = tiny_spec(name="from-file", schemes=["banshee", "nocache"], workloads=["gcc"])
     spec_path = tmp_path / "spec.json"

@@ -389,30 +389,3 @@ def test_obs_cli_summarize_merge_export(tmp_path):
 
     assert obs_main(["summarize", "--events", str(tmp_path / "missing.jsonl")],
                     stream=io.StringIO()) == 2
-
-
-def test_perf_profile_reports_hot_functions(capsys):
-    from repro.perf.cli import main as perf_main
-
-    out_path = "/tmp/test_obs_bench.json"
-    rc = perf_main([
-        "--smoke", "--profile", "--profile-top", "5", "--schemes", "banshee",
-        "--workloads", "gcc", "--records", "300", "--output", out_path,
-    ])
-    assert rc == 0
-    captured = capsys.readouterr().out
-    assert "top 5 functions by cumulative time" in captured
-    assert "process_record" in captured
-    with open(out_path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["profile"]["top"] == 5
-    assert len(payload["profile"]["functions"]) == 5
-    assert all("cumtime" in row for row in payload["profile"]["functions"])
-    assert all("profile" in cell for cell in payload["cells"])
-
-
-def test_perf_report_omits_profile_by_default():
-    from repro.perf.harness import run_cell
-
-    cell = run_cell("banshee", "gcc", 200, repeats=1, preset="tiny")
-    assert "profile" not in cell.to_dict()

@@ -431,12 +431,26 @@ def test_trace_cells_survive_spawn_workers(tmp_path):
 
 
 def test_campaign_spec_rejects_missing_trace_up_front(tmp_path):
-    from repro.campaign.spec import SweepGrid
+    from repro.campaign.spec import CampaignSpec, SweepGrid
 
     with pytest.raises(ValueError, match="trace file not found"):
         SweepGrid(workloads=("trace:/nonexistent/x.rtrace",))
     with pytest.raises(ValueError, match="unknown workload"):
         SweepGrid(workloads=("not-a-workload",))
+    # A trace too short for the budget, or captured at another core count or
+    # page size, fails the spec before any cell runs instead of every cell.
+    path, _ = capture(tmp_path, records=300, cores=2)
+    grid = SweepGrid(workloads=(f"trace:{path}",))
+    assert len(CampaignSpec(name="fits", grids=[grid], records_per_core=300).cells()) == 1
+    with pytest.raises(ValueError, match="holds only 300 records per core"):
+        CampaignSpec(name="short", grids=[grid], records_per_core=301).cells()
+    with pytest.raises(ValueError, match="holds 2 core stream"):
+        CampaignSpec(name="cores", grids=[grid], records_per_core=300, num_cores=4).cells()
+    with pytest.raises(ValueError, match="holds 2 core stream"):
+        CampaignSpec(name="preset", grids=[grid], records_per_core=300, preset="scaled").cells()
+    paged = SweepGrid(workloads=(f"trace:{path}",), page_sizes=(8192,))
+    with pytest.raises(ValueError, match="captured at page_size=4096"):
+        CampaignSpec(name="paged", grids=[paged], records_per_core=300).cells()
 
 
 def test_trace_cell_key_tracks_content_not_path(tmp_path):
@@ -452,38 +466,6 @@ def test_trace_cell_key_tracks_content_not_path(tmp_path):
 
     assert key(path_a) == key(path_b)  # same records, different path
     assert key(path_a) != key(path_c)  # different records
-
-
-def test_perf_cell_runs_trace_workload(tmp_path):
-    from repro.perf.harness import run_cell, validate_matrix
-
-    path, _ = capture(tmp_path, records=100)
-    cell = run_cell("nocache", f"trace:{path}", records_per_core=100,
-                    num_cores=2, repeats=1, preset="tiny")
-    assert cell.records == 200
-    assert cell.generation_seconds >= 0.0
-    assert 0.0 <= cell.generation_fraction <= 1.0
-    payload = cell.to_dict()
-    assert payload["simulation_seconds"] == pytest.approx(cell.simulation_seconds)
-    validate_matrix(["banshee"], [f"trace:{path}", "gcc"])
-    with pytest.raises(ValueError, match="trace file not found"):
-        validate_matrix(["banshee"], ["trace:/nonexistent.rtrace"])
-    # Fail-fast also covers the record budget: a short trace is rejected
-    # before any cell simulates, not mid-matrix.
-    validate_matrix(["banshee"], [f"trace:{path}"], records_per_core=100)
-    with pytest.raises(ValueError, match="holds only 100 records"):
-        validate_matrix(["banshee"], [f"trace:{path}"], records_per_core=101)
-
-
-def test_perf_benchmark_reports_workload_time_split(tmp_path):
-    from repro.perf.harness import run_benchmark
-
-    payload = run_benchmark(schemes=["nocache"], workloads=["gcc"], records_per_core=50,
-                            num_cores=2, scale=0.05, repeats=1, preset="tiny")
-    split = payload["workload_time_split"]["gcc"]
-    assert set(split) == {"generation_seconds", "simulation_seconds", "generation_fraction"}
-    assert 0.0 <= split["generation_fraction"] <= 1.0
-    json.dumps(payload)
 
 
 # ------------------------------------------------------------------------ CLI

@@ -9,7 +9,7 @@ Covers the three guarantees of the variant layer:
   configuration overrides applied (and reports the variant name back);
 * unknown names fail loudly, up front, with the available names listed —
   at config construction, at factory resolution, at campaign-spec
-  normalisation and at the perf harness entry point.
+  normalisation and at the campaign CLI entry point.
 """
 
 import pytest
@@ -29,7 +29,6 @@ from repro.dramcache.variants import (
     unregister_variant,
 )
 from repro.memctrl.request import MemRequest
-from repro.perf.harness import validate_matrix
 from repro.sim.config import SystemConfig
 from repro.util.rng import DeterministicRng
 
@@ -310,20 +309,13 @@ def test_campaign_cells_resolve_variants():
     assert cells[1].config.dram_cache.scheme == "banshee-tb4k"
 
 
-def test_perf_validate_matrix_lists_names():
-    validate_matrix(["banshee", "banshee-tb4k"], ["gcc"])
-    with pytest.raises(ValueError, match="available:.*banshee-tb4k"):
-        validate_matrix(["banshee-bogus"], ["gcc"])
-    with pytest.raises(ValueError, match="unknown workload"):
-        validate_matrix(["banshee"], ["no-such-workload"])
+def test_campaign_cli_exits_cleanly_on_unknown_variant(tmp_path, capsys):
+    from repro.campaign.cli import main
 
-
-def test_perf_cli_exits_cleanly_on_unknown_scheme(tmp_path, capsys):
-    from repro.perf.cli import main
-
-    rc = main([
-        "--smoke", "--preset", "tiny", "--schemes", "banshee-bogus",
-        "--output", str(tmp_path / "bench.json"), "--quiet",
-    ])
+    store_dir = tmp_path / "store"
+    rc = main(["run", "--store", str(store_dir), "--schemes", "banshee-bogus",
+               "--workloads", "gcc", "--records", "100", "--preset", "tiny", "--quiet"])
     assert rc == 2
-    assert "available:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "available:" in err and "banshee-tb4k" in err
+    assert not store_dir.exists()
