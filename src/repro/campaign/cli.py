@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro import faults
 from repro.campaign.driver import CampaignReport, run_campaign
@@ -30,6 +31,7 @@ from repro.campaign.export import export_csv, export_json
 from repro.campaign.spec import PRESETS, CampaignSpec, SweepGrid
 from repro.campaign.store import ResultStore
 from repro.campaign.supervisor import (
+    STALE_AFTER_SECONDS,
     SupervisorConfig,
     install_signal_handlers,
     restore_signal_handlers,
@@ -37,7 +39,6 @@ from repro.campaign.supervisor import (
 from repro.dramcache.variants import available_scheme_names, describe_variants
 from repro.experiments.report import format_table
 from repro.obs.events import ObsSink, read_events
-from repro.obs.heartbeat import STALE_AFTER_SECONDS, is_stale, pid_alive, read_heartbeats
 
 #: Default mid-cell auto-snapshot interval (processed records).  Small
 #: enough that a killed overnight campaign rarely loses more than a couple
@@ -108,12 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--timeline-bounds", nargs="+", type=float, metavar="CYCLES",
                             help="latency-histogram bucket edges for --timeline "
                                  "(strictly increasing cycle counts)")
-    run_parser.add_argument("--checkpoint-warmup", action="store_true",
-                            help="share warm engine states across cells: snapshot the "
-                                 "warmup edge under <store>/obs/checkpoints and restore "
-                                 "it for cells sharing (config, workload, warmup)")
     run_parser.add_argument("--no-obs", action="store_true",
-                            help="disable the event log / heartbeats under <store>/obs")
+                            help="disable the event log under <store>/obs")
     run_parser.add_argument("--retries", type=int, default=None, metavar="N",
                             help="supervised mode: give up on a cell after N failed "
                                  "attempts (worker deaths/timeouts; default 3)")
@@ -124,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="revoke and retry any cell attempt running longer than "
                                  "SECONDS (default: no deadline)")
     run_parser.add_argument("--stale-after", type=float, default=None, metavar="SECONDS",
-                            help="supervised mode: revoke a lease whose worker heartbeat "
-                                 "has not advanced in SECONDS (default %.0f)"
+                            help="supervised mode: revoke a lease whose worker has sent "
+                                 "no progress beat in SECONDS (default %.0f)"
                                  % STALE_AFTER_SECONDS)
     run_parser.add_argument("--snapshot-every", type=int, default=DEFAULT_SNAPSHOT_EVERY,
                             metavar="RECORDS",
@@ -142,12 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     status_parser.add_argument("--store", required=True)
     status_parser.add_argument("--spec", help="JSON spec file: also report pending cells")
     status_parser.add_argument("--live", action="store_true",
-                               help="show in-flight cells from <store>/obs heartbeats and events")
+                               help="show in-flight cells from the event log under <store>/obs")
     status_parser.add_argument("--poll", type=float, default=0.0, metavar="SECONDS",
                                help="with --live: refresh every SECONDS until the campaign ends")
     status_parser.add_argument("--stale-after", type=float, default=None, metavar="SECONDS",
-                               help="with --live: heartbeats older than SECONDS count as "
-                                    "stale (default %.0f); stale workers are listed by id"
+                               help="with --live: workers whose last event is older than "
+                                    "SECONDS count as stale (default %.0f); stale workers are "
+                                    "listed by id"
                                     % STALE_AFTER_SECONDS)
 
     export_parser = sub.add_parser("export", help="dump a store as CSV or JSON")
@@ -291,7 +289,6 @@ def cmd_run(args: argparse.Namespace, stream: TextIO) -> int:
     try:
         report = run_campaign(spec, store=store, workers=args.workers, progress=progress,
                               force=args.force, obs=obs,
-                              checkpoint_warmup=args.checkpoint_warmup,
                               supervisor=_supervisor_config(args),
                               snapshot_every=args.snapshot_every or None)
     except KeyboardInterrupt:
@@ -321,12 +318,40 @@ def cmd_run(args: argparse.Namespace, stream: TextIO) -> int:
     return 1 if report.errors else 0
 
 
+#: Events a worker process emits about itself (each names its ``worker``).
+_WORKER_EVENTS = ("cell_start", "heartbeat", "cell_finish", "cell_error")
+
+
+def pid_alive(pid: object) -> bool:
+    """Whether ``pid`` names a live process on this host.
+
+    ``os.kill(pid, 0)`` probes without signalling; ``EPERM`` means the
+    process exists but belongs to someone else, which still counts as
+    alive.  Anything unparseable reads as dead.
+    """
+    try:
+        pid_int = int(pid)  # type: ignore[arg-type, call-overload]
+    except (TypeError, ValueError):
+        return False
+    if pid_int <= 0:
+        return False
+    try:
+        os.kill(pid_int, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    except OSError:
+        return False
+    return True
+
+
 def _print_live(obs_dir: Path, stream: TextIO,
                 stale_after: Optional[float] = None) -> bool:
-    """One live telemetry snapshot from heartbeats + events; True once ended."""
+    """One live telemetry snapshot from the event log; True once ended."""
     stale_after = STALE_AFTER_SECONDS if stale_after is None else stale_after
     events_path = obs_dir / "events.jsonl"
-    records = read_events(events_path) if events_path.exists() else []
+    records = read_events(events_path)
     last_start = -1
     for index, record in enumerate(records):
         if record.get("event") == "campaign_start":
@@ -336,6 +361,8 @@ def _print_live(obs_dir: Path, stream: TextIO,
     walls: List[float] = []
     ended = False
     end_status = None
+    # (worker, pid) -> first and last event time, cells done, cell in flight
+    workers: Dict[Tuple[object, object], Dict[str, Any]] = {}
     for record in records[last_start + 1:]:
         event = record.get("event")
         if event == "cell_finish":
@@ -352,14 +379,22 @@ def _print_live(obs_dir: Path, stream: TextIO,
         elif event == "campaign_end":
             ended = True
             end_status = record.get("status")
+        if event in _WORKER_EVENTS:
+            ts = record.get("ts", 0.0)
+            worker = workers.setdefault((record.get("worker"), record.get("pid")), {
+                "name": record.get("worker"), "first": ts, "done": 0,
+            })
+            worker["last"] = ts
+            worker["cell"] = record.get("cell") if event in ("cell_start", "heartbeat") else None
+            if event == "cell_finish":
+                worker["done"] += 1
 
-    # A heartbeat whose PID is gone is a dead worker's leftover, not a live
+    # A worker whose pid is gone is a dead worker's leftover, not a live
     # one — a SIGKILLed campaign must not show ghost workers forever.
-    beats = [beat for beat in read_heartbeats(obs_dir / "heartbeats")
-             if pid_alive(beat.get("pid"))]
     now = time.time()
-    live = [beat for beat in beats if not is_stale(beat, now=now, stale_after=stale_after)]
-    stale = [beat for beat in beats if is_stale(beat, now=now, stale_after=stale_after)]
+    alive = [worker for (_name, pid), worker in workers.items() if pid_alive(pid)]
+    live = [worker for worker in alive if now - worker["last"] <= stale_after]
+    stale = [worker for worker in alive if now - worker["last"] > stale_after]
 
     stamp = time.strftime("%H:%M:%S", time.localtime(now))
     if campaign is not None:
@@ -380,20 +415,16 @@ def _print_live(obs_dir: Path, stream: TextIO,
         print(f"[{stamp}] no campaign_start event in {events_path}", file=stream)
 
     if live:
-        rows = []
-        for beat in sorted(live, key=lambda b: str(b.get("worker"))):
-            in_flight = beat.get("cell") if beat.get("state") == "running" else "-"
-            elapsed = _format_duration(now - float(beat.get("started_ts", now)))
-            rows.append([beat.get("worker"), beat.get("state"), in_flight or "-",
-                         beat.get("cells_done", 0), elapsed])
+        rows = [[worker["name"], "running" if worker["cell"] else "idle", worker["cell"] or "-",
+                 worker["done"], _format_duration(now - worker["first"])]
+                for worker in sorted(live, key=lambda w: str(w["name"]))]
         print(format_table(["worker", "state", "in-flight cell", "done", "up"], rows),
               file=stream)
     elif not ended:
         print("no live workers", file=stream)
     if stale and not ended:
-        names = ", ".join(sorted(str(beat.get("worker", "?")) for beat in stale))
-        print(f"stale workers (no heartbeat in >{stale_after:.0f}s): {names}",
-              file=stream)
+        names = ", ".join(sorted(str(worker["name"]) for worker in stale))
+        print(f"stale workers (no event in >{stale_after:.0f}s): {names}", file=stream)
     return ended
 
 

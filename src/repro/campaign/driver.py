@@ -87,7 +87,6 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     force: bool = False,
     obs: Optional["ObsSink"] = None,
-    checkpoint_warmup: bool = False,
     supervisor: Optional[SupervisorConfig] = None,
     snapshot_every: Optional[int] = None,
 ) -> CampaignReport:
@@ -105,15 +104,9 @@ def run_campaign(
             reported first, then live cells as they complete.
         force: re-simulate even cells the store already holds (the fresh
             result overwrites the stored one).
-        obs: optional :class:`~repro.obs.events.ObsSink`; campaign/cell/run
-            events land in its JSONL log and workers heartbeat into its
-            directory (what ``status --live`` tails).
-        checkpoint_warmup: share warm engine states across cells via
-            ``<store>/obs/checkpoints`` — the first cell with a given
-            (config, workload, warmup) snapshots the warmup edge, later
-            cells (and later campaigns against the same store) restore it
-            and simulate only the measured portion.  Bit-identical results;
-            requires a ``store``; cells with a timeline attached bypass it.
+        obs: optional :class:`~repro.obs.events.ObsSink`; campaign, cell,
+            heartbeat and run events land in its JSONL log (what
+            ``status --live`` reads).
         supervisor: retry/backoff/quarantine knobs for the supervised
             parallel path (``None`` uses :class:`SupervisorConfig` defaults;
             ``spec.cell_timeout_seconds`` fills an unset ``cell_timeout``).
@@ -169,10 +162,7 @@ def run_campaign(
         executor = SupervisedExecutor(workers, config=config)
     else:
         executor = SerialExecutor()
-    checkpoint_dir = None
     snapshot_dir = None
-    if checkpoint_warmup and store is not None:
-        checkpoint_dir = str(Path(store.directory) / "obs" / "checkpoints")
     if snapshot_every is not None and store is not None:
         snapshot_dir = str(Path(store.directory) / "obs" / "autosnapshots")
     events = obs.event_log() if obs is not None else None
@@ -208,7 +198,6 @@ def run_campaign(
     interrupted = False
     try:
         executed = executor.run([cells[i] for i in pending], progress=on_progress, obs=obs,
-                                checkpoint_dir=checkpoint_dir,
                                 snapshot_dir=snapshot_dir, snapshot_every=snapshot_every)
     except KeyboardInterrupt:
         # Completed cells were persisted and recorded by on_progress; the

@@ -16,12 +16,14 @@ interval timeline, which is built from simulated state only.  Results cross
 the process boundary as ``SimulationResults.to_dict()`` payloads, which
 preserve floats exactly.
 
-Observability: given an :class:`~repro.obs.events.ObsSink`, every cell
-emits structured ``cell_start``/``cell_finish``/``cell_error``/``heartbeat``
+Observability and liveness: given an :class:`~repro.obs.events.ObsSink`,
+every cell emits structured ``cell_start``/``cell_finish``/``cell_error``
 events to its JSONL log (one appended line per event, safe across
-processes), and every worker process maintains a heartbeat file in the
-sink's heartbeat directory — what ``python -m repro.campaign status
---live`` tails to show in-flight cells.
+processes), plus a ``heartbeat`` event every :data:`BEAT_RECORDS`
+processed records — what ``python -m repro.campaign status --live`` reads
+to show in-flight cells.  In a supervised worker the same beat also goes
+over the worker slot's pipe, sink or not: that is what the supervisor's
+staleness check listens to.
 """
 
 from __future__ import annotations
@@ -30,45 +32,44 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro import faults
 from repro.campaign.spec import CampaignCell
 from repro.experiments.runner import run_simulation
 from repro.obs.events import ObsSink
-from repro.obs.heartbeat import HeartbeatWriter
-from repro.sim.batch import RunController
+from repro.sim.batch import EngineCursor, RunController
 from repro.sim.results import SimulationResults
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 #: progress callback: (completed_count, total_count, outcome)
 ProgressFn = Callable[[int, int, "CellOutcome"], None]
 
-#: Default processed-record interval between mid-cell heartbeat refreshes.
+#: Processed-record interval between a running cell's progress beats.
 #: Chosen so a healthy engine beats several times a second while a wedged
 #: one goes quiet — what the supervisor's staleness check keys off.
 BEAT_RECORDS = 20_000
 
 
 class _ProgressBeat(RunController):
-    """Refreshes the worker heartbeat at engine edges (progress-based).
+    """Calls ``beat(processed)`` every ``every`` processed records.
 
-    Deliberately not a wall-clock timer thread: the heartbeat only
-    advances when the simulation does, so a wedged worker goes stale even
-    though its process is alive.
+    Deliberately not a wall-clock timer thread: beats fire at engine edges,
+    so they only come while the simulation advances, and a wedged worker
+    goes quiet even though its process is alive.
     """
 
-    def __init__(self, heartbeat: HeartbeatWriter, every: int,
-                 cell: str, key: str) -> None:
-        self.heartbeat = heartbeat
+    def __init__(self, beat: Callable[[int], None], every: int) -> None:
+        self.beat = beat
         self.every = every
-        self.cell = cell
-        self.key = key
 
     def next_stop(self, processed: int) -> Optional[int]:
         return processed + (self.every - processed % self.every or self.every)
 
-    def on_edge(self, cursor: object) -> bool:
-        self.heartbeat.beat(state="running", cell=self.cell, key=self.key)
+    def on_edge(self, cursor: EngineCursor) -> bool:
+        self.beat(cursor.processed)
         return False
 
 
@@ -97,49 +98,50 @@ def execute_cell(
     cell: CampaignCell,
     obs: Optional[ObsSink] = None,
     worker: Optional[str] = None,
-    heartbeat: Optional[HeartbeatWriter] = None,
-    checkpoint_dir: Optional[str] = None,
     cell_index: Optional[int] = None,
     snapshot_dir: Optional[str] = None,
     snapshot_every: Optional[int] = None,
-    beat_records: int = BEAT_RECORDS,
+    pipe: Optional["Connection"] = None,
 ) -> CellOutcome:
     """Run one cell, capturing any exception as an error outcome.
 
-    ``obs`` routes structured events (and, via ``heartbeat`` or a
-    per-process writer, liveness updates) to the campaign's sink; all four
-    of cell start/finish/error and heartbeats are emitted here so the
-    serial and parallel paths produce the same event stream shape.
-    ``checkpoint_dir`` enables shared warmup checkpoints (see
-    :func:`repro.experiments.runner.run_simulation`); concurrent workers
-    writing the same checkpoint are safe — snapshot saves are atomic and
-    the content is identical.
+    ``obs`` routes structured events to the campaign's sink; cell
+    start/finish/error and heartbeats are all emitted here, so the serial
+    and supervised paths produce the same event stream shape.  ``pipe`` is
+    a supervised worker slot's end of its pipe to the supervisor (the
+    completion notice's channel).  Every :data:`BEAT_RECORDS` processed
+    records the cell beats: a message on ``pipe`` and a ``heartbeat``
+    event, whichever of the two exists, so the supervisor can tell a slow
+    worker from a wedged one (a ``drop-heartbeat`` fault silences both).
 
     ``cell_index`` is the cell's position in the campaign's pending order —
     the coordinate fault plans (:mod:`repro.faults`) address cells by.
     ``snapshot_dir``/``snapshot_every`` enable mid-cell auto-snapshots (the
-    crash-resume mechanism; see :func:`run_simulation`), and a heartbeat is
-    refreshed every ``beat_records`` processed records so the supervisor
-    can tell a slow worker from a wedged one.
+    crash-resume mechanism; see :func:`run_simulation`).
     """
     start = time.perf_counter()
     faults.set_current_cell(cell_index)
     key = cell.key()
     events = obs.event_log() if obs is not None else None
     worker = worker or f"pid-{os.getpid()}"
-    if heartbeat is None and obs is not None:
-        heartbeat = obs.heartbeat_writer(worker)
     describe = cell.describe()
-    if heartbeat is not None:
-        heartbeat.beat(state="running", cell=describe, key=key)
     if events is not None:
         events.emit("cell_start", key=key, cell=describe, worker=worker,
                     label=cell.label, scheme=cell.scheme,
                     workload=cell.workload, seed=cell.seed)
-        events.emit("heartbeat", worker=worker, state="running", key=key)
+
+    def beat(processed: int) -> None:
+        if faults.heartbeat_dropped():
+            return
+        if pipe is not None:
+            pipe.send(None)
+        if events is not None:
+            events.emit("heartbeat", worker=worker, state="running", cell=describe,
+                        key=key, records=processed)
+
     controller: Optional[RunController] = None
-    if heartbeat is not None and beat_records > 0:
-        controller = _ProgressBeat(heartbeat, beat_records, describe, key)
+    if pipe is not None or events is not None:
+        controller = _ProgressBeat(beat, BEAT_RECORDS)
     try:
         faults.fire("cell", cell=cell_index)
         result = run_simulation(
@@ -148,36 +150,27 @@ def execute_cell(
             records_per_core=cell.records_per_core,
             scale=cell.scale,
             seed=cell.seed,
-            page_size=cell.page_size,
             warmup_fraction=cell.warmup_fraction,
             timeline_interval=cell.timeline_interval,
             timeline_bounds=cell.timeline_bounds,
             events=events,
-            checkpoint_dir=checkpoint_dir,
             snapshot_dir=snapshot_dir,
             snapshot_every=snapshot_every,
             controller=controller,
         )
         wall = time.perf_counter() - start
-        if heartbeat is not None:
-            heartbeat.finished_cell()
-            heartbeat.beat(state="idle")
         if events is not None:
             events.emit("cell_finish", key=key, cell=describe, worker=worker,
                         wall_seconds=round(wall, 6))
-            events.emit("heartbeat", worker=worker, state="idle", key=key)
         return CellOutcome(cell, key, result, wall_seconds=wall)
     except Exception as exc:  # noqa: BLE001 — per-cell isolation is the point
         detail = traceback.format_exc(limit=8)
         error = f"{type(exc).__name__}: {exc}\n{detail}"
         wall = time.perf_counter() - start
-        if heartbeat is not None:
-            heartbeat.beat(state="idle")
         if events is not None:
             events.emit("cell_error", key=key, cell=describe, worker=worker,
                         error=f"{type(exc).__name__}: {exc}",
                         wall_seconds=round(wall, 6))
-            events.emit("heartbeat", worker=worker, state="idle", key=key)
         return CellOutcome(cell, key, None, error=error, wall_seconds=wall)
 
 
@@ -189,21 +182,14 @@ class SerialExecutor:
         cells: Sequence[CampaignCell],
         progress: Optional[ProgressFn] = None,
         obs: Optional[ObsSink] = None,
-        checkpoint_dir: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
         snapshot_every: Optional[int] = None,
     ) -> List[CellOutcome]:
-        heartbeat = obs.heartbeat_writer("serial") if obs is not None else None
         outcomes: List[CellOutcome] = []
-        try:
-            for index, cell in enumerate(cells):
-                outcome = execute_cell(cell, obs=obs, worker="serial", heartbeat=heartbeat,
-                                       checkpoint_dir=checkpoint_dir, cell_index=index,
-                                       snapshot_dir=snapshot_dir, snapshot_every=snapshot_every)
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(index + 1, len(cells), outcome)
-        finally:
-            if heartbeat is not None:
-                heartbeat.clear()
+        for index, cell in enumerate(cells):
+            outcome = execute_cell(cell, obs=obs, worker="serial", cell_index=index,
+                                   snapshot_dir=snapshot_dir, snapshot_every=snapshot_every)
+            outcomes.append(outcome)
+            if progress is not None:
+                progress(index + 1, len(cells), outcome)
         return outcomes

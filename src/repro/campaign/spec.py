@@ -137,7 +137,6 @@ class CampaignCell:
     scale: float
     warmup_fraction: float
     config: SystemConfig
-    page_size: Optional[int] = None
     #: Snapshot interval (records) for the obs timeline; None disables it.
     timeline_interval: Optional[int] = None
     #: Latency-histogram bucket edges for the timeline; None keeps defaults.
@@ -152,9 +151,8 @@ class CampaignCell:
             self.scale,
             self.seed,
             self.warmup_fraction,
-            self.page_size,
-            self.timeline_interval,
-            self.timeline_bounds,
+            timeline_interval=self.timeline_interval,
+            timeline_bounds=self.timeline_bounds,
         )
 
     def describe(self) -> str:
@@ -173,7 +171,6 @@ class CampaignCell:
             self.scale,
             self.seed,
             self.warmup_fraction,
-            self.page_size,
             label=self.label,
             timeline_interval=self.timeline_interval,
             timeline_bounds=self.timeline_bounds,

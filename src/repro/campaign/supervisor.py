@@ -13,13 +13,15 @@ survive the failures long overnight runs actually hit:
   next lease: each cell starts from a collected heap, and no cell pays
   for a process start.
 * **Dead-worker detection.**  The supervisor sleeps until a leased worker
-  sends its notice or exits, so a worker that is OOM-killed or SIGKILLed
+  sends something or exits, so a worker that is OOM-killed or SIGKILLed
   mid-cell is noticed at once (process exit without an outcome file).  A
-  *wedged* worker is noticed by its lease deadline or by its heartbeat
-  going stale (heartbeats advance with simulation progress — see
-  :class:`~repro.campaign.executor._ProgressBeat` — so a hung loop goes
-  quiet even though the process is alive); ``poll_interval`` bounds how
-  late those two checks run.  Deadlines, staleness and backoff use the
+  *wedged* worker is noticed by its lease deadline or by going silent: a
+  running cell beats over the slot's pipe every
+  :data:`~repro.campaign.executor.BEAT_RECORDS` processed records (see
+  :class:`~repro.campaign.executor._ProgressBeat`), so a hung loop goes
+  quiet even though the process is alive, with or without an obs sink.
+  The supervisor wakes exactly when the next deadline, staleness check or
+  retry backoff falls due, and otherwise blocks.  All three use the
   monotonic clock, so a wall-clock step (NTP, VM resume) revokes nothing.
 * **Retry with capped exponential backoff.**  Revoking a lease kills that
   slot's process; the next grant on the slot starts a fresh one.  A
@@ -32,7 +34,7 @@ survive the failures long overnight runs actually hit:
   error record tagged ``poisoned``) and the campaign moves on — one bad
   configuration cannot sink a thousand-cell run.
 * **Graceful degradation.**  Every involuntary worker death shrinks the
-  concurrency target by one (never below ``min_workers``): a host that
+  concurrency target by one (never below one): a host that
   keeps OOM-killing eight workers ends up running serially instead of
   thrashing.
 
@@ -59,12 +61,16 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.executor import CellOutcome, ProgressFn, execute_cell
 from repro.campaign.spec import CampaignCell
-from repro.obs.events import EventLog, ObsSink
-from repro.obs.heartbeat import STALE_AFTER_SECONDS, sweep_dead
+from repro.obs.events import ObsSink
 from repro.sim.results import SimulationResults
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
+
+#: Default staleness window in seconds: the supervisor revokes a lease
+#: whose worker has been silent this long, and ``status --live`` lists
+#: workers whose last event is this old as stale.
+STALE_AFTER_SECONDS = 300.0
 
 
 @dataclass
@@ -73,12 +79,9 @@ class SupervisorConfig:
 
     ``cell_timeout`` is the per-*attempt* deadline in seconds; ``None``
     disables deadline revocation (death and staleness still apply).
-    ``stale_after`` revokes a lease whose worker heartbeat has not advanced
-    in that many seconds; ``None`` disables the staleness check.
-    ``snapshot_every`` (records) turns on mid-cell auto-snapshots so
-    retries — and whole re-runs of a killed campaign — resume mid-cell.
-    ``poll_interval`` bounds how late deadlines and staleness are checked;
-    completions and worker deaths wake the supervisor at once.
+    ``stale_after`` revokes a lease whose worker has sent nothing over its
+    pipe (no progress beat, no completion notice) in that many seconds;
+    ``None`` disables the staleness check.
     """
 
     max_attempts: int = 3
@@ -86,9 +89,6 @@ class SupervisorConfig:
     backoff_cap: float = 30.0
     cell_timeout: Optional[float] = None
     stale_after: Optional[float] = STALE_AFTER_SECONDS
-    snapshot_every: Optional[int] = None
-    min_workers: int = 1
-    poll_interval: float = 0.05
     mp_start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -100,10 +100,6 @@ class SupervisorConfig:
             raise ValueError("cell_timeout must be positive (or None)")
         if self.stale_after is not None and self.stale_after <= 0:
             raise ValueError("stale_after must be positive (or None)")
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
-            raise ValueError("snapshot_every must be positive (or None)")
-        if self.min_workers <= 0:
-            raise ValueError("min_workers must be positive")
 
     def backoff(self, failures: int) -> float:
         """Delay before retry number ``failures + 1`` (capped exponential)."""
@@ -133,24 +129,21 @@ class _Lease:
     started: float
     deadline: Optional[float]
     outcome_path: Path
-    heartbeat_path: Optional[Path]
-    #: The heartbeat's last ``updated_ts`` (the worker's wall clock, only
-    #: ever compared for change) and when it was first seen.
-    beat_ts: Optional[float] = None
-    beat_seen: float = 0.0
+    #: When anything last arrived on the worker's pipe (or the grant).
+    beat_seen: float
 
 
 def _worker_main(
     worker: str,
     conn: "Connection",
     obs: Optional[ObsSink],
-    checkpoint_dir: Optional[str],
     snapshot_dir: Optional[str],
     snapshot_every: Optional[int],
 ) -> None:
     """Worker slot body: run leased cells until told to stop.
 
-    Each lease arrives as ``(index, cell, outcome_path)``.  The outcome
+    Each lease arrives as ``(index, cell, outcome_path)``.  While the cell
+    runs, its progress beats go back over the same pipe.  The outcome
     crosses back as JSON via an atomic rename *before* the completion
     notice, so a crash at any point leaves either no file (the lease is
     revoked and retried) or a complete one — never a half-written outcome.
@@ -164,49 +157,43 @@ def _worker_main(
     # collection below from scanning the inherited heap.
     gc.freeze()
     supervisor = os.getppid()
-    heartbeat = obs.heartbeat_writer(worker) if obs is not None else None
-    try:
-        while True:
-            # A supervisor killed outright (OOM killer, SIGKILL, an injected
-            # crash) cannot stop its workers, so an orphan exits on its own.
-            while not conn.poll(1.0):
-                if os.getppid() != supervisor:
-                    return
-            try:
-                lease = conn.recv()
-            except EOFError:
+    while True:
+        # A supervisor killed outright (OOM killer, SIGKILL, an injected
+        # crash) cannot stop its workers, so an orphan exits on its own.
+        while not conn.poll(1.0):
+            if os.getppid() != supervisor:
                 return
-            if lease is None:
-                return
-            index, cell, outcome_path = lease
-            outcome = execute_cell(
-                cell, obs=obs, worker=worker, heartbeat=heartbeat,
-                checkpoint_dir=checkpoint_dir, cell_index=index,
-                snapshot_dir=snapshot_dir, snapshot_every=snapshot_every,
-            )
-            payload = {
-                "key": outcome.key,
-                "result": outcome.result.to_dict() if outcome.result is not None else None,
-                "error": outcome.error,
-                "wall_seconds": outcome.wall_seconds,
-            }
-            tmp = outcome_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, outcome_path)
-            try:
-                conn.send(index)
-            except OSError:
-                return  # the supervisor is gone
-            del outcome, payload
-            # Cyclic garbage from this cell's System would otherwise pile
-            # up across cells and inflate the worker's resident memory.
-            gc.collect()
-    finally:
-        if heartbeat is not None:
-            heartbeat.clear()
+        try:
+            lease = conn.recv()
+        except EOFError:
+            return
+        if lease is None:
+            return
+        index, cell, outcome_path = lease
+        outcome = execute_cell(
+            cell, obs=obs, worker=worker, cell_index=index,
+            snapshot_dir=snapshot_dir, snapshot_every=snapshot_every, pipe=conn,
+        )
+        payload = {
+            "key": outcome.key,
+            "result": outcome.result.to_dict() if outcome.result is not None else None,
+            "error": outcome.error,
+            "wall_seconds": outcome.wall_seconds,
+        }
+        tmp = outcome_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, outcome_path)
+        try:
+            conn.send(index)
+        except OSError:
+            return  # the supervisor is gone
+        del outcome, payload
+        # Cyclic garbage from this cell's System would otherwise pile
+        # up across cells and inflate the worker's resident memory.
+        gc.collect()
 
 
 class SupervisedExecutor:
@@ -216,8 +203,7 @@ class SupervisedExecutor:
     (one outcome per cell, in input order, bit-identical results) plus the
     recovery behaviour described in the module docstring.  Worker slots
     are named ``w0``, ``w1``, ...; each keeps one process, which runs cell
-    after cell and is replaced only when a lease on it is revoked, so
-    heartbeat files stay per-slot.
+    after cell and is replaced only when a lease on it is revoked.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -234,7 +220,6 @@ class SupervisedExecutor:
         cells: Sequence[CampaignCell],
         progress: Optional[ProgressFn] = None,
         obs: Optional[ObsSink] = None,
-        checkpoint_dir: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
         snapshot_every: Optional[int] = None,
     ) -> List[CellOutcome]:
@@ -244,13 +229,10 @@ class SupervisedExecutor:
         from multiprocessing.connection import wait
 
         cfg = self.config
-        if snapshot_every is None:
-            snapshot_every = cfg.snapshot_every
         if snapshot_every is not None and snapshot_dir is None:
             raise ValueError("snapshot_every requires snapshot_dir")
         context = multiprocessing.get_context(cfg.mp_start_method)
         events = obs.event_log() if obs is not None else None
-        heartbeat_dir = Path(obs.heartbeat_dir) if obs is not None and obs.heartbeat_dir else None
 
         total = len(cells)
         outcomes: Dict[int, CellOutcome] = {}
@@ -282,7 +264,7 @@ class SupervisedExecutor:
                 ours, theirs = context.Pipe()
                 process = context.Process(
                     target=_worker_main,
-                    args=(worker, theirs, obs, checkpoint_dir, snapshot_dir, snapshot_every),
+                    args=(worker, theirs, obs, snapshot_dir, snapshot_every),
                     daemon=True,
                 )
                 process.start()
@@ -307,10 +289,7 @@ class SupervisedExecutor:
                 leases[worker] = _Lease(
                     index=index, cell=cell, key=key, attempt=attempt,
                     worker=worker, process=process, conn=conn, started=now,
-                    deadline=deadline, outcome_path=outcome_path,
-                    heartbeat_path=(heartbeat_dir / f"{worker}.hb.json"
-                                    if heartbeat_dir is not None else None),
-                    beat_seen=now,
+                    deadline=deadline, outcome_path=outcome_path, beat_seen=now,
                 )
                 if events is not None:
                     events.emit("lease_granted", key=key, cell=cell.describe(),
@@ -339,21 +318,6 @@ class SupervisedExecutor:
                     attempt=lease.attempt,
                 )
 
-            def heartbeat_stale(lease: _Lease, now: float) -> bool:
-                # The worker's timestamps come from its wall clock, which
-                # may step; only a change of value counts, timed here.
-                if cfg.stale_after is None:
-                    return False
-                if lease.heartbeat_path is not None:
-                    try:
-                        with lease.heartbeat_path.open("r", encoding="utf-8") as handle:
-                            beat = json.load(handle).get("updated_ts")
-                    except (OSError, ValueError):
-                        beat = lease.beat_ts
-                    if beat != lease.beat_ts:
-                        lease.beat_ts, lease.beat_seen = beat, now
-                return (now - lease.beat_seen) > cfg.stale_after
-
             def revoke(lease: _Lease, reason: str) -> None:
                 nonlocal target_workers
                 retire(lease.worker)
@@ -369,7 +333,7 @@ class SupervisedExecutor:
                 failures[lease.index] = count
                 # Involuntary deaths erode trust in parallelism: shrink the
                 # worker target toward serial instead of thrashing.
-                target_workers = max(cfg.min_workers, target_workers - 1)
+                target_workers = max(1, target_workers - 1)
                 if events is not None:
                     events.emit("lease_revoked", key=lease.key,
                                 cell=lease.cell.describe(), worker=lease.worker,
@@ -403,22 +367,30 @@ class SupervisedExecutor:
                     while queue and len(leases) < target_workers and queue[0][2] <= now:
                         grant(queue.pop(0))
 
-                    # Sleep until a leased worker sends its notice or exits,
-                    # a retry's backoff expires, or deadlines and staleness
-                    # are due for a check.
-                    timeout = cfg.poll_interval
+                    # Sleep until a leased worker sends something or exits,
+                    # or the earliest deadline, staleness check or retry
+                    # backoff falls due; with none pending, block.
+                    due = [lease.deadline for lease in leases.values()
+                           if lease.deadline is not None]
+                    if cfg.stale_after is not None:
+                        due += [lease.beat_seen + cfg.stale_after for lease in leases.values()]
                     if queue and len(leases) < target_workers:
-                        timeout = min(timeout, max(0.0, queue[0][2] - now))
-                    ready = wait([lease.conn for lease in leases.values()]
-                                 + [lease.process.sentinel for lease in leases.values()],
-                                 timeout)
+                        due.append(queue[0][2])
+                    wait([lease.conn for lease in leases.values()]
+                         + [lease.process.sentinel for lease in leases.values()],
+                         max(0.0, min(due) - now) if due else None)
                     now = time.monotonic()
                     for lease in list(leases.values()):
-                        if lease.conn in ready:
-                            try:
-                                lease.conn.recv()  # the notice; the spool file holds the outcome
-                            except EOFError:
-                                pass  # the worker is exiting: handled as a death below
+                        try:
+                            if lease.conn.poll():
+                                # Progress beats and the completion notice
+                                # alike prove the worker alive; the spool
+                                # file holds the outcome.
+                                lease.beat_seen = now
+                                while lease.conn.poll():
+                                    lease.conn.recv()
+                        except EOFError:
+                            pass  # the worker is exiting: handled as a death below
                         outcome = read_outcome(lease)
                         if outcome is not None:
                             del leases[lease.worker]
@@ -429,7 +401,7 @@ class SupervisedExecutor:
                                    reason=f"worker-died (exitcode {lease.process.exitcode})")
                         elif lease.deadline is not None and now > lease.deadline:
                             revoke(lease, reason="timeout")
-                        elif heartbeat_stale(lease, now):
+                        elif cfg.stale_after is not None and now - lease.beat_seen > cfg.stale_after:
                             revoke(lease, reason="stale-heartbeat")
                 drained = True
             except KeyboardInterrupt:
@@ -437,7 +409,7 @@ class SupervisedExecutor:
                 raise CampaignInterrupted() from None
             finally:
                 # After a normal finish every worker is idle and exits on
-                # request (clearing its heartbeat); otherwise all are killed.
+                # request; otherwise all are killed.
                 if drained:
                     for _process, conn in slots.values():
                         try:
@@ -446,9 +418,6 @@ class SupervisedExecutor:
                             pass
                 for worker in list(slots):
                     retire(worker, grace=10.0 if drained else 0.0)
-                # Killed workers leave heartbeat files; their pids are gone.
-                if heartbeat_dir is not None:
-                    sweep_dead(heartbeat_dir)
 
         return [outcomes[index] for index in sorted(outcomes)]
 

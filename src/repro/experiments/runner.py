@@ -207,64 +207,6 @@ class ResultCache:
 GLOBAL_CACHE = ResultCache()
 
 
-def warmup_checkpoint_key(
-    config: SystemConfig,
-    workload_name: str,
-    scale: float,
-    seed: int,
-    page_size: int,
-    warmup_records: int,
-) -> str:
-    """Content-hashed identity of a warm engine state (the warmup edge).
-
-    Deliberately narrower than :func:`simulation_cell_key`: the state at the
-    warmup boundary depends on the configuration, the workload streams and
-    the warmup length — NOT on the total trace length — so one checkpoint
-    serves every ``records_per_core`` sharing the same warmup prefix.
-    """
-    payload = canonical_json({
-        "config": config_hash(config),
-        "workload": _workload_identity(workload_name),
-        "scale": scale,
-        "seed": seed,
-        "page_size": page_size,
-        "warmup_records_per_core": warmup_records,
-    })
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-class _WarmupCheckpointer(RunController):
-    """Run controller that saves an engine snapshot at the warmup edge.
-
-    It asks for an edge at the warmup threshold.  The engine's own warmup
-    edge fires first at that count (it leads every run's edge chain), so
-    the snapshot captures the post-``begin_measurement`` state; it is
-    written atomically.  Results of the checkpointing run are bit-identical
-    to an uncontrolled run.
-    """
-
-    def __init__(self, warmup_total: int, path: str, workload_meta: Dict[str, object],
-                 events=None) -> None:
-        self.warmup_total = warmup_total
-        self.path = path
-        self.workload_meta = workload_meta
-        self.events = events
-        self.saved = False
-
-    def next_stop(self, processed: int) -> Optional[int]:
-        return None if self.saved else self.warmup_total
-
-    def on_edge(self, cursor) -> bool:
-        from repro.obs.snapshot import capture_cursor
-
-        capture_cursor(cursor, workload_meta=self.workload_meta).save(self.path)
-        self.saved = True
-        if self.events is not None:
-            self.events.emit("snapshot_saved", path=self.path,
-                             records=cursor.processed, checkpoint=True)
-        return False
-
-
 class _AutoSnapshotter(RunController):
     """Run controller that saves a resume snapshot every N processed records.
 
@@ -328,7 +270,6 @@ def run_simulation(
     timeline_interval: Optional[int] = None,
     timeline_bounds: Optional[Sequence[float]] = None,
     events=None,
-    checkpoint_dir: Optional[str] = None,
     snapshot_dir: Optional[str] = None,
     snapshot_every: Optional[int] = None,
     controller: Optional[RunController] = None,
@@ -350,14 +291,6 @@ def run_simulation(
     latency-histogram bucket edges.  ``events`` is an optional
     :class:`~repro.obs.events.EventLog` for the engine's run events.
 
-    ``checkpoint_dir`` enables warmup checkpointing for named workloads:
-    the engine state at the warmup edge is snapshotted to
-    ``<dir>/<key>.json`` (keyed by config/workload/warmup only — see
-    :func:`warmup_checkpoint_key`), and later runs sharing that warmup
-    prefix restore it and simulate only the measured portion.  Results are
-    bit-identical either way.  Cells with a timeline attached bypass
-    checkpointing: their timeline must cover the warmup windows too.
-
     ``snapshot_dir`` + ``snapshot_every`` enable **mid-cell auto-snapshots**
     for named workloads: every ``snapshot_every`` processed records the full
     engine state is saved (atomically, latest wins) to
@@ -371,8 +304,7 @@ def run_simulation(
     ``controller`` attaches an additional
     :class:`~repro.sim.batch.RunController`; a
     :class:`~repro.sim.batch.ControllerChain` runs it first, then the
-    warmup checkpointer, the auto-snapshotter and the fault injector, each
-    at its own stops.  ``engine_mode`` overrides the engine
+    auto-snapshotter and the fault injector, each at its own stops.  ``engine_mode`` overrides the engine
     mode (default: the ``REPRO_ENGINE_MODE`` environment variable, else the
     engine's default) — results are bit-identical in every mode.
     """
@@ -461,36 +393,6 @@ def run_simulation(
         snapshotter = _AutoSnapshotter(snapshot_every, snapshot_path,
                                        workload_meta, events=events)
 
-    checkpointer = None
-    if (checkpoint_dir is not None and warmup_records > 0
-            and timeline_interval is None and not resumed_mid_cell):
-        ckpt_key = warmup_checkpoint_key(
-            config, workload_name, scale, seed, effective_page_size, warmup_records
-        )
-        ckpt_path = os.path.join(checkpoint_dir, f"{ckpt_key}.json")
-        restored = False
-        if os.path.exists(ckpt_path):
-            from repro.obs.snapshot import EngineSnapshot
-
-            try:
-                engine.restore(EngineSnapshot.load(ckpt_path))
-                restored = True
-            except (ValueError, KeyError, OSError):
-                # A stale or truncated checkpoint is a cache miss, not an
-                # error: fall through to the full run (which rewrites it).
-                restored = False
-        if restored:
-            if events is not None:
-                events.emit("checkpoint_hit", path=ckpt_path,
-                            workload=workload_name, seed=seed,
-                            warmup_records_per_core=warmup_records)
-        else:
-            checkpointer = _WarmupCheckpointer(
-                warmup_records * config.num_cores, ckpt_path,
-                workload_meta=workload_meta,
-                events=events,
-            )
-
     # Deterministic fault injection (chaos runs / tests only): fire the
     # planned ``records=`` triggers from controller edges, after any
     # snapshot scheduled at the same edge has been saved.
@@ -504,7 +406,7 @@ def run_simulation(
     result = engine.run(
         records_per_core, warmup_records_per_core=warmup_records,
         observer=observer(), events=events,
-        controller=ControllerChain([controller, checkpointer, snapshotter, fault_edges]),
+        controller=ControllerChain([controller, snapshotter, fault_edges]),
     )
     if snapshot_path is not None:
         # The cell completed; its resume point is spent.  Leaving it would
@@ -567,28 +469,3 @@ def run_matrix(
                 cache=cache,
             )
     return results
-
-
-def baseline_results(
-    workload_names: Iterable[str],
-    records_per_core: int,
-    config_factory,
-    scale: float = 1.0,
-    seed: int = 1,
-    cache: Optional[ResultCache] = None,
-    store=None,
-) -> Dict[str, SimulationResults]:
-    """NoCache results per workload (the normalisation baseline of Figure 4)."""
-    cache = resolve_cache(cache, store)
-    baseline: Dict[str, SimulationResults] = {}
-    for workload_name in workload_names:
-        config = config_factory("nocache")
-        baseline[workload_name] = run_simulation(
-            config,
-            workload_name=workload_name,
-            records_per_core=records_per_core,
-            scale=scale,
-            seed=seed,
-            cache=cache,
-        )
-    return baseline

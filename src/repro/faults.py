@@ -39,11 +39,12 @@ Fault kinds: ``kill`` (SIGKILL this process), ``hang`` (stop making
 progress — and stop heartbeating — until killed), ``error`` (raise
 :class:`FaultInjected`, exercising the per-cell error path),
 ``truncate-store`` (write half the pending store line, then die — a crash
-mid-append), ``drop-heartbeat`` (silence this worker's heartbeat file for
-the rest of the cell, exercising stale-lease revocation).
+mid-append), ``drop-heartbeat`` (silence this cell attempt's progress
+beats — pipe messages and ``heartbeat`` events alike — for the rest of the
+attempt, exercising stale-lease revocation).
 
 Everything here is stdlib-only and deliberately free of any simulator
-dependency, so the store, the heartbeat writer and the runner can call
+dependency, so the store, the executor and the runner can call
 :func:`fire` unconditionally — with no plan loaded it is one ``None``
 check.
 """

@@ -9,12 +9,11 @@ The layer every other subsystem reports through:
   ``SimulationResults.timeline`` (exact CSV/JSONL round-trip);
 * :mod:`repro.obs.events` — append-only JSONL event logs
   (:class:`EventLog`) with schema validation and merge, plus
-  :class:`ObsSink` bundling a campaign's event/heartbeat destinations;
-* :mod:`repro.obs.heartbeat` — per-worker liveness files behind
-  ``python -m repro.campaign status --live``;
+  :class:`ObsSink` naming a campaign's event log, which
+  ``python -m repro.campaign status --live`` reads;
 * :mod:`repro.obs.snapshot` — :class:`EngineSnapshot` pickles the whole
   system at a record boundary; restoring resumes bit-identically in every
-  engine mode (and backs campaign warmup checkpointing), and
+  engine mode (and backs campaign mid-cell auto-snapshots), and
   :func:`~repro.obs.snapshot.state_view` renders it as diffable JSON;
 * :mod:`repro.obs.export_chrome` — Chrome trace-event JSON export of
   timelines and event logs (open in Perfetto);
@@ -33,7 +32,6 @@ from repro.obs.events import (
     write_events,
 )
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
-from repro.obs.heartbeat import HeartbeatWriter, is_stale, read_heartbeats
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor
 from repro.obs.timeline import (
@@ -49,7 +47,6 @@ __all__ = [
     "EVENT_TYPES",
     "EngineSnapshot",
     "EventLog",
-    "HeartbeatWriter",
     "Histogram",
     "ObsSink",
     "Timeline",
@@ -58,11 +55,9 @@ __all__ = [
     "capture",
     "capture_cursor",
     "events_to_trace",
-    "is_stale",
     "make_event",
     "merge_events",
     "read_events",
-    "read_heartbeats",
     "timeline_to_trace",
     "validate_event",
     "write_events",

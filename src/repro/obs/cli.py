@@ -13,8 +13,8 @@ Timelines come out of ``SimulationResults.timeline`` (attach a
 :class:`~repro.obs.timeline.TimelineObserver`, or pass ``--timeline N`` to
 ``python -m repro.campaign run``); event logs are written by the engine,
 the campaign executors and the driver (``<store>/obs/events.jsonl``);
-snapshots are a campaign's auto-snapshots and warmup checkpoints
-(``<store>/obs/autosnapshots``, ``<store>/obs/checkpoints``).
+snapshots are a campaign's mid-cell auto-snapshots
+(``<store>/obs/autosnapshots``).
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay", help="restore an engine snapshot and re-run the remainder"
     )
-    replay.add_argument("snapshot", help="snapshot JSON (an auto-snapshot or a "
-                                         "--checkpoint-warmup checkpoint)")
+    replay.add_argument("snapshot", help="snapshot JSON (e.g. an auto-snapshot under "
+                                         "<store>/obs/autosnapshots)")
     replay.add_argument("--records", type=int, required=True,
                         help="records per core of the ORIGINAL run (resume target)")
     replay.add_argument("--warmup", type=int, default=0,

@@ -26,10 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
-
-if TYPE_CHECKING:
-    from repro.obs.heartbeat import HeartbeatWriter
+from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Known event types (the schema CI validates against).
 EVENT_TYPES = frozenset({
@@ -39,11 +36,10 @@ EVENT_TYPES = frozenset({
     "cell_start",      # executor: a campaign cell starts simulating
     "cell_finish",     # executor: a campaign cell completed successfully
     "cell_error",      # executor: a campaign cell raised
-    "heartbeat",       # executor worker liveness
+    "heartbeat",       # executor: a running cell's progress beat (every BEAT_RECORDS records)
     "campaign_start",  # driver: campaign expansion done, execution begins
     "campaign_end",    # driver: campaign finished
-    "snapshot_saved",  # runner: a warmup checkpoint or auto-snapshot written to disk
-    "checkpoint_hit",  # campaign: a cell restored a shared warmup checkpoint
+    "snapshot_saved",  # runner: a mid-cell auto-snapshot written to disk
     "snapshot_restored",  # runner: a cell resumed mid-run from an auto-snapshot
     "lease_granted",   # supervisor: a cell was leased to a worker process
     "lease_revoked",   # supervisor: a lease died/timed out/went stale
@@ -154,30 +150,16 @@ def write_events(records: Iterable[Dict[str, object]], path) -> int:
 class ObsSink:
     """Where a campaign's observability output lands (picklable).
 
-    ``events_path`` collects the structured event log; ``heartbeat_dir``
-    holds one liveness file per worker process (see
-    :mod:`repro.obs.heartbeat`).  Either may be ``None`` to disable that
-    output.  :meth:`for_directory` applies the standard layout a result
-    store uses: ``<dir>/events.jsonl`` + ``<dir>/heartbeats/``.
+    ``events_path`` collects the structured event log (``None`` disables
+    it).  :meth:`for_directory` applies the standard layout a result store
+    uses: ``<dir>/events.jsonl``.
     """
 
     events_path: Optional[str] = None
-    heartbeat_dir: Optional[str] = None
 
     @classmethod
     def for_directory(cls, directory) -> "ObsSink":
-        base = Path(directory)
-        return cls(
-            events_path=str(base / "events.jsonl"),
-            heartbeat_dir=str(base / "heartbeats"),
-        )
+        return cls(events_path=str(Path(directory) / "events.jsonl"))
 
     def event_log(self) -> Optional[EventLog]:
         return EventLog(self.events_path) if self.events_path else None
-
-    def heartbeat_writer(self, worker: str) -> Optional["HeartbeatWriter"]:
-        if not self.heartbeat_dir:
-            return None
-        from repro.obs.heartbeat import HeartbeatWriter
-
-        return HeartbeatWriter(self.heartbeat_dir, worker)

@@ -22,10 +22,9 @@ never load one from elsewhere.  :func:`state_view` renders a snapshot as
 read-only JSON for reading and diffing snapshots
 (``python -m repro.obs summarize --snapshot PATH --json``).
 
-Snapshots double as **warm-state checkpoints**: ``campaign run
---checkpoint-warmup`` captures one at the warmup edge and later cells that
-share the same (config, workload, warmup) prefix restore it instead of
-re-simulating the warmup records.
+Snapshots are how a campaign cell resumes: ``campaign run
+--snapshot-every N`` saves one every N processed records, and a retried or
+re-run cell restores it and continues instead of starting from record zero.
 """
 
 from __future__ import annotations

@@ -54,6 +54,25 @@ def test_cell_key_sensitive_to_every_run_parameter():
     assert simulation_cell_key(other, "gcc", 500, 1.0, 1, 0.5, None) != base
 
 
+@pytest.mark.parametrize("spec, key, page_size", [
+    (tiny_spec(),
+     "e82ac36dc7108a7fe864d4153f34ad199116f5722eb20203d7a0508fbcffd3b0", 4096),
+    (tiny_spec(schemes=["unison-2kpage"], workloads=["mcf"], seeds=[2], records_per_core=30_000,
+               num_cores=None, preset="scaled", warmup_fraction=0.8),
+     "ff3ac8fc41d63e5c7afdb472165dca377a56b0f4c36b53b26bc76ea1ff764660", 2048),
+    (CampaignSpec(name="t", grids=[SweepGrid(schemes=["banshee"], workloads=["lbm"], seeds=[1],
+                                             page_sizes=[8192])],
+                  records_per_core=2000, num_cores=4, preset="tiny", scale=0.5),
+     "8385d17801cbcefbfad5107f1bfb864fb7a18fe027a954a3749f085f7f22efc8", 8192),
+], ids=["tiny-banshee-gcc", "scaled-unison-2kpage-mcf", "page-size-8192"])
+def test_cell_keys_are_pinned(spec, key, page_size):
+    """Stored results are found by key: a key that moves silently orphans
+    every result stored under the old one."""
+    (cell,) = spec.cells()
+    assert cell.key() == key
+    assert cell.meta()["page_size"] == page_size
+
+
 def test_config_hash_stable_and_content_addressed():
     assert config_hash(SystemConfig.tiny()) == config_hash(SystemConfig.tiny())
     assert config_hash(SystemConfig.tiny()) != config_hash(SystemConfig.tiny(scheme="nocache"))

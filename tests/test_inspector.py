@@ -1,6 +1,6 @@
 """Tests for engine snapshots and what rides on them: capture / serialize /
-restore / resume, ``replay``, warmup checkpointing and the Chrome
-trace-event export."""
+restore / resume, ``replay``, timeline cells, ``status --live`` and the
+Chrome trace-event export."""
 
 import io
 import json
@@ -329,10 +329,10 @@ def test_obs_cli_export_chrome(tmp_path):
         assert fh.read().startswith("{")
 
 
-# ---------------------------------------------------------- warmup checkpoints
+# ------------------------------------------------ timeline cells, live status
 
 
-def _checkpoint_spec(name, records=600, timeline_interval=None, timeline_bounds=None):
+def _campaign_spec(name, records=600, timeline_interval=None, timeline_bounds=None):
     return CampaignSpec(
         name=name,
         grids=[SweepGrid(schemes=["banshee", "alloy"], workloads=["gcc"], seeds=[1])],
@@ -345,48 +345,15 @@ def _checkpoint_spec(name, records=600, timeline_interval=None, timeline_bounds=
     )
 
 
-def _identities(report):
-    out = {}
-    for outcome in report.outcomes:
-        assert outcome.ok, outcome.error
-        out[(outcome.cell.label, outcome.cell.workload, outcome.cell.seed)] = (
-            outcome.result.identity_dict()
-        )
-    return out
-
-
-def test_checkpoint_warmup_bit_identical_and_reused(tmp_path):
-    reference = _identities(run_campaign(_checkpoint_spec("ref")))
-
-    store = ResultStore(str(tmp_path / "store"))
-    first = run_campaign(_checkpoint_spec("ckpt"), store=store, checkpoint_warmup=True)
-    assert _identities(first) == reference
-    ckpt_dir = tmp_path / "store" / "obs" / "checkpoints"
-    checkpoints = sorted(ckpt_dir.glob("*.json"))
-    assert len(checkpoints) == 2  # one per (config, workload, warmup) prefix
-
-    # Force a re-run: every cell restores its checkpoint, results unchanged.
-    second = run_campaign(
-        _checkpoint_spec("ckpt"), store=store, checkpoint_warmup=True, force=True
-    )
-    assert _identities(second) == reference
-    assert sorted(ckpt_dir.glob("*.json")) == checkpoints
-
-    # A longer run shares the same warmup-prefix checkpoints only when the
-    # warmup length matches; 800 records at 0.5 warmup is a new prefix.
-    run_campaign(_checkpoint_spec("longer", records=800), store=store,
-                 checkpoint_warmup=True)
-    assert len(sorted(ckpt_dir.glob("*.json"))) == 4
-
-
 def test_timeline_cells_bypass_checkpointing(tmp_path):
-    """Timeline cells must simulate their warmup (the timeline covers it)."""
+    """Timeline cells must simulate from record zero (the timeline covers
+    the warmup windows too), so they never auto-snapshot."""
     store = ResultStore(str(tmp_path / "store"))
     report = run_campaign(
-        _checkpoint_spec("tl", timeline_interval=100, timeline_bounds=[50.0, 200.0]),
-        store=store, checkpoint_warmup=True,
+        _campaign_spec("tl", timeline_interval=100, timeline_bounds=[50.0, 200.0]),
+        store=store, snapshot_every=100,
     )
-    assert not (tmp_path / "store" / "obs" / "checkpoints").exists()
+    assert not (tmp_path / "store" / "obs" / "autosnapshots").exists()
     for outcome in report.outcomes:
         assert outcome.ok
         phases = {w["phase"] for w in outcome.result.timeline["windows"]}
@@ -394,19 +361,19 @@ def test_timeline_cells_bypass_checkpointing(tmp_path):
 
 
 def test_timeline_bounds_extend_cell_key_only_when_set():
-    plain = _checkpoint_spec("keys", timeline_interval=100)
-    bounded = _checkpoint_spec("keys", timeline_interval=100, timeline_bounds=[50.0, 200.0])
+    plain = _campaign_spec("keys", timeline_interval=100)
+    bounded = _campaign_spec("keys", timeline_interval=100, timeline_bounds=[50.0, 200.0])
     for cell_plain, cell_bounded in zip(plain.cells(), bounded.cells()):
         assert cell_plain.key() != cell_bounded.key()
         assert cell_bounded.meta()["timeline_bounds"] == [50.0, 200.0]
         assert "timeline_bounds" not in cell_plain.meta()
     with pytest.raises(ValueError, match="timeline_interval"):
-        _checkpoint_spec("bad", timeline_bounds=[50.0])
+        _campaign_spec("bad", timeline_bounds=[50.0])
     with pytest.raises(ValueError, match="strictly increasing"):
-        _checkpoint_spec("bad", timeline_interval=100, timeline_bounds=[200.0, 50.0])
+        _campaign_spec("bad", timeline_interval=100, timeline_bounds=[200.0, 50.0])
 
 
-def test_campaign_cli_checkpoint_warmup_and_stale_after(tmp_path):
+def test_campaign_cli_stale_after(tmp_path):
     import time
 
     store_dir = str(tmp_path / "store")
@@ -414,29 +381,26 @@ def test_campaign_cli_checkpoint_warmup_and_stale_after(tmp_path):
     code = campaign_main(
         ["run", "--name", "smoke", "--schemes", "banshee", "--workloads", "gcc",
          "--seeds", "1", "--records", "400", "--cores", "2", "--preset", "tiny",
-         "--warmup", "0.5", "--store", store_dir, "--checkpoint-warmup"],
+         "--warmup", "0.5", "--store", store_dir],
         stream=stream,
     )
     assert code == 0
-    assert list((tmp_path / "store" / "obs" / "checkpoints").glob("*.json"))
 
-    # Fabricate a stale heartbeat; status --live must list the worker.
-    obs_dir = tmp_path / "store" / "obs"
-    beat = {"worker": "worker-9", "pid": 1, "state": "running",
-            "updated_ts": time.time() - 3600, "started_ts": time.time() - 3700}
-    hb_dir = obs_dir / "heartbeats"
-    hb_dir.mkdir(parents=True, exist_ok=True)
-    (hb_dir / "worker-9.hb.json").write_text(json.dumps(beat), encoding="utf-8")
-    # Strip campaign_end so the campaign reads as live.
-    events_path = obs_dir / "events.jsonl"
+    # Fabricate a live worker whose last event is an hour old; status
+    # --live must list it as stale.  Strip campaign_end so the campaign
+    # reads as live.
+    events_path = tmp_path / "store" / "obs" / "events.jsonl"
     lines = [line for line in events_path.read_text(encoding="utf-8").splitlines()
              if '"campaign_end"' not in line]
+    old = make_event("cell_start", worker="worker-9", cell="banshee/gcc seed=1", key="k")
+    old["ts"] -= 3600
+    lines.append(json.dumps(old))
     events_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     stream = io.StringIO()
     code = campaign_main(["status", "--store", store_dir, "--live"], stream=stream)
     assert code == 0
-    assert "worker-9" in stream.getvalue()
+    assert "stale workers (no event in >300s): worker-9" in stream.getvalue()
 
     stream = io.StringIO()
     code = campaign_main(
@@ -445,3 +409,4 @@ def test_campaign_cli_checkpoint_warmup_and_stale_after(tmp_path):
     )
     assert code == 0
     assert "stale workers" not in stream.getvalue()
+    assert "worker-9" in stream.getvalue()  # listed as a live worker instead

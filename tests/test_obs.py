@@ -1,12 +1,13 @@
 """Tests for the observability layer: metrics, interval timelines, run
-events, heartbeats, campaign telemetry wiring and the obs/perf CLIs."""
+events, campaign telemetry wiring and the obs/perf CLIs."""
 
 import io
 import json
+import multiprocessing
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultStore, SweepGrid, run_campaign
+from repro.campaign import CampaignSpec, ResultStore, SweepGrid, executor, run_campaign
 from repro.campaign.cli import main as campaign_main
 from repro.obs.cli import main as obs_main
 from repro.obs.events import (
@@ -17,7 +18,6 @@ from repro.obs.events import (
     read_events,
     validate_event,
 )
-from repro.obs.heartbeat import HeartbeatWriter, is_stale, read_heartbeats
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.obs.timeline import (
     PHASE_MEASURE,
@@ -213,26 +213,6 @@ def test_engine_emits_run_events(tmp_path):
     assert events[2]["records"] == 400
 
 
-# ---------------------------------------------------------------- heartbeats
-
-
-def test_heartbeat_write_read_stale(tmp_path):
-    writer = HeartbeatWriter(tmp_path, "worker-1")
-    writer.beat(state="running", cell="banshee/gcc", key="abc")
-    writer.finished_cell()
-    writer.beat(state="idle")
-    beats = read_heartbeats(tmp_path)
-    assert len(beats) == 1
-    beat = beats[0]
-    assert beat["worker"] == "worker-1"
-    assert beat["state"] == "idle"
-    assert beat["cells_done"] == 1
-    assert not is_stale(beat)
-    assert is_stale(beat, now=beat["updated_ts"] + 301.0)
-    writer.clear()
-    assert read_heartbeats(tmp_path) == []
-
-
 # ----------------------------------------------------- campaign store errors
 
 
@@ -280,8 +260,10 @@ def test_store_put_backfills_scheme_workload_meta(tmp_path):
 # ------------------------------------------- serial vs parallel determinism
 
 
-def test_timeline_identical_across_serial_and_parallel(tmp_path):
+def test_timeline_identical_across_serial_and_parallel(tmp_path, monkeypatch):
     spec = tiny_spec("det", timeline_interval=75, schemes=["banshee", "alloy"])
+    # Beat every 100 records so the 600-record cells emit heartbeat events.
+    monkeypatch.setattr(executor, "BEAT_RECORDS", 100)
     obs = ObsSink.for_directory(tmp_path / "obs")
     serial = run_campaign(spec, store=ResultStore(tmp_path / "s"), workers=1, obs=obs)
     parallel = run_campaign(spec, store=ResultStore(tmp_path / "p"), workers=2, obs=obs)
@@ -295,9 +277,8 @@ def test_timeline_identical_across_serial_and_parallel(tmp_path):
     names = {r["event"] for r in read_events(obs.events_path, validate=True)}
     assert {"campaign_start", "campaign_end", "cell_start", "cell_finish",
             "heartbeat", "run_start", "run_end"} <= names
-    # Clean exits remove heartbeat files: a finished campaign must not show
-    # ghost workers to ``status --live``.
-    assert read_heartbeats(obs.heartbeat_dir) == []
+    # A finished campaign leaves no worker process behind.
+    assert multiprocessing.active_children() == []
 
 
 def test_timeline_interval_extends_cell_key_only_when_set():

@@ -9,11 +9,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import (
-    run_simulation,
-    simulation_cell_key,
-    warmup_checkpoint_key,
-)
+from repro.experiments.runner import run_simulation, simulation_cell_key
 from repro.obs.cli import main as obs_main
 from repro.obs.events import EventLog, read_events
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor, source_digest
@@ -144,40 +140,6 @@ def test_stale_autosnapshot_means_fresh_start(tmp_path, damage):
     # The cell overwrote its resume point as it ran (and removed it at the end).
     assert "snapshot_saved" in names
     assert not path.exists()
-
-
-@pytest.mark.parametrize("damage", DAMAGES)
-def test_stale_warm_checkpoint_is_a_miss_then_rewritten(tmp_path, damage):
-    config = SystemConfig.tiny(num_cores=2, seed=SEED)
-    records, warmup = 400, 0.5
-    expected = run_simulation(config, "gcc", records_per_core=records, scale=SCALE,
-                              seed=SEED, warmup_fraction=warmup).identity_dict()
-
-    ckpt_dir = tmp_path / "ckpt"
-    ckpt_dir.mkdir()
-    key = warmup_checkpoint_key(config, "gcc", SCALE, SEED, config.dram_cache.page_size,
-                                int(records * warmup))
-    path = ckpt_dir / f"{key}.json"
-    path.write_text(_damaged(snapshot_at(300, records)[0], damage), encoding="utf-8")
-
-    log = EventLog(str(tmp_path / "events.jsonl"))
-    got = run_simulation(config, "gcc", records_per_core=records, scale=SCALE,
-                         seed=SEED, warmup_fraction=warmup, events=log,
-                         checkpoint_dir=str(ckpt_dir))
-    assert got.identity_dict() == expected
-    names = [event["event"] for event in read_events(log.path)]
-    assert "checkpoint_hit" not in names
-    rewritten = EngineSnapshot.load(str(path))
-    assert rewritten.source_digest == source_digest()
-    assert rewritten.progress["processed"] == 2 * int(records * warmup)
-
-    # The rewritten checkpoint is served on the next run.
-    log = EventLog(str(tmp_path / "events2.jsonl"))
-    again = run_simulation(config, "gcc", records_per_core=records, scale=SCALE,
-                           seed=SEED, warmup_fraction=warmup, events=log,
-                           checkpoint_dir=str(ckpt_dir))
-    assert again.identity_dict() == expected
-    assert "checkpoint_hit" in [event["event"] for event in read_events(log.path)]
 
 
 # ----------------------------------------------------- summarize --snapshot

@@ -1,10 +1,11 @@
 """Tests for the supervised executor, fault injection and crash recovery.
 
-The scenarios here are the ISSUE's robustness contract: deterministic
-fault plans (:mod:`repro.faults`) kill, hang and silence workers at exact
-points, and the supervisor must retry with backoff, quarantine repeat
-offenders, degrade concurrency, and — via mid-cell auto-snapshots —
-produce results bit-identical to an uninterrupted run.
+The scenarios here are the robustness contract: deterministic fault plans
+(:mod:`repro.faults`) kill, hang and silence workers at exact points, and
+the supervisor must retry with backoff, quarantine repeat offenders,
+degrade concurrency, tell a healthy long cell from a wedged one with or
+without an obs sink, and — via mid-cell auto-snapshots — produce results
+bit-identical to an uninterrupted run.
 """
 
 import io
@@ -30,7 +31,7 @@ from repro.campaign import (
     SweepGrid,
     run_campaign,
 )
-from repro.campaign.cli import _print_live
+from repro.campaign.cli import _print_live, pid_alive
 from repro.campaign.executor import _ProgressBeat
 from repro.campaign.export import result_rows
 from repro.campaign.supervisor import (
@@ -39,14 +40,16 @@ from repro.campaign.supervisor import (
 )
 from repro.faults import FaultInjected, FaultInjector, FaultPlan, FaultSpec
 from repro.experiments.runner import run_simulation
-from repro.obs.events import EventLog, ObsSink, read_events
-from repro.obs.heartbeat import HeartbeatWriter, pid_alive, read_heartbeats, sweep_dead
+from repro.obs.events import EventLog, ObsSink, make_event, read_events, write_events
 from repro.sim.config import SystemConfig
 
 RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
 
-#: Snappy supervisor for tests: near-instant backoff, fast polling.
-FAST = dict(backoff_base=0.01, backoff_cap=0.05, poll_interval=0.01)
+#: Snappy supervisor for tests: near-instant backoff.
+FAST = dict(backoff_base=0.01, backoff_cap=0.05)
+
+#: Staleness window for the long-cell tests, in seconds.
+STALE_AFTER = 0.5
 
 
 def tiny_spec(name="t", schemes=("banshee",), workloads=("gcc",), seeds=(1,), **kwargs):
@@ -67,6 +70,13 @@ def clean_faults():
     yield
     faults.install(None)
     faults.reset()
+
+
+def long_cells():
+    """One healthy cell lasting several ``STALE_AFTER`` windows (about 2 s
+    on a 2-vCPU VM) that beats every ~0.08 s (20k of its 600k records)."""
+    return tiny_spec(schemes=["nocache"], workloads=["pagerank"],
+                     records_per_core=300_000, scale=0.01).cells()
 
 
 def read_event_counts(obs):
@@ -141,19 +151,6 @@ def test_fault_injector_claims_once_across_state_dir(tmp_path):
     assert fired == 2  # times=2, shared globally via O_EXCL markers
 
 
-def test_drop_heartbeat_fault_silences_writer(tmp_path):
-    writer = HeartbeatWriter(tmp_path, "w0")
-    writer.beat(state="running")
-    assert writer.path.exists()
-    before = writer.path.read_text()
-    faults.install("drop-heartbeat@cell=0")
-    faults.fire("cell", cell=0)
-    assert faults.heartbeat_dropped()
-    time.sleep(0.01)
-    writer.beat(state="running", cell="later")
-    assert writer.path.read_text() == before  # frozen, not advanced
-
-
 # ----------------------------------------------------------------- supervisor
 
 
@@ -161,16 +158,15 @@ def test_supervised_matches_serial_bit_identical(tmp_path):
     cells = tiny_spec(schemes=["banshee", "alloy"]).cells()
     serial = SerialExecutor().run(cells)
     obs = ObsSink.for_directory(tmp_path / "obs")
-    supervised = SupervisedExecutor(
-        workers=2, config=SupervisorConfig(snapshot_every=200, **FAST)
-    ).run(cells, obs=obs, snapshot_dir=str(tmp_path / "snaps"))
+    supervised = SupervisedExecutor(workers=2, config=SupervisorConfig(**FAST)).run(
+        cells, obs=obs, snapshot_dir=str(tmp_path / "snaps"), snapshot_every=200)
     assert [o.key for o in supervised] == [o.key for o in serial]
     for a, b in zip(serial, supervised):
         assert b.ok and identity(a) == identity(b)
     counts = read_event_counts(obs)
     assert counts["lease_granted"] == 2 and counts["cell_finish"] == 2
-    # Clean completion leaves no ghost workers and no spent snapshots.
-    assert read_heartbeats(obs.heartbeat_dir) == []
+    # Clean completion leaves no worker process and no spent snapshots.
+    assert multiprocessing.active_children() == []
     assert list((tmp_path / "snaps").glob("*.json")) == []
 
 
@@ -229,17 +225,53 @@ def test_hung_worker_revoked_by_cell_timeout(tmp_path):
 
 def test_wedged_worker_revoked_by_stale_heartbeat(tmp_path):
     # hang@records wedges the engine mid-cell: the process stays alive but
-    # progress-based heartbeats stop advancing, so the lease goes stale.
-    cells = tiny_spec().cells()
-    faults.install("hang@records=200", state_dir=str(tmp_path / "faults"))
-    obs = ObsSink.for_directory(tmp_path / "obs")
+    # progress beats stop, so the lease goes stale — with an obs sink and
+    # without one.  The retry is a healthy cell longer than the window.
+    cells = long_cells()
+    for case, obs in (("obs", ObsSink.for_directory(tmp_path / "obs")), ("no-obs", None)):
+        faults.install("hang@records=200", state_dir=str(tmp_path / case / "faults"))
+        out = SupervisedExecutor(
+            workers=1,
+            config=SupervisorConfig(stale_after=STALE_AFTER, cell_timeout=None, **FAST),
+        ).run(cells, obs=obs)
+        assert out[0].ok and out[0].attempt == 2, case
+    revoked = read_event_records(ObsSink.for_directory(tmp_path / "obs"), "lease_revoked")
+    assert len(revoked) == 1 and revoked[0]["reason"] == "stale-heartbeat"
+
+
+def test_healthy_long_cell_without_obs_is_not_stale():
+    """No obs sink (``run_campaign(workers>1)`` from code, ``--no-obs``):
+    pipe beats alone keep cells several staleness windows long alive, so
+    both complete on their first attempt."""
+    spec = tiny_spec(schemes=["nocache"], workloads=["pagerank"], seeds=[1, 2],
+                     records_per_core=300_000, scale=0.01)
+    report = run_campaign(spec, workers=2, supervisor=SupervisorConfig(
+        stale_after=STALE_AFTER, max_attempts=2, **FAST))
+    assert not report.errors
+    assert [outcome.attempt for outcome in report.outcomes] == [1, 1]
+
+
+def test_dropped_beats_revoke_a_healthy_lease_once(tmp_path):
+    """drop-heartbeat silences one healthy attempt's beats, pipe and events
+    alike: that lease is revoked once as stale, and the retry beats, completes
+    and matches a serial run bit for bit."""
+    cells = long_cells()
+    faults.install("drop-heartbeat@cell=0", state_dir=str(tmp_path / "faults"))
+    # An events-only sink: liveness must not depend on anything a sink writes.
+    obs = ObsSink(events_path=str(tmp_path / "events.jsonl"))
     out = SupervisedExecutor(
-        workers=1,
-        config=SupervisorConfig(stale_after=0.5, cell_timeout=None, **FAST),
+        workers=1, config=SupervisorConfig(stale_after=STALE_AFTER, **FAST)
     ).run(cells, obs=obs)
     assert out[0].ok and out[0].attempt == 2
     revoked = read_event_records(obs, "lease_revoked")
-    assert len(revoked) == 1 and revoked[0]["reason"] == "stale-heartbeat"
+    assert [record["reason"] for record in revoked] == ["stale-heartbeat"]
+    first, second = [record["pid"] for record in read_event_records(obs, "cell_start")]
+    beats = read_event_records(obs, "heartbeat")
+    assert beats and {record["pid"] for record in beats} == {second}
+    assert first != second
+    faults.install(None)
+    faults.reset()
+    assert identity(out[0]) == identity(SerialExecutor().run(cells)[0])
 
 
 def test_injected_error_is_cell_error_not_retry(tmp_path):
@@ -258,40 +290,30 @@ def test_injected_error_is_cell_error_not_retry(tmp_path):
 # ------------------------------------------------------- snapshots and resume
 
 
-class _CountingHeartbeat:
-    def __init__(self):
-        self.beats = 0
-
-    def beat(self, **fields):
-        self.beats += 1
-
-
 @pytest.mark.parametrize("engine_mode", ["scalar", "batch"])
 def test_heartbeat_edges_do_not_trigger_auto_snapshots(tmp_path, engine_mode):
     """Each chained controller fires only at its own stops: a 600-record
     cell beating every 20 records and snapshotting every 100 beats 30 times
     and saves 6 snapshots — not one snapshot per heartbeat."""
-    heartbeat = _CountingHeartbeat()
+    beats = []
     log = EventLog(tmp_path / "events.jsonl")
     run_simulation(
         SystemConfig.tiny(scheme="banshee", num_cores=2, seed=1), workload_name="gcc",
         records_per_core=300, scale=0.05, events=log, engine_mode=engine_mode,
         snapshot_dir=str(tmp_path / "snaps"), snapshot_every=100,
-        controller=_ProgressBeat(heartbeat, 20, cell="c", key="k"),
+        controller=_ProgressBeat(beats.append, 20),
     )
     saves = [e["records"] for e in read_events(log.path) if e["event"] == "snapshot_saved"]
     assert saves == [100, 200, 300, 400, 500, 600]
-    assert heartbeat.beats == 30
-
+    assert beats == list(range(20, 601, 20))
 
 
 def test_retry_resumes_from_mid_cell_snapshot(tmp_path):
     cells = tiny_spec().cells()
     faults.install("kill@records=400", state_dir=str(tmp_path / "faults"))
     obs = ObsSink.for_directory(tmp_path / "obs")
-    out = SupervisedExecutor(
-        workers=1, config=SupervisorConfig(snapshot_every=100, **FAST)
-    ).run(cells, obs=obs, snapshot_dir=str(tmp_path / "snaps"))
+    out = SupervisedExecutor(workers=1, config=SupervisorConfig(**FAST)).run(
+        cells, obs=obs, snapshot_dir=str(tmp_path / "snaps"), snapshot_every=100)
     assert out[0].ok and out[0].attempt == 2
     counts = read_event_counts(obs)
     assert counts["snapshot_restored"] == 1  # attempt 2 resumed, not restarted
@@ -460,59 +482,45 @@ def test_cli_sigint_exits_cleanly_with_interrupted_status(tmp_path):
     ends = [json.loads(l) for l in events if json.loads(l)["event"] == "campaign_end"]
     assert ends and ends[-1]["status"] == "interrupted"
     assert len(ResultStore(store_dir)) == 1  # the finished cell was persisted
-    assert read_heartbeats(store_dir / "obs" / "heartbeats") == []
+    pids = {json.loads(l)["pid"] for l in events if json.loads(l)["event"] == "cell_start"}
+    assert pids and not [pid for pid in pids if pid_alive(pid)]
 
 
-# --------------------------------------------------------- heartbeat lifecycle
-
-
-def test_heartbeat_files_removed_on_clean_exit(tmp_path):
-    spec = tiny_spec(schemes=["banshee", "alloy"])
-    store = ResultStore(tmp_path / "store")
-    obs = ObsSink.for_directory(tmp_path / "store" / "obs")
-    run_campaign(spec, store=store, workers=2, obs=obs,
-                 supervisor=SupervisorConfig(**FAST))
-    assert read_heartbeats(obs.heartbeat_dir) == []
-    run_campaign(tiny_spec(name="serial"), store=store, obs=obs)
-    assert read_heartbeats(obs.heartbeat_dir) == []
+# ------------------------------------------------------------- live status
 
 
 def _exit_quickly():
     return None
 
 
-def test_pid_alive_and_sweep_dead(tmp_path):
-    assert pid_alive(os.getpid())
-    assert not pid_alive(None) and not pid_alive("nope") and not pid_alive(-4)
+def _dead_pid():
     process = multiprocessing.get_context("spawn").Process(target=_exit_quickly)
     process.start()
-    dead_pid = process.pid
     process.join()
-    alive = HeartbeatWriter(tmp_path, "alive")
-    alive.beat()
-    ghost_path = tmp_path / "ghost.hb.json"
-    ghost_path.write_text(json.dumps({"worker": "ghost", "pid": dead_pid,
-                                      "state": "running", "updated_ts": time.time()}))
-    assert sweep_dead(tmp_path) == 1
-    assert not ghost_path.exists() and alive.path.exists()
+    return process.pid
+
+
+def test_pid_alive_and_sweep_dead():
+    assert pid_alive(os.getpid())
+    assert not pid_alive(None) and not pid_alive("nope") and not pid_alive(-4)
+    assert not pid_alive(_dead_pid())
 
 
 def test_status_live_drops_dead_pid_heartbeats(tmp_path):
     obs_dir = tmp_path / "obs"
-    hb_dir = obs_dir / "heartbeats"
-    hb_dir.mkdir(parents=True)
-    process = multiprocessing.get_context("spawn").Process(target=_exit_quickly)
-    process.start()
-    dead_pid = process.pid
-    process.join()
-    now = time.time()
-    (hb_dir / "ghost.hb.json").write_text(json.dumps(
-        {"worker": "ghost", "pid": dead_pid, "state": "running", "cell": "x",
-         "updated_ts": now, "started_ts": now, "cells_done": 0}))
-    (hb_dir / "live.hb.json").write_text(json.dumps(
-        {"worker": "live", "pid": os.getpid(), "state": "running", "cell": "y",
-         "updated_ts": now, "started_ts": now, "cells_done": 1}))
+    ghost, live = _dead_pid(), os.getpid()
+    write_events([
+        make_event("campaign_start", name="c", cells=3, pending=3, from_store=0, workers=2),
+        dict(make_event("cell_start", worker="ghost", cell="x", key="kx"), pid=ghost),
+        make_event("cell_start", worker="live", cell="y", key="ky"),
+        make_event("cell_finish", worker="live", cell="y", key="ky", wall_seconds=0.5),
+        make_event("cell_start", worker="live", cell="z", key="kz"),
+        make_event("heartbeat", worker="live", state="running", cell="z", key="kz",
+                   records=20_000),
+    ], obs_dir / "events.jsonl")
     buffer = io.StringIO()
     _print_live(obs_dir, buffer)
     text = buffer.getvalue()
     assert "live" in text and "ghost" not in text
+    row = next(line.split() for line in text.splitlines() if line.startswith("live"))
+    assert row[:4] == ["live", "running", "z", "1"]  # worker, state, in-flight cell, done

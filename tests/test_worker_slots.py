@@ -2,19 +2,18 @@
 
 Each :class:`SupervisedExecutor` slot keeps one process that runs cell
 after cell; only a revoked lease replaces it.  These tests pin what that
-design must keep: results equal to the serial path, per-process heartbeat
-counters, no process outliving a run (however it ends), leases immune to
+design must keep: results equal to the serial path, per-process progress
+beats, no process outliving a run (however it ends), leases immune to
 wall-clock steps, and a quiet process group on Ctrl-C.
 """
 
-import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,13 +28,14 @@ from repro.campaign import (
     SweepGrid,
     run_campaign,
 )
+from repro.campaign import executor
+from repro.campaign.cli import pid_alive
 from repro.obs.events import EventLog, ObsSink, read_events
-from repro.obs.heartbeat import HeartbeatWriter, pid_alive, read_heartbeats
 
 RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
 
-#: Snappy supervisor for tests: near-instant backoff, fast polling.
-FAST = dict(backoff_base=0.01, backoff_cap=0.05, poll_interval=0.01)
+#: Snappy supervisor for tests: near-instant backoff.
+FAST = dict(backoff_base=0.01, backoff_cap=0.05)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -68,6 +68,10 @@ def events_of(path, event):
     return [record for record in read_events(path) if record["event"] == event]
 
 
+def worker_pids(path):
+    return {record["pid"] for record in events_of(path, "cell_start")}
+
+
 def identities(outcomes):
     return [outcome.result.identity_dict() for outcome in outcomes]
 
@@ -83,20 +87,11 @@ def cli_env(tmp_path):
 
 
 def test_workers_serve_many_cells(tmp_path, monkeypatch):
-    """6 cells on 2 fork workers: 2 processes, each heartbeating with one
-    start time and a done counter that reaches the cells it finished."""
+    """6 cells on 2 fork workers: 2 processes, each running several cells
+    under one slot name and beating for the cell it is running."""
     cells = tiny_spec(schemes=["banshee", "alloy", "nocache"], seeds=[1, 2]).cells()
-    beats_path = tmp_path / "beats.jsonl"
-    beat = HeartbeatWriter.beat
-
-    def logged_beat(self, *args, **kwargs):
-        payload = beat(self, *args, **kwargs)
-        with open(beats_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload) + "\n")
-        return payload
-
-    # Forked workers inherit the wrapper.
-    monkeypatch.setattr(HeartbeatWriter, "beat", logged_beat)
+    # Forked workers inherit the shorter beat interval (each cell: 1200 records).
+    monkeypatch.setattr(executor, "BEAT_RECORDS", 500)
     obs = ObsSink.for_directory(tmp_path / "obs")
     out = SupervisedExecutor(
         workers=2, config=SupervisorConfig(mp_start_method="fork", **FAST)
@@ -104,19 +99,25 @@ def test_workers_serve_many_cells(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     assert identities(out) == identities(SerialExecutor().run(cells))
 
-    pids = {record["pid"] for record in events_of(obs.events_path, "cell_start")}
-    assert len(pids) == 2
+    pids = worker_pids(obs.events_path)
+    assert len(pids) == 2 and not [pid for pid in pids if pid_alive(pid)]
     finished = Counter(record["pid"] for record in events_of(obs.events_path, "cell_finish"))
     assert sum(finished.values()) == len(cells)
-    beats = defaultdict(list)
-    for line in beats_path.read_text().splitlines():
-        payload = json.loads(line)
-        beats[payload["pid"]].append(payload)
-    assert set(beats) == pids
-    for pid, payloads in beats.items():
-        assert len({payload["started_ts"] for payload in payloads}) == 1
-        assert max(payload["cells_done"] for payload in payloads) == finished[pid]
-    assert read_heartbeats(obs.heartbeat_dir) == []
+    in_flight = {}
+    names = {}
+    beats = Counter()
+    for record in read_events(obs.events_path):
+        if record["event"] not in ("cell_start", "heartbeat", "cell_finish"):
+            continue
+        pid = record["pid"]
+        assert names.setdefault(pid, record["worker"]) == record["worker"]
+        if record["event"] == "cell_start":
+            in_flight[pid] = record["key"]
+        elif record["event"] == "heartbeat":
+            assert record["key"] == in_flight[pid] and record["records"] in (500, 1000)
+            beats[pid] += 1
+    assert sorted(names.values()) == ["w0", "w1"]
+    assert beats == Counter({pid: 2 * count for pid, count in finished.items()})
 
 
 @pytest.mark.parametrize("times", [1, 3], ids=["retried", "quarantined"])
@@ -131,10 +132,10 @@ def test_revoked_slot_restarts_and_nothing_outlives_the_run(tmp_path, times):
     assert [outcome.quarantined for outcome in out] == [times == 3, False, False, False]
     revocations = len(events_of(obs.events_path, "lease_revoked"))
     assert revocations == times
-    pids = {record["pid"] for record in events_of(obs.events_path, "cell_start")}
+    pids = worker_pids(obs.events_path)
     assert len(pids) <= 2 + revocations
     assert multiprocessing.active_children() == []
-    assert read_heartbeats(obs.heartbeat_dir) == []
+    assert not [pid for pid in pids if pid_alive(pid)]
 
 
 def test_interrupt_stops_every_worker(tmp_path):
@@ -148,7 +149,7 @@ def test_interrupt_stops_every_worker(tmp_path):
                           progress=interrupt_after_first, supervisor=SupervisorConfig(**FAST))
     assert report.interrupted and len(report.outcomes) == 1
     assert multiprocessing.active_children() == []
-    assert read_heartbeats(obs.heartbeat_dir) == []
+    assert not [pid for pid in worker_pids(obs.events_path) if pid_alive(pid)]
 
 
 def test_wall_clock_jump_revokes_no_lease(tmp_path, monkeypatch):
@@ -210,9 +211,8 @@ def test_cli_ctrl_c_to_process_group_is_quiet(tmp_path):
     assert proc.returncode == 130, stdout + stderr
     assert "Traceback" not in stderr, stderr
     assert not [line for line in stderr.splitlines() if line.startswith("Process ")], stderr
-    pids = {record["pid"] for record in events_of(events_path, "cell_start")}
+    pids = worker_pids(events_path)
     assert pids and not [pid for pid in pids if pid_alive(pid)]
-    assert read_heartbeats(store_dir / "obs" / "heartbeats") == []
 
 
 def _running(pid):
@@ -233,8 +233,7 @@ def test_workers_exit_when_their_supervisor_dies(tmp_path):
     crashed = subprocess.run(cli_run(store_dir, "truncate-store@put=1"), env=cli_env(tmp_path),
                              cwd=str(REPO), capture_output=True, text=True, timeout=300)
     assert crashed.returncode == 1, crashed.stdout + crashed.stderr
-    pids = {record["pid"] for record in
-            events_of(store_dir / "obs" / "events.jsonl", "cell_start")}
+    pids = worker_pids(store_dir / "obs" / "events.jsonl")
     assert pids
     deadline = time.monotonic() + 30
     while [pid for pid in pids if _running(pid)] and time.monotonic() < deadline:
