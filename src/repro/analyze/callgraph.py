@@ -19,7 +19,7 @@ conservative everywhere else:
   ``self.scheme.access(...)`` on a ``DramCacheScheme``-typed attribute links
   to every scheme implementation;
 * attribute aliases (``self._translate = self.page_table.translate``) and
-  local aliases (``process_record = system.process_record``) are followed;
+  local aliases (``process_cols = system.process_record_cols``) are followed;
 * an *untyped* receiver falls back to linking every analyzed method of that
   name — except ubiquitous container-protocol names (``get``, ``keys``,
   ``add``, ...), which would otherwise drag unrelated classes in through

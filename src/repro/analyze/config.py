@@ -20,7 +20,7 @@ class AnalyzerConfig:
     #: source (a marker on a ``def`` makes that function a root; a marker on a
     #: loop statement roots just the loop body).  Matching is by dotted
     #: qualname suffix, so entries survive a src-layout move.
-    hotpath_roots: Tuple[str, ...] = ("repro.sim.system.System.process_record",)
+    hotpath_roots: Tuple[str, ...] = ("repro.sim.system.System.process_record_cols",)
 
     #: Callees never followed from hot code: work that call sites guard to run
     #: only at run cuts or amortised epochs, not per record.  ``Class.method``,

@@ -5,6 +5,12 @@ produces the stream of dirty LLC writebacks that the memory controllers must
 handle.  Latency numbers for each level come from the core configuration and
 are applied by the core timing model.
 
+:meth:`CacheHierarchy.access_reused` is the per-record hot path: it walks
+all three levels in one frame, against the levels' sets directly.
+:meth:`repro.cache.sram_cache.SramCache.access` and
+:meth:`~repro.cache.sram_cache.SramCache.fill` are the per-level reference
+that walk is tested against.
+
 Coherence between private caches is not modelled (see DESIGN.md §2): the
 studied workloads are dominated by private data and the DRAM-cache schemes
 under comparison are below the LLC, where coherence traffic is identical for
@@ -86,55 +92,163 @@ class CacheHierarchy:
         )
 
     def access_reused(self, core_id: int, addr: int, is_write: bool) -> HierarchyAccess:
-        """Allocation-free :meth:`access` for the per-record hot path.
+        """Allocation-free :meth:`access`: the per-record hot path.
 
         The returned :class:`HierarchyAccess` (and its writeback list) is
         owned by the hierarchy and only valid until the next call; callers
         must consume it immediately and must not mutate or retain it.
         ``core_id`` is trusted to be in range.
+
+        The L1/L2/L3 walk runs in this one frame.  It probes each level's
+        sets directly and counts on the level objects exactly as the
+        per-level :meth:`SramCache.access`/:meth:`SramCache.fill` reference
+        does, in the same order: the L1 access, whose dirty victim fills the
+        L2, whose dirty victim fills the L3, whose dirty victim becomes a
+        writeback; then the L2 access, whose dirty victim goes down the same
+        way; then the L3 access.  A full set evicts its front entry (LRU and
+        FIFO order; the random policy's draw moves its victim there first).
         """
         l1 = self.l1[core_id]
-        if l1.access_fast(addr, is_write):
+        line = addr >> l1._line_bits
+        bucket = l1._sets[line & l1._set_mask]
+        if line in bucket:
+            l1.hits += 1
+            if is_write:
+                bucket[line] = True
+            if l1._lru:
+                bucket.move_to_end(line)
             return self._l1_hit
 
         outcome = self._scratch
         writebacks = outcome.writebacks
         del writebacks[:]
         wb_pool = self._wb_pool
-        l3 = self.l3
-        if l1.victim_addr is not None and l1.victim_dirty:
-            # Dirty L1 victim is absorbed by the L2 (write-back).
-            l2 = self.l2[core_id]
-            l2.fill_fast(l1.victim_addr, dirty=True)
-            if l2.victim_addr is not None and l2.victim_dirty:
-                l3.fill_fast(l2.victim_addr, dirty=True)
-                if l3.victim_addr is not None and l3.victim_dirty:
-                    eviction = wb_pool[len(writebacks)]
-                    eviction.addr = l3.victim_addr
-                    writebacks.append(eviction)
-
         l2 = self.l2[core_id]
-        l2_hit = l2.access_fast(addr, is_write)
-        if not l2_hit and l2.victim_addr is not None and l2.victim_dirty:
-            l3.fill_fast(l2.victim_addr, dirty=True)
-            if l3.victim_addr is not None and l3.victim_dirty:
-                eviction = wb_pool[len(writebacks)]
-                eviction.addr = l3.victim_addr
-                writebacks.append(eviction)
-        if l2_hit:
+        l3 = self.l3
+
+        # L1 miss.  ``spill`` is the address of a dirty victim on its way to
+        # the next level down, or None.
+        l1.misses += 1
+        spill: Optional[int] = None
+        if len(bucket) >= l1.num_ways:
+            if l1._random:
+                l1._random_victim_to_front(bucket)
+            victim, dirty = bucket.popitem(last=False)
+            l1.evictions += 1
+            if dirty:
+                l1.dirty_evictions += 1
+                spill = victim << l1._line_bits
+        bucket[line] = is_write
+
+        if spill is not None:
+            # The dirty L1 victim fills the L2.
+            line = spill >> l2._line_bits
+            bucket = l2._sets[line & l2._set_mask]
+            spill = None
+            if line in bucket:
+                bucket[line] = True
+                if l2._lru:
+                    bucket.move_to_end(line)
+            else:
+                if len(bucket) >= l2.num_ways:
+                    if l2._random:
+                        l2._random_victim_to_front(bucket)
+                    victim, dirty = bucket.popitem(last=False)
+                    l2.evictions += 1
+                    if dirty:
+                        l2.dirty_evictions += 1
+                        spill = victim << l2._line_bits
+                bucket[line] = True
+            if spill is not None:
+                # Its dirty L2 victim fills the L3.
+                line = spill >> l3._line_bits
+                bucket = l3._sets[line & l3._set_mask]
+                if line in bucket:
+                    bucket[line] = True
+                    if l3._lru:
+                        bucket.move_to_end(line)
+                else:
+                    if len(bucket) >= l3.num_ways:
+                        if l3._random:
+                            l3._random_victim_to_front(bucket)
+                        victim, dirty = bucket.popitem(last=False)
+                        l3.evictions += 1
+                        if dirty:
+                            l3.dirty_evictions += 1
+                            eviction = wb_pool[len(writebacks)]
+                            eviction.addr = victim << l3._line_bits
+                            writebacks.append(eviction)
+                    bucket[line] = True
+
+        # L2 access.
+        line = addr >> l2._line_bits
+        bucket = l2._sets[line & l2._set_mask]
+        if line in bucket:
+            l2.hits += 1
+            if is_write:
+                bucket[line] = True
+            if l2._lru:
+                bucket.move_to_end(line)
             outcome.level = "l2"
             outcome.llc_miss = False
             return outcome
+        l2.misses += 1
+        spill = None
+        if len(bucket) >= l2.num_ways:
+            if l2._random:
+                l2._random_victim_to_front(bucket)
+            victim, dirty = bucket.popitem(last=False)
+            l2.evictions += 1
+            if dirty:
+                l2.dirty_evictions += 1
+                spill = victim << l2._line_bits
+        bucket[line] = is_write
 
-        l3_hit = l3.access_fast(addr, is_write)
-        if not l3_hit and l3.victim_addr is not None and l3.victim_dirty:
-            eviction = wb_pool[len(writebacks)]
-            eviction.addr = l3.victim_addr
-            writebacks.append(eviction)
-        if l3_hit:
+        if spill is not None:
+            # The dirty L2 victim fills the L3.
+            line = spill >> l3._line_bits
+            bucket = l3._sets[line & l3._set_mask]
+            if line in bucket:
+                bucket[line] = True
+                if l3._lru:
+                    bucket.move_to_end(line)
+            else:
+                if len(bucket) >= l3.num_ways:
+                    if l3._random:
+                        l3._random_victim_to_front(bucket)
+                    victim, dirty = bucket.popitem(last=False)
+                    l3.evictions += 1
+                    if dirty:
+                        l3.dirty_evictions += 1
+                        eviction = wb_pool[len(writebacks)]
+                        eviction.addr = victim << l3._line_bits
+                        writebacks.append(eviction)
+                bucket[line] = True
+
+        # L3 access.
+        line = addr >> l3._line_bits
+        bucket = l3._sets[line & l3._set_mask]
+        if line in bucket:
+            l3.hits += 1
+            if is_write:
+                bucket[line] = True
+            if l3._lru:
+                bucket.move_to_end(line)
             outcome.level = "l3"
             outcome.llc_miss = False
             return outcome
+        l3.misses += 1
+        if len(bucket) >= l3.num_ways:
+            if l3._random:
+                l3._random_victim_to_front(bucket)
+            victim, dirty = bucket.popitem(last=False)
+            l3.evictions += 1
+            if dirty:
+                l3.dirty_evictions += 1
+                eviction = wb_pool[len(writebacks)]
+                eviction.addr = victim << l3._line_bits
+                writebacks.append(eviction)
+        bucket[line] = is_write
         outcome.level = "memory"
         outcome.llc_miss = True
         return outcome

@@ -12,6 +12,12 @@ bit.  For the LRU policy the dict order is recency order (MRU at the end);
 for FIFO it is insertion order; for random the victim is drawn from the
 keys.  This representation keeps the per-access cost low, which matters
 because three caches are consulted for every trace record.
+
+The per-record hot path does not call :meth:`SramCache.access` or
+:meth:`SramCache.fill`: :meth:`repro.cache.hierarchy.CacheHierarchy.access_reused`
+walks all three levels' sets in one frame.  ``access``/``fill`` are the
+per-level reference that walk must match (the hierarchy tests replay both
+side by side), and the API for every other caller.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ class SramCache:
         self._sets: List["OrderedDict[int, bool]"] = [OrderedDict() for _ in range(self.num_sets)]
         self._rng = rng if rng is not None else DeterministicRng(0)
         # Policy flags hoisted out of the per-access path (string comparisons
-        # in ``access``/``_fill`` show up in profiles at trace scale).
+        # in ``access``/``fill`` and the hierarchy walk show up in profiles at
+        # trace scale).
         self._lru = self.policy == "lru"
         self._random = self.policy == "random"
 
@@ -68,14 +75,6 @@ class SramCache:
         self.misses = 0
         self.evictions = 0
         self.dirty_evictions = 0
-
-        # Victim of the most recent ``access_fast``/``fill_fast`` call.
-        # ``victim_addr is None`` means nothing was evicted; ``victim_dirty``
-        # is only meaningful when ``victim_addr`` is set.  Out-parameters
-        # instead of :class:`Eviction` objects keep the fast path
-        # allocation-free.
-        self.victim_addr: Optional[int] = None
-        self.victim_dirty: bool = False
 
     # ------------------------------------------------------------------ address math
 
@@ -92,21 +91,6 @@ class SramCache:
 
     def access(self, addr: int, is_write: bool) -> CacheAccessResult:
         """Access ``addr``; allocate on miss; return hit status and any eviction."""
-        if self.access_fast(addr, is_write):
-            return CacheAccessResult(hit=True, eviction=None)
-        eviction = None
-        if self.victim_addr is not None:
-            eviction = Eviction(addr=self.victim_addr, dirty=self.victim_dirty)
-        return CacheAccessResult(hit=False, eviction=eviction)
-
-    def access_fast(self, addr: int, is_write: bool) -> bool:
-        """Allocation-free :meth:`access`: returns the hit flag.
-
-        On a miss the victim (if any) is exposed via ``victim_addr`` /
-        ``victim_dirty`` instead of an :class:`Eviction`; on a hit the victim
-        fields are left stale and must not be read.  This is what the
-        per-record hot path uses — three of these run per trace record.
-        """
         line = addr >> self._line_bits
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
@@ -115,20 +99,12 @@ class SramCache:
                 bucket[line] = True
             if self._lru:
                 bucket.move_to_end(line)
-            return True
+            return CacheAccessResult(hit=True, eviction=None)
         self.misses += 1
-        self._fill_fast(bucket, line, is_write)
-        return False
+        return CacheAccessResult(hit=False, eviction=self._insert(bucket, line, is_write))
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[Eviction]:
         """Insert ``addr`` without counting a demand access (e.g. writeback fill)."""
-        self.fill_fast(addr, dirty)
-        if self.victim_addr is not None:
-            return Eviction(addr=self.victim_addr, dirty=self.victim_dirty)
-        return None
-
-    def fill_fast(self, addr: int, dirty: bool = False) -> None:
-        """Allocation-free :meth:`fill`; victim reported via ``victim_addr``."""
         line = addr >> self._line_bits
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
@@ -136,34 +112,38 @@ class SramCache:
                 bucket[line] = True
             if self._lru:
                 bucket.move_to_end(line)
-            self.victim_addr = None
-            return
-        self._fill_fast(bucket, line, dirty)
+            return None
+        return self._insert(bucket, line, dirty)
 
-    def _fill_fast(self, bucket: "OrderedDict[int, bool]", line: int, dirty: bool) -> None:
+    def _insert(self, bucket: "OrderedDict[int, bool]", line: int, dirty: bool) -> Optional[Eviction]:
+        """Allocate ``line`` in ``bucket``, evicting a victim when the set is full."""
+        eviction: Optional[Eviction] = None
         if len(bucket) >= self.num_ways:
             if self._random:
-                # Advance an iterator instead of materialising the key list;
-                # the draw and the chosen victim are identical (dict iteration
-                # order is the order list(bucket.keys()) would have).
-                index = self._rng.randint(0, len(bucket))
-                iterator = iter(bucket)
-                for _ in range(index):
-                    next(iterator)
-                victim = next(iterator)
-                victim_dirty = bucket.pop(victim)
-            else:
-                # LRU keeps recency order, FIFO keeps insertion order; both
-                # evict the oldest entry, i.e. the front of the dict.
-                victim, victim_dirty = bucket.popitem(last=False)
-            self.victim_addr = victim << self._line_bits
-            self.victim_dirty = victim_dirty
+                self._random_victim_to_front(bucket)
+            victim, victim_dirty = bucket.popitem(last=False)
             self.evictions += 1
             if victim_dirty:
                 self.dirty_evictions += 1
-        else:
-            self.victim_addr = None
+            eviction = Eviction(addr=victim << self._line_bits, dirty=victim_dirty)
         bucket[line] = dirty
+        return eviction
+
+    def _random_victim_to_front(self, bucket: "OrderedDict[int, bool]") -> None:
+        """Draw the random policy's victim and move it to the front of ``bucket``.
+
+        LRU keeps recency order and FIFO insertion order, so both evict the
+        front entry; moving the drawn victim there lets every eviction site
+        pop the front.  The rest of the set keeps its order, so popping the
+        front equals popping the victim in place.  One ``randint`` per
+        eviction, and an iterator advance instead of materialising the key
+        list (dict iteration order is the order ``list(bucket)`` would have).
+        """
+        index = self._rng.randint(0, len(bucket))
+        iterator = iter(bucket)
+        for _ in range(index):
+            next(iterator)
+        bucket.move_to_end(next(iterator), last=False)
 
     def invalidate(self, addr: int) -> Optional[Eviction]:
         """Remove ``addr`` if present, returning it as an eviction if dirty."""

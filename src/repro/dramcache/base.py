@@ -116,7 +116,7 @@ class DramCacheScheme(ABC):
 
         The returned object is only valid until the next ``access`` call on
         this scheme; callers that need to retain a result must copy its
-        fields (the hot path — :meth:`repro.sim.system.System.process_record`
+        fields (the hot path — :meth:`repro.sim.system.System.process_record_cols`
         — reads ``latency`` immediately and drops the reference).
         """
         result = self._result

@@ -35,24 +35,26 @@ The scalar engine moves one ``TraceRecord`` object per iteration through an
 iterator and a heap.  This kernel moves *columns*: each core pulls
 ``(gaps, addrs, writes)`` batches from :meth:`Workload.trace_batches` and the
 scheduler processes whole **runs** — maximal record sequences one core can
-execute before any other core's clock could interleave — without touching a
-heap or constructing a single record object.
+execute before any other core's clock could interleave — touching the heap
+once per run and constructing no record object.
 
 The heap invariant of the scalar engine is that every live core holds exactly
 one ``(clock, core_id)`` entry, keyed by its clock *after its previous
 record* (0.0 before its first).  The next record therefore always belongs to
 the core with the minimum key, ties broken by core id.  This scheduler keeps
-those keys in a flat list and picks ``c = argmin (key, id)`` directly; with
-``B = (b_clock, b_core)`` the minimum over the *other* live cores, core ``c``
-may keep executing records while its evolving clock satisfies
-``(clock, c) < B`` — exactly the condition under which the heap would pop it
-again.  The first record of a run needs no check (``c`` is the minimum), and
-the run is cut at the next edge so every edge fires at the same processed
-count as in the scalar loop.  Pending OS stalls only apply when the stalled
-core executes its next record (both engines), so no other core's key can
-change while ``c`` runs.  The interleaving — and therefore DRAM channel
-contention — is provably identical, and all results are bit-identical to
-the scalar engine.
+the same ``heapq`` heap and pops its minimum ``c`` once per run; the new
+minimum ``heap[0] = B = (b_clock, b_core)`` (``(inf, num_cores)`` when ``c``
+is the only live core) bounds the run: ``c`` keeps executing records while
+its evolving clock satisfies ``(clock, c) < B`` — exactly the condition under
+which the scalar heap would pop it again.  After the run ``c`` is pushed back
+with its new clock while it is below its budget; a core whose stream runs dry
+is dropped when it would next run, as in the scalar loop.  The first record
+of a run needs no check (``c`` is the minimum), and the run is cut at the
+next edge so every edge fires at the same processed count as in the scalar
+loop.  Pending OS stalls only apply when the stalled core executes its next
+record (both engines), so no other core's key can change while ``c`` runs.
+The interleaving — and therefore DRAM channel contention — is provably
+identical, and all results are bit-identical to the scalar engine.
 
 Within a run, records that hit both the TLB and the L1 with no pending OS
 stall touch only core-private state; they are executed by an inlined copy of
@@ -62,6 +64,7 @@ order).  Everything else falls back to ``process_record_cols`` itself.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -314,15 +317,15 @@ class BatchRunner:
         self,
         max_records_per_core: int,
         resume: Optional[Dict[str, Any]],
-    ) -> Tuple[List[int], List[float], List[int], int]:
-        """Build (consumed, keys, live, processed) for the run.
+    ) -> Tuple[List[int], List[Tuple[float, int]], int]:
+        """Build (consumed, heap, processed) for the run.
 
-        On a fresh run the scheduling keys mirror the scalar engine's heap
-        entries: 0.0 before a core's first record (even on a reused engine),
-        the core's clock after its latest record otherwise.  On a resume the
-        sources are fast-forwarded by the snapshot's consumed counts and the
-        keys come from the restored core clocks — exactly the keys the
-        original run held at the snapshot edge.
+        The heap holds one ``(clock, core_id)`` entry per core below its
+        budget, exactly the scalar engine's heap: 0.0 before a core's first
+        record (even on a reused engine), the core's clock after its latest
+        record otherwise.  On a resume the sources are fast-forwarded by the
+        snapshot's consumed counts and the keys come from the restored core
+        clocks — exactly the keys the original run held at the snapshot edge.
         """
         system = self._system
         num_cores = system.config.num_cores
@@ -341,12 +344,13 @@ class BatchRunner:
                         "not match the snapshot"
                     )
         cores = system.cores
-        keys = [
-            cores[core_id].clock if consumed[core_id] > 0 else 0.0
+        heap = [
+            (cores[core_id].clock if consumed[core_id] > 0 else 0.0, core_id)
             for core_id in range(num_cores)
+            if consumed[core_id] < max_records_per_core
         ]
-        live = [core_id for core_id in range(num_cores) if consumed[core_id] < max_records_per_core]
-        return consumed, keys, live, processed
+        heapq.heapify(heap)
+        return consumed, heap, processed
 
     def run(
         self,
@@ -357,7 +361,7 @@ class BatchRunner:
         """Drive the whole simulation; returns (processed, consumed per core).
 
         The scheduler and record loop are fully inlined.  Multicore
-        interleave runs average only a couple of records (cores advance
+        interleave runs average only one to a few records (cores advance
         their clocks at similar rates), so per-run overhead is paid almost
         per record; this loop therefore hoists all per-core state into
         context tuples built once per run() and keeps the three float
@@ -394,37 +398,28 @@ class BatchRunner:
                 l1._sets, l1._set_mask, l1._line_bits, l1._lru,
                 core._issue_width, core._l1_stall, core.stats,
             ))
-        consumed, keys, live, processed = self._init_schedule(max_records_per_core, resume)
+        consumed, heap, processed = self._init_schedule(max_records_per_core, resume)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         infinity = float("inf")
         next_stop = edges.next_at
 
-        while live:
-            if len(live) == 1:
-                best = live[0]
+        # One iteration per run.  On the miss-bound workloads a run averages
+        # barely more than one record, so this loop is nearly per record.
+        while heap:  # repro: hotpath
+            _key, best = heappop(heap)
+            # The run's bound: the next core in (clock, core_id) order.
+            if heap:
+                b_clock, b_core = heap[0]
+            else:
                 b_clock = infinity
                 b_core = num_cores
-            else:
-                best = -1
-                best_key = 0.0
-                b_core = -1
-                b_clock = 0.0
-                for core_id in live:
-                    key = keys[core_id]
-                    if best < 0 or key < best_key:
-                        b_core = best
-                        b_clock = best_key
-                        best = core_id
-                        best_key = key
-                    elif b_core < 0 or key < b_clock:
-                        b_core = core_id
-                        b_clock = key
             source = sources[best]
             pos = source.pos
             if pos >= source.length:
                 if not source.refill():
                     # Matches the scalar engine's StopIteration handling: the
                     # minimum core is dropped when it would next run.
-                    live.remove(best)
                     continue
                 pos = 0
             # The run ends at the core's budget, the buffered batch's end or
@@ -455,7 +450,7 @@ class BatchRunner:
             # holds across fast records and is only re-evaluated after a
             # slow-path call (which can trigger OS events).
             fast_here = fast_ok and core._pending_stall == 0.0
-            while pos < end:  # repro: hotpath
+            while pos < end:
                 addr = addrs[pos]
                 if fast_here:
                     vpn = addr >> page_shift
@@ -500,22 +495,26 @@ class BatchRunner:
                 if clock < b_clock or (clock == b_clock and tie_lt):
                     continue
                 break
+            if fast_count:
+                # After a slow-path call the accumulators equal the objects'
+                # fields, so a run of slow records alone needs no flush.
+                core.clock = clock
+                stats.compute_cycles = cc
+                stats.memory_stall_cycles = ms
+                stats.instructions += instructions
+                stats.memory_accesses += fast_count
+                tlb.hits += fast_count
+                l1.hits += fast_count
             done = pos - start
             source.pos = pos
-            core.clock = clock
-            stats.compute_cycles = cc
-            stats.memory_stall_cycles = ms
-            stats.instructions += instructions
-            stats.memory_accesses += fast_count
-            tlb.hits += fast_count
-            l1.hits += fast_count
-            keys[best] = clock
             processed += done
             consumed[best] += done
+            if consumed[best] < max_records_per_core:
+                # heapq's API requires a fresh (clock, core) entry: one tuple
+                # per run, the scalar loop's per-record push amortised.
+                heappush(heap, (clock, best))  # repro: allow[hotpath-alloc]
             if processed >= next_stop:
                 if edges.edge(processed, consumed):
                     break
                 next_stop = edges.next_at
-            if consumed[best] >= max_records_per_core:
-                live.remove(best)
         return processed, consumed

@@ -2,10 +2,11 @@
 
 :class:`System` wires together every substrate around the configured
 DRAM-cache scheme and exposes a single entry point,
-:meth:`System.process_record`, that the simulation engine drives with trace
-records.  It also implements the :class:`repro.dramcache.base.OsServices`
-callbacks — the software half of Banshee's software/hardware co-design — on
-top of the page table, TLBs and core models.
+:meth:`System.process_record_cols`, that the simulation engine drives with
+the columns of each trace record.  It also implements the
+:class:`repro.dramcache.base.OsServices` callbacks — the software half of
+Banshee's software/hardware co-design — on top of the page table, TLBs and
+core models.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Any, Dict, List, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.core import CoreModel
-from repro.cpu.trace import TraceRecord
 from repro.dram.device import DramDevice
 from repro.dramcache.base import DramCacheScheme, OsServices
 from repro.dramcache.factory import create_scheme
@@ -145,20 +145,18 @@ class System:
 
     # ------------------------------------------------------------------ per-record processing
 
-    def process_record(self, core_id: int, record: TraceRecord) -> float:
-        """Process one trace record for ``core_id``; returns the new core clock."""
-        return self.process_record_cols(core_id, record.gap, record.addr, record.is_write)
-
     def process_record_cols(self, core_id: int, gap: int, addr: int, is_write: bool) -> float:
         """Process one record given as its three columns; returns the new core clock.
 
         This is the simulator's innermost loop — one call per trace record
-        (via :meth:`process_record` in the scalar engine, directly from the
-        column buffers in the batch engine) — so the translate /
+        (per record in the scalar engine, for every record off the inline
+        TLB+L1-hit path in the batch engine) — so the translate /
         hierarchy-walk / timing steps are inlined against preallocated
         objects rather than composed from the public per-call APIs (which
         remain for tests and non-hot callers).  The arithmetic is identical
-        to the composed path, so results stay bit-identical.
+        to the composed path, so results stay bit-identical.  Above the
+        memory controllers, a TLB hit calls only the hierarchy walk; a TLB
+        miss adds :meth:`Tlb.fill` and :meth:`PageTable.translate`.
         """
         core = self.cores[core_id]
         if core._pending_stall > 0.0:
@@ -171,11 +169,19 @@ class System:
         stats.instructions += gap
         stats.compute_cycles += cycles
 
-        # Address translation (System._translate, inlined).
-        entry = self.tlbs[core_id].lookup(addr // self.page_size)
+        # Address translation (Tlb.lookup, inlined).  The TLB caches the
+        # PTE objects themselves (see repro.vm.tlb for why that is exact).
+        tlb = self.tlbs[core_id]
+        tlb_entries = tlb._entries
+        vpn = addr // self.page_size
+        entry = tlb_entries.get(vpn)
         if entry is None:
-            entry = self.tlbs[core_id].fill(self._page_table_translate(addr))
+            tlb.misses += 1
+            entry = tlb.fill(self._page_table_translate(addr))
             core.clock += self._page_walk_cycles
+        else:
+            tlb_entries.move_to_end(vpn)
+            tlb.hits += 1
 
         # Hierarchy walk + timing (CoreModel.advance_memory, inlined).
         outcome = self._hierarchy_access(core_id, addr, is_write)
@@ -215,17 +221,6 @@ class System:
         if self._notify_cycle is not None:
             self._notify_cycle(int(core.clock))
         return core.clock
-
-    def _translate(self, core_id: int, addr: int, core: CoreModel) -> MappingInfo:
-        """TLB lookup (with page-walk cost on a miss); returns the carried mapping."""
-        tlb = self.tlbs[core_id]
-        vpn = addr // self.page_size
-        entry = tlb.lookup(vpn)
-        if entry is None:
-            pte = self.page_table.translate(addr)
-            entry = tlb.fill(pte)
-            core.clock += self.config.tlb.page_walk_cycles
-        return MappingInfo(cached=entry.cached, way=entry.way)
 
     # ------------------------------------------------------------------ results
 

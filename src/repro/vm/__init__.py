@@ -4,7 +4,7 @@ from repro.vm.page_table import PageTable, PageTableEntry
 from repro.vm.physical_memory import FrameAllocator
 from repro.vm.reverse_mapping import ReverseMapping
 from repro.vm.shootdown import ShootdownCostModel
-from repro.vm.tlb import Tlb, TlbEntry
+from repro.vm.tlb import Tlb
 
 __all__ = [
     "PageTable",
@@ -13,5 +13,4 @@ __all__ = [
     "ReverseMapping",
     "ShootdownCostModel",
     "Tlb",
-    "TlbEntry",
 ]

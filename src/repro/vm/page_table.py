@@ -48,7 +48,7 @@ class PageTableEntry:
 
     @property
     def mapping_bits(self) -> Tuple[bool, int]:
-        """The (cached, way) pair copied into TLB entries and memory requests."""
+        """The (cached, way) pair that TLBs carry into memory requests."""
         return (self.cached, self.way)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -87,13 +87,9 @@ class PageTable:
 
     # ------------------------------------------------------------------ translation
 
-    def vpn_of(self, vaddr: int) -> int:
-        """Virtual page number containing ``vaddr``."""
-        return vaddr // self.page_size
-
     def translate(self, vaddr: int) -> PageTableEntry:
         """Translate ``vaddr``, allocating a frame on first touch."""
-        vpn = self.vpn_of(vaddr)
+        vpn = vaddr // self.page_size
         entry = self._entries.get(vpn)
         if entry is None:
             entry = self._allocate(vpn)
@@ -132,7 +128,9 @@ class PageTable:
         """Update the extension bits of every PTE mapping ``ppn``.
 
         Returns the number of PTEs touched.  This is the software routine that
-        the tag-buffer-full interrupt triggers.
+        the tag-buffer-full interrupt triggers.  TLBs cache PTE objects, so a
+        caller must shoot down every TLB before the next translation (as
+        ``pte_update_batch`` does).
         """
         count = 0
         for entry in self.entries_for_ppn(ppn):

@@ -16,9 +16,8 @@ import os
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.sram_cache import SramCache
 from repro.dramcache.variants import available_scheme_names
-from repro.sim.config import SystemConfig
+from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
 from repro.util.rng import DeterministicRng
@@ -133,49 +132,75 @@ def _reference_walk(hierarchy, core_id, addr, is_write):
     return "memory", True, writebacks
 
 
+def _with_policy(config, policy):
+    return config.with_overrides(
+        **{level: dataclasses.replace(getattr(config, level), replacement=policy) for level in ("l1", "l2", "l3")}
+    )
+
+
+def _levels(hierarchy):
+    return hierarchy.l1 + hierarchy.l2 + [hierarchy.l3]
+
+
+def _level_state(cache):
+    """Everything the walk writes on one level: counters and ordered set contents."""
+    return (
+        cache.name,
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        cache.dirty_evictions,
+        [list(bucket.items()) for bucket in cache._sets],
+    )
+
+
+def _replay(config, stream):
+    """Run ``stream`` through the walk and the per-level reference side by side.
+
+    Asserts equal outcomes per access and equal state on every level (each
+    core's L1 and L2, and the L3) at the end; returns how many accesses
+    produced 0, 1, 2 and 3 writebacks.
+    """
+    reference = CacheHierarchy(config, rng=DeterministicRng(3))
+    walk = CacheHierarchy(config, rng=DeterministicRng(3))
+    writeback_counts = [0, 0, 0, 0]
+    for core_id, addr, is_write in stream:
+        expected = _reference_walk(reference, core_id, addr, is_write)
+        outcome = walk.access_reused(core_id, addr, is_write)
+        got = (outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks])
+        assert got == expected
+        writeback_counts[len(got[2])] += 1
+    assert [_level_state(cache) for cache in _levels(walk)] == [
+        _level_state(cache) for cache in _levels(reference)
+    ]
+    assert walk.stats() == reference.stats()
+    return writeback_counts
+
+
+def _stream(count, span, write_chance, seed):
+    rng = DeterministicRng(seed)
+    return [(i % 2, rng.randint(0, span) * 16, rng.chance(write_chance)) for i in range(count)]
+
+
 def test_hierarchy_fast_path_matches_public_api():
+    """The one-frame walk equals the per-level ``access``/``fill`` reference.
+
+    Two streams per policy: a mixed one on the tiny geometry, and a
+    write-heavy one on a cramped geometry (L1 with more ways than L2 and L3,
+    and a coarser L3 line), where dirty victims keep missing the levels
+    below them, so single, double and triple writebacks all occur.
+    """
+    cramped = {
+        "l1": CacheLevelConfig(size_bytes=1024, ways=4),
+        "l2": CacheLevelConfig(size_bytes=512, ways=2),
+        "l3": CacheLevelConfig(size_bytes=2048, ways=2, line_size=128),
+    }
     for policy in ("lru", "fifo", "random"):
-        config = SystemConfig.tiny(num_cores=2)
-        config = config.with_overrides(
-            **{level: dataclasses.replace(getattr(config, level), replacement=policy) for level in ("l1", "l2", "l3")}
-        )
-        slow = CacheHierarchy(config, rng=DeterministicRng(3))
-        fast = CacheHierarchy(config, rng=DeterministicRng(3))
-        rng = DeterministicRng(11)
-        for i in range(4000):
-            core_id = i % 2
-            addr = (rng.randint(0, 1 << 18)) * 16
-            is_write = rng.chance(0.3)
-            expected = _reference_walk(slow, core_id, addr, is_write)
-            outcome = fast.access_reused(core_id, addr, is_write)
-            got = (outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks])
-            assert got == expected
-        assert fast.stats() == slow.stats()
-
-
-def test_sram_fast_path_matches_public_api():
-    from repro.sim.config import CacheLevelConfig
-
-    for policy in ("lru", "fifo", "random"):
-        config = CacheLevelConfig(size_bytes=4096, ways=4, replacement=policy)
-        slow = SramCache("slow", config, rng=DeterministicRng(5))
-        fast = SramCache("fast", config, rng=DeterministicRng(5))
-        rng = DeterministicRng(9)
-        for _ in range(3000):
-            addr = rng.randint(0, 1 << 16)
-            is_write = rng.chance(0.5)
-            result = slow.access(addr, is_write)
-            hit = fast.access_fast(addr, is_write)
-            assert hit == result.hit
-            if not hit:
-                if result.eviction is None:
-                    assert fast.victim_addr is None
-                else:
-                    assert fast.victim_addr == result.eviction.addr
-                    assert fast.victim_dirty == result.eviction.dirty
-        assert (fast.hits, fast.misses, fast.evictions, fast.dirty_evictions) == (
-            slow.hits, slow.misses, slow.evictions, slow.dirty_evictions
-        )
+        tiny = _with_policy(SystemConfig.tiny(num_cores=2), policy)
+        _replay(tiny, _stream(4000, 1 << 18, 0.3, seed=11))
+        small = _with_policy(SystemConfig.tiny(num_cores=2).with_overrides(**cramped), policy)
+        writeback_counts = _replay(small, _stream(4000, 1 << 10, 0.9, seed=13))
+        assert all(count > 0 for count in writeback_counts), (policy, writeback_counts)
 
 
 # ------------------------------------------------------------ golden determinism
@@ -211,16 +236,30 @@ def test_fast_path_matches_pre_refactor_goldens(cell, mode):
 # ------------------------------------------------------ cross-mode bit-identity
 
 
-def _identity(scheme, mode, workload="gcc", num_cores=2, records=600, warmup=150):
+def _identity(scheme, mode, workload="gcc", num_cores=2, records=600, warmup=150, budget=None):
     config = SystemConfig.scaled_default(scheme=scheme, num_cores=num_cores, seed=4)
     engine = SimulationEngine(
         System(config, get_workload(workload, num_cores, scale=0.02, seed=4)), mode=mode
     )
-    return engine.run(records, warmup_records_per_core=warmup).identity_dict()
+    return engine.run(
+        records, warmup_records_per_core=warmup, max_total_records=budget
+    ).identity_dict()
 
 
-@pytest.mark.parametrize("scheme", available_scheme_names())
-def test_batch_engine_matches_scalar_for_every_variant(scheme):
+BASE_SCHEMES = ("nocache", "cacheonly", "alloy", "unison", "tdc", "hma", "banshee")
+
+#: (workload, num_cores, budget, scheme): every variant on 2-core gcc, and
+#: the base schemes on 4-core mcf — where three or more cores compete for
+#: the next run — cut by a ``max_total_records`` budget that lands mid-run.
+CROSS_MODE_CELLS = [
+    pytest.param("gcc", 2, None, scheme, id=scheme) for scheme in available_scheme_names()
+] + [
+    pytest.param("mcf", 4, 1999, scheme, id=f"mcf-4core-{scheme}") for scheme in BASE_SCHEMES
+]
+
+
+@pytest.mark.parametrize("workload, num_cores, budget, scheme", CROSS_MODE_CELLS)
+def test_batch_engine_matches_scalar_for_every_variant(workload, num_cores, budget, scheme):
     """Batch and scalar must agree exactly for every registered variant.
 
     Variants flip replacement policies, page sizes, sampling rates and OS
@@ -228,7 +267,10 @@ def test_batch_engine_matches_scalar_for_every_variant(scheme):
     inlined hit path and run-length scheduling.  Warmup is included so run
     cuts at the warmup edge are exercised too.
     """
-    assert _identity(scheme, "batch") == _identity(scheme, "scalar")
+    def identity(mode):
+        return _identity(scheme, mode, workload=workload, num_cores=num_cores, budget=budget)
+
+    assert identity("batch") == identity("scalar")
 
 
 def test_single_core_scalar_fast_path_matches_multicore_semantics():

@@ -5,6 +5,7 @@ import pytest
 from repro.cache.replacement import FifoPolicy, LruPolicy, RandomPolicy, make_policy
 from repro.cache.sram_cache import SramCache
 from repro.sim.config import CacheLevelConfig
+from repro.util.rng import DeterministicRng
 
 
 def make_cache(size=4096, ways=4, replacement="lru"):
@@ -81,6 +82,61 @@ def test_flush_page_removes_all_lines():
     assert len(dirty) > 0
     for offset in range(0, 4096, 64):
         assert not cache.lookup(offset)
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+def test_victims_and_counters_match_a_reference_model(policy):
+    """``access``/``fill`` against a list-per-set model of each policy.
+
+    Checks every hit flag and reported victim (address and dirty bit), the
+    four counters and the ordered set contents.  The model keeps each set
+    oldest first: LRU moves a hit to the back, FIFO leaves it, and every
+    policy evicts the front except random, which evicts the entry its draw
+    picks (the same seeded stream the cache draws from).
+    """
+    config = CacheLevelConfig(size_bytes=4096, ways=4, replacement=policy)
+    cache = SramCache("test", config, rng=DeterministicRng(5))
+    draws = DeterministicRng(5)
+    sets = [[] for _ in range(config.num_sets)]
+    hits = misses = evictions = dirty_evictions = 0
+    rng = DeterministicRng(9)
+    for step in range(3000):
+        addr = rng.randint(0, 1 << 16)
+        is_write = rng.chance(0.5)
+        demand = step % 5 != 0  # every fifth operation is a fill
+        line = addr >> 6
+        entries = sets[line % config.num_sets]
+        position = next((i for i, entry in enumerate(entries) if entry[0] == line), None)
+        victim = None
+        if position is not None:
+            hits += demand
+            entries[position][1] = entries[position][1] or is_write
+            if policy == "lru":
+                entries.append(entries.pop(position))
+        else:
+            misses += demand
+            if len(entries) == config.ways:
+                victim = entries.pop(draws.randint(0, len(entries)) if policy == "random" else 0)
+                evictions += 1
+                dirty_evictions += victim[1]
+            entries.append([line, is_write])
+        if demand:
+            result = cache.access(addr, is_write)
+            assert result.hit == (position is not None)
+            eviction = result.eviction
+        else:
+            eviction = cache.fill(addr, dirty=is_write)
+        if victim is None:
+            assert eviction is None
+        else:
+            assert (eviction.addr, eviction.dirty) == (victim[0] << 6, victim[1])
+    assert evictions > 0 and dirty_evictions > 0
+    assert (cache.hits, cache.misses, cache.evictions, cache.dirty_evictions) == (
+        hits, misses, evictions, dirty_evictions
+    )
+    assert [list(bucket.items()) for bucket in cache._sets] == [
+        [tuple(entry) for entry in entries] for entries in sets
+    ]
 
 
 def test_miss_rate():

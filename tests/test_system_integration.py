@@ -64,11 +64,48 @@ def test_banshee_tag_buffer_consistency_invariant():
     assert all(buffer.remap_count == 0 for buffer in system.scheme.tag_buffers)
 
 
+def _banshee_mid_run_flushes(mode):
+    """A Banshee cell whose tag buffers flush mid-run; counts TLB-carried hits.
+
+    Every sampled miss is a replacement candidate and a buffer flushes at a
+    tenth of its capacity, so PTE-update batches land while records are
+    still being processed.  Returns the results, the system and how many
+    demand requests reached the controllers carrying ``cached=True``, which
+    only a TLB filled after a PTE update can supply.
+    """
+    config = SystemConfig.tiny(scheme="banshee", num_cores=2, seed=1).with_scheme(
+        "banshee", sampling_coefficient=1.0, tag_buffer_flush_threshold=0.1
+    )
+    system = System(config, get_workload("mcf", 2, scale=0.05, seed=1))
+    controllers_access = system._controllers_access
+    carried = [0]
+
+    def counting_access(now, request):
+        if not request.is_writeback and request.mapping.cached:
+            carried[0] += 1
+        return controllers_access(now, request)
+
+    system._controllers_access = counting_access
+    results = SimulationEngine(system, mode=mode).run(2500)
+    return results, system, carried[0]
+
+
 def test_banshee_pte_updates_reach_page_table():
-    results, system = run("banshee", records=2500, workload="mcf", sampling_coefficient=1.0)
-    if results.scheme_stats.get("tag_buffer_flushes", 0) > 0:
-        assert system.page_table.update_batches > 0
-        assert any(tlb.invalidations > 0 for tlb in system.tlbs)
+    """PTE updates land mid-run, and TLBs carry the new mapping bits.
+
+    This is Banshee's central mechanism: after a batched PTE update and its
+    shootdown, the next page walk fills the TLB with the updated (cached,
+    way) bits, and demand requests carry them to the memory controllers.
+    """
+    results, system, carried = _banshee_mid_run_flushes("batch")
+    # The end-of-run finalize flush accounts for at most one batch.
+    assert system.page_table.update_batches >= 2
+    assert all(tlb.invalidations >= 2 for tlb in system.tlbs)
+    assert carried > 0
+    assert system.scheme.stats.get("mapping_stale") == 0
+    scalar, _system, scalar_carried = _banshee_mid_run_flushes("scalar")
+    assert scalar.identity_dict() == results.identity_dict()
+    assert scalar_carried == carried
 
 
 def test_banshee_residency_never_exceeds_capacity():

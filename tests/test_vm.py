@@ -124,6 +124,8 @@ def test_tlb_entry_carries_mapping_bits():
     tlb = Tlb(0, TlbConfig(entries=8))
     entry = tlb.fill(pte)
     assert entry.cached and entry.way == 3
+    # The TLB caches the PTE object itself, not a copy of its bits.
+    assert entry is pte and tlb.lookup(9) is pte
 
 
 def test_shootdown_costs_match_table3():
