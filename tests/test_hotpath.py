@@ -24,6 +24,7 @@ from repro.util.rng import DeterministicRng
 from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
+WRITE_PATHS_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_write_paths.json")
 
 
 def make_engine(scheme="banshee", workload="gcc", num_cores=2, scale=0.05, seed=1):
@@ -206,8 +207,8 @@ def test_hierarchy_fast_path_matches_public_api():
 # ------------------------------------------------------------ golden determinism
 
 
-def load_goldens():
-    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+def load_goldens(path=GOLDEN_PATH):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)["cells"]
 
 
@@ -231,6 +232,43 @@ def test_fast_path_matches_pre_refactor_goldens(cell, mode):
     )
     result = SimulationEngine(System(config, workload), mode=mode).run(cell["records_per_core"])
     assert json.loads(json.dumps(result.identity_dict())) == cell["result"]
+
+
+#: Scheme counters each write-path golden cell must keep non-zero, on top of
+#: ``llc_writebacks`` in every cell: the paths those cells exist to pin.
+WRITE_PATH_COUNTERS = {
+    "alloy": ("dirty_victim_writebacks", "writeback_hits", "writeback_misses"),
+    "unison": ("page_evictions", "dirty_page_evictions"),
+    "tdc": ("page_evictions", "dirty_page_evictions"),
+    "banshee": ("writeback_tagbuffer_hits", "writeback_tag_probes"),
+    "banshee-lru": ("tag_buffer_flushes", "pte_updates", "dirty_page_evictions"),
+}
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+@pytest.mark.parametrize(
+    "cell", load_goldens(WRITE_PATHS_GOLDEN_PATH), ids=lambda cell: cell["scheme"]
+)
+def test_write_and_eviction_paths_match_goldens(cell, mode):
+    """Every registered scheme on a write-heavy tiny cell stays bit-identical.
+
+    The scaled goldens above never reach an LLC writeback, a page eviction,
+    a dirty victim or a tag-buffer writeback lookup.  These cells (tiny
+    preset, ``mcf``, half the records as warmup) reach all of them, and the
+    counters that prove it must stay non-zero.
+    """
+    config = SystemConfig.tiny(scheme=cell["scheme"], num_cores=cell["num_cores"], seed=cell["seed"])
+    workload = get_workload(
+        cell["workload"], cell["num_cores"], scale=cell["scale"], seed=cell["seed"]
+    )
+    result = SimulationEngine(System(config, workload), mode=mode).run(
+        cell["records_per_core"], warmup_records_per_core=cell["warmup_records_per_core"]
+    )
+    got = json.loads(json.dumps(result.identity_dict()))
+    assert got == cell["result"]
+    assert got["llc_writebacks"] > 0
+    for counter in WRITE_PATH_COUNTERS.get(cell["scheme"], ()):
+        assert got["scheme_stats"].get(counter, 0) > 0, counter
 
 
 # ------------------------------------------------------ cross-mode bit-identity
