@@ -20,10 +20,14 @@ conservative everywhere else:
   to every scheme implementation;
 * attribute aliases (``self._translate = self.page_table.translate``) and
   local aliases (``process_cols = system.process_record_cols``) are followed;
+* a ``for`` target over a typed list (``for buffer in self.tag_buffers``)
+  takes the list's element type;
 * an *untyped* receiver falls back to linking every analyzed method of that
   name — except ubiquitous container-protocol names (``get``, ``keys``,
   ``add``, ...), which would otherwise drag unrelated classes in through
-  every ``dict.get`` call.
+  every ``dict.get`` call;
+* an attribute *read* (``self.window.rate``) whose typed receiver resolves
+  to a ``@property`` links to the getter, which runs on every read.
 
 Over-approximating reachability is the right failure mode for an invariant
 prover — a spurious edge surfaces as a reviewable finding, a missed edge
@@ -325,6 +329,13 @@ def _class_by_local_name(
 # --------------------------------------------------------------------------- call resolution
 
 
+def _is_property(method: FunctionInfo) -> bool:
+    return any(
+        isinstance(decorator, ast.Name) and decorator.id == "property"
+        for decorator in method.node.decorator_list  # type: ignore[attr-defined]
+    )
+
+
 def _matches_cold(patterns: Sequence[str], target: FunctionInfo) -> bool:
     for pattern in patterns:
         if "." in pattern:
@@ -369,6 +380,11 @@ class CallResolver:
                     inferred = self._infer_expr(stmt.value, env, func)
                     if inferred is not None:
                         env[target.id] = inferred
+            elif isinstance(stmt, ast.For) and isinstance(stmt.target, ast.Name):
+                # ``for buffer in self.tag_buffers`` types ``buffer``.
+                iterable = self._infer_expr(stmt.iter, env, func)
+                if isinstance(iterable, ListOf) and stmt.target.id not in env:
+                    env[stmt.target.id] = iterable.element
         self._local_env_cache[id(func.node)] = env
         return env
 
@@ -415,6 +431,16 @@ class CallResolver:
         targets, constructed = self._resolve_callable(func, call.func)
         hot_targets = [t for t in targets if not _matches_cold(self.cold_calls, t)]
         return hot_targets, constructed
+
+    def resolve_property(self, func: FunctionInfo, node: ast.Attribute) -> List[FunctionInfo]:
+        """The ``@property`` getter an attribute read runs, on a typed receiver."""
+        receiver = self._infer_expr(node.value, self._local_env(func), func)
+        if not isinstance(receiver, ClassInfo):
+            return []
+        getter = self._lookup_method(receiver, node.attr)
+        if getter is None or not _is_property(getter) or _matches_cold(self.cold_calls, getter):
+            return []
+        return [getter]
 
     def _resolve_callable(
         self, func: FunctionInfo, callee: ast.AST
@@ -706,6 +732,12 @@ def hot_graph(context: AnalysisContext) -> HotGraph:
             owner = f"{span.function.module.name}.{span.function.class_name}"
             graph.hot_classes.add(owner)
         for node in span.walk_region():
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                for getter in resolver.resolve_property(span.function, node):
+                    queue.append(
+                        HotSpan(getter, getter.node, f"{getter.qualname} <- {span.chain}")
+                    )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             targets, constructed = resolver.resolve(span.function, node)

@@ -26,10 +26,12 @@ Two ablations of the replacement policy are selectable through
   and written on *every* DRAM-cache access (like CHOP);
 * ``"fbr-sample"`` — the full Banshee policy (default).
 
-The demand path stays hand-inlined (it is the simulator's hottest scheme
-path); everything stateful it dispatches to — residency, metadata traffic,
-replacement decisions, fills/evictions, mapping coherence — lives in
-:mod:`repro.dramcache.components`.
+Every LLC miss and writeback runs :meth:`BansheeCache.access` in one frame:
+the partition lookup, the probe of the owning controller's tag buffer (an
+inline :meth:`~repro.core.tag_buffer.TagBuffer.lookup`), residency, counters,
+the data transfer, the miss-window update and the sampling draw.  What it
+calls out to — replacement decisions, metadata traffic, fills/evictions and
+remap recording — lives in :mod:`repro.dramcache.components`.
 """
 
 from __future__ import annotations
@@ -41,16 +43,11 @@ from repro.core.bandwidth_balancer import BandwidthBalancer
 from repro.core.frequency import INVALID_PAGE, FrequencySetMetadata
 from repro.core.large_pages import PartitionPlan, plan_partitions
 from repro.dram.device import DramDevice
-from repro.dramcache.base import DramCacheScheme, OsServices
+from repro.dramcache.base import TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.coherence import TagBufferCoherence
 from repro.dramcache.components.replacement import AdaptiveSampler, SampledFrequencyPolicy
 from repro.dramcache.components.stores import PageDirectory
-from repro.dramcache.components.traffic import (
-    METADATA_ACCESS_BYTES,
-    MetadataChannel,
-    TagProbe,
-    TransferFlows,
-)
+from repro.dramcache.components.traffic import METADATA_ACCESS_BYTES, MetadataChannel, TransferFlows
 from repro.memctrl.request import AccessResult, MappingInfo, MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import MissRateWindow, TrafficCategory
@@ -60,9 +57,14 @@ __all__ = ["METADATA_ACCESS_BYTES", "BansheeCache", "BansheePartition"]
 
 #: Shared read-only mapping used when a request carries none (unit tests and
 #: direct scheme drivers; the simulated System always attaches a mapping).
-#: ``_demand`` only reads ``cached``/``way``, so one module-level instance
+#: ``access`` only reads ``cached``/``way``, so one module-level instance
 #: replaces a per-access fallback allocation.
 _DEFAULT_MAPPING = MappingInfo()
+
+_HIT = TrafficCategory.HIT_DATA
+_MISS = TrafficCategory.MISS_DATA
+_TAG = TrafficCategory.TAG
+_WB = TrafficCategory.WRITEBACK
 
 
 class BansheePartition:
@@ -137,6 +139,13 @@ class BansheeCache(DramCacheScheme):
         self._partitions: Dict[int, BansheePartition] = {
             plan.page_size: BansheePartition(plan, config, self.policy) for plan in plans if plan.capacity_bytes > 0
         }
+        # Requests for an unplanned page size fall back to the first
+        # partition (e.g. a 2 MB request when no large partition was
+        # planned); the request is still served correctly, only capacity is
+        # shared.
+        self._fallback_partition = next(iter(self._partitions.values()))
+        self._lru_ablation = self.policy == "lru"
+        self._num_controllers = config.num_mem_controllers
         self.coherence = TagBufferCoherence(
             num_controllers=config.num_mem_controllers,
             entries=cache_config.tag_buffer_entries,
@@ -148,7 +157,6 @@ class BansheeCache(DramCacheScheme):
         self.tag_buffers = self.coherence.tag_buffers
         self.pte_updater = self.coherence.pte_updater
         self.metadata_channel = MetadataChannel(self)
-        self.tag_probe = TagProbe(self)
         self.flows = TransferFlows(self)
         self.miss_window = MissRateWindow(window=2048, initial_rate=1.0)
         for partition in self._partitions.values():
@@ -175,13 +183,7 @@ class BansheeCache(DramCacheScheme):
 
     def partition_for(self, page_size: int) -> BansheePartition:
         """The partition managing pages of ``page_size``."""
-        partition = self._partitions.get(page_size)
-        if partition is not None:
-            return partition
-        # Requests for an unplanned page size fall back to the first
-        # partition (e.g. a 2 MB request when no large partition was planned);
-        # the request is still served correctly, only capacity is shared.
-        return next(iter(self._partitions.values()))
+        return self._partitions.get(page_size, self._fallback_partition)
 
     def is_resident(self, page: int) -> bool:
         partition = self.partition_for(self.page_size)
@@ -189,85 +191,89 @@ class BansheeCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access path
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        partition = self.partition_for(request.page_size)
-        page = request.addr // partition.page_size
-        if request.is_writeback:
-            return self._writeback(now, request, page, partition, mc_id)
-        return self._demand(now, request, page, partition, mc_id)
-
-    def _demand(
-        self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int
-    ) -> AccessResult:
-        entry = self.coherence.lookup(mc_id, page)
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        addr = request.addr
+        partition = self._partitions.get(request.page_size, self._fallback_partition)
+        page = addr // partition.page_size
+        # Probe the tag buffer of the controller that owns the request's page
+        # (static page-granularity routing): TagBuffer.lookup, inline.
+        mc_id = (addr // request.page_size) % self._num_controllers
+        buffer = self.tag_buffers[mc_id]
+        buffer.lookups += 1
+        entry = buffer._sets[page & buffer._set_mask].get(page)
         if entry is not None:
-            carried_cached, carried_way = entry.cached, entry.way
+            buffer.hits += 1
+            buffer._clock += 1
+            entry.last_use = buffer._clock
+        count = self._count
+        result = self._result
+
+        if request.is_writeback:
+            if entry is not None:
+                cached = entry.cached
+                count["writeback_tagbuffer_hits"] += 1
+            else:
+                # Without mapping information the controller must probe the
+                # tags stored in the DRAM cache (Section 3.3).
+                self._in_access(now, addr, TAG_ACCESS_BYTES, _TAG, background=True)
+                cached = page in partition.resident
+                count["writeback_tag_probes"] += 1
+            result.latency = 0
+            if cached:
+                self._in_access(now, addr, self.line_size, _WB, background=True)
+                if page in partition.resident:
+                    partition.dirty.add(page)
+                result.dram_cache_hit = True
+                result.served_by = "in-package"
+            else:
+                self._off_access(now, addr, self.line_size, _WB, background=True)
+                result.dram_cache_hit = False
+                result.served_by = "off-package"
+            return result
+
+        if entry is not None:
+            carried_cached = entry.cached
         else:
             mapping = request.mapping if request.mapping is not None else _DEFAULT_MAPPING
-            carried_cached, carried_way = mapping.cached, mapping.way
+            carried_cached = mapping.cached
             # Allocate a clean (remap=0) entry so later dirty evictions of
-            # this page avoid the in-DRAM tag probe (Section 3.3).
-            self.coherence.note_clean(mc_id, page, carried_cached, carried_way)
+            # this page avoid the in-DRAM tag probe (Section 3.3).  A clean
+            # insert never raises: a full set drops it.
+            buffer.insert(page, carried_cached, mapping.way, False)
 
-        cached = partition.is_resident(page)
-        self.stats.inc("mapping_consistent" if cached == carried_cached else "mapping_stale")
-
+        cached = page in partition.resident
+        count["mapping_consistent" if cached == carried_cached else "mapping_stale"] += 1
         if cached:
-            served_by = "in-package"
             if self.balancer is not None and page not in partition.dirty and self.balancer.should_redirect(
                 self.rng.random()
             ):
-                latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-                served_by = "off-package"
+                latency = self._off_access(now, addr, self.line_size, _HIT)
+                result.served_by = "off-package"
                 self.stats.inc("balanced_hits")
             else:
-                latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+                latency = self._in_access(now, addr, self.line_size, _HIT)
+                result.served_by = "in-package"
             if request.is_write:
-                partition.mark_dirty(page)
+                partition.dirty.add(page)
+            count["dram_cache_hits"] += 1
         else:
-            latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.MISS_DATA)
-            served_by = "off-package"
+            latency = self._off_access(now, addr, self.line_size, _MISS)
+            result.served_by = "off-package"
+            count["dram_cache_misses"] += 1
 
-        self.record_hit(cached)
-        # The partition's sampler feeds the shared miss-rate window that
-        # drives the adaptive sample rate (Section 4.2.1).
-        partition.sampler.record(cached)
-        self._run_replacement_policy(now + latency, request, page, partition, mc_id, cached)
-        return self._result_of(latency, cached, served_by)
-
-    def _writeback(
-        self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int
-    ) -> AccessResult:
-        entry = self.coherence.lookup(mc_id, page)
-        if entry is not None:
-            cached = entry.cached
-            self.stats.inc("writeback_tagbuffer_hits")
-        else:
-            # Without mapping information the controller must probe the tags
-            # stored in the DRAM cache (Section 3.3).
-            self.tag_probe.probe(now, request.addr)
-            cached = partition.is_resident(page)
-            self.stats.inc("writeback_tag_probes")
-        if cached:
-            self.flows.writeback_to_cache(now, request.addr)
-            partition.mark_dirty(page)
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, request.addr)
-        return self._result_of(0, False, "off-package")
+        # The shared miss-rate window drives every partition's adaptive
+        # sample rate (Section 4.2.1).
+        self.miss_window.record(cached)
+        if partition.capacity_pages:
+            if self._lru_ablation:
+                self._lru_policy(now + latency, request, page, partition, mc_id, cached)
+            elif partition.sampler.should_update():
+                self._fbr_sampled_update(now + latency, request, page, partition, mc_id)
+        result.latency = latency
+        result.dram_cache_hit = cached
+        return result
 
     # ------------------------------------------------------------------ replacement policies
-
-    def _run_replacement_policy(
-        self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int, hit: bool
-    ) -> None:
-        if partition.capacity_pages == 0:
-            return
-        if self.policy == "lru":
-            self._lru_policy(now, request, page, partition, mc_id, hit)
-            return
-        if not partition.sampler.should_update():
-            return
-        self._fbr_sampled_update(now, request, page, partition, mc_id)
 
     def _fbr_sampled_update(
         self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int

@@ -26,7 +26,7 @@ class PteUpdateBatcher:
     def __init__(self, tag_buffers: Sequence[TagBuffer], os_services: OsServices) -> None:
         if not tag_buffers:
             raise ValueError("at least one tag buffer is required")
-        self.tag_buffers = list(tag_buffers)
+        self.tag_buffers: List[TagBuffer] = list(tag_buffers)
         self.os = os_services
         self.flushes = 0
         self.updates_applied = 0

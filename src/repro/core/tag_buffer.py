@@ -65,31 +65,29 @@ class TagBuffer:
         self.num_entries = num_entries
         self.num_ways = num_ways
         self.num_sets = num_sets
+        # ``BansheeCache.access`` inlines ``lookup`` against these three
+        # fields (set index ``page & _set_mask``, LRU ``_clock``).
         self._sets: List[Dict[int, TagBufferEntry]] = [dict() for _ in range(num_sets)]
+        self._set_mask = num_sets - 1
         self._clock = 0
+        #: Entries whose remap bit is set.  Remap entries are never evicted,
+        #: so only inserts raise the count and ``clear_remap_bits`` resets it.
+        self._remap_count = 0
         self.lookups = 0
         self.hits = 0
         self.inserts = 0
         self.remap_inserts = 0
-
-    # ------------------------------------------------------------------ helpers
-
-    def _set_of(self, page: int) -> int:
-        return page & (self.num_sets - 1)
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
 
     # ------------------------------------------------------------------ operations
 
     def lookup(self, page: int) -> Optional[TagBufferEntry]:
         """Return the entry for ``page`` if present (updates LRU state)."""
         self.lookups += 1
-        entry = self._sets[self._set_of(page)].get(page)
+        entry = self._sets[page & self._set_mask].get(page)
         if entry is not None:
             self.hits += 1
-            entry.last_use = self._tick()
+            self._clock += 1
+            entry.last_use = self._clock
         return entry
 
     def insert(self, page: int, cached: bool, way: int, remap: bool) -> None:
@@ -100,14 +98,17 @@ class TagBuffer:
                 of the target set already holds a remap entry.  The caller
                 must flush (batched PTE update) and retry.
         """
-        bucket = self._sets[self._set_of(page)]
+        bucket = self._sets[page & self._set_mask]
         existing = bucket.get(page)
         if existing is not None:
             existing.cached = cached
             existing.way = way
-            existing.remap = existing.remap or remap
-            existing.last_use = self._tick()
+            self._clock += 1
+            existing.last_use = self._clock
             if remap:
+                if not existing.remap:
+                    existing.remap = True
+                    self._remap_count += 1
                 self.remap_inserts += 1
             return
 
@@ -117,14 +118,16 @@ class TagBuffer:
                 if not remap:
                     # A clean entry is merely an optimisation; drop it.
                     return
-                raise TagBufferFullError(f"set {self._set_of(page)} has only remap entries")
+                raise TagBufferFullError(f"set {page & self._set_mask} has only remap entries")
             del bucket[victim.page]
 
+        self._clock += 1
         # The entry is retained in the buffer until evicted or flushed, so it
         # cannot come from a reuse pool.  # repro: allow[hotpath-alloc]
-        bucket[page] = TagBufferEntry(page=page, cached=cached, way=way, remap=remap, last_use=self._tick())
+        bucket[page] = TagBufferEntry(page=page, cached=cached, way=way, remap=remap, last_use=self._clock)
         self.inserts += 1
         if remap:
+            self._remap_count += 1
             self.remap_inserts += 1
 
     def _pick_victim(self, bucket: Dict[int, TagBufferEntry]) -> Optional[TagBufferEntry]:
@@ -166,6 +169,7 @@ class TagBuffer:
                 if entry.remap:
                     entry.remap = False
                     cleared += 1
+        self._remap_count = 0
         return cleared
 
     # ------------------------------------------------------------------ introspection
@@ -178,7 +182,7 @@ class TagBuffer:
     @property
     def remap_count(self) -> int:
         """Number of entries whose mapping is newer than the PTEs."""
-        return sum(1 for bucket in self._sets for entry in bucket.values() if entry.remap)
+        return self._remap_count
 
     @property
     def remap_fraction(self) -> float:
@@ -186,4 +190,4 @@ class TagBuffer:
         return self.remap_count / self.num_entries
 
     def __contains__(self, page: int) -> bool:
-        return page in self._sets[self._set_of(page)]
+        return page in self._sets[page & self._set_mask]

@@ -21,9 +21,12 @@ bandwidth is scarce); we follow that and serialise them.
 
 Mechanically the scheme is a composition of a
 :class:`~repro.dramcache.components.stores.DirectMappedLineStore` (residency),
-a :class:`~repro.dramcache.components.traffic.TagProbe` (TAD reads and the
-BEAR writeback probe) and :class:`~repro.dramcache.components.traffic.TransferFlows`
-(fills and dirty-victim writebacks).
+a :class:`~repro.dramcache.components.traffic.TagProbe` (the TAD reads) and
+:class:`~repro.dramcache.components.traffic.TransferFlows` (dirty-victim
+writebacks).  A demand access or writeback runs in ``access``'s one frame:
+it reads the store's ``tags``/``dirty_frames`` in place and issues single
+transfers (the BEAR probe, the writeback, the fill's line and tag writes)
+itself; the TAD reads, the fill draw and ``store.install`` stay calls.
 """
 
 from __future__ import annotations
@@ -31,13 +34,19 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dram.device import DramDevice
-from repro.dramcache.base import DramCacheScheme, OsServices
+from repro.dramcache.base import TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.stores import DirectMappedLineStore
 from repro.dramcache.components.traffic import TagProbe, TransferFlows
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
+
+_HIT = TrafficCategory.HIT_DATA
+_MISS = TrafficCategory.MISS_DATA
+_TAG = TrafficCategory.TAG
+_REPL = TrafficCategory.REPLACEMENT
+_WB = TrafficCategory.WRITEBACK
 
 
 class AlloyCache(DramCacheScheme):
@@ -60,6 +69,10 @@ class AlloyCache(DramCacheScheme):
         # loss (it is identical for Alloy 1 and Alloy 0.1).
         self.store = DirectMappedLineStore(config.in_package_dram.capacity_bytes // self.line_size)
         self.num_frames = self.store.num_frames
+        # The store's containers, read and marked in ``access``'s own frame
+        # (shared objects, never reassigned); fills go through ``install``.
+        self._tags = self.store.tags
+        self._dirty_frames = self.store.dirty_frames
         self.fill_probability = config.dram_cache.alloy_replacement_probability
         self.probe = TagProbe(self)
         self.flows = TransferFlows(self)
@@ -79,65 +92,66 @@ class AlloyCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        line = request.line
-        line_addr = line * self.line_size
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        line_size = self.line_size
+        line = request.addr // line_size
+        line_addr = line * line_size
+        frame = line % self.num_frames
+        result = self._result
         if request.is_writeback:
-            return self._writeback(now, line, line_addr)
+            # BEAR writeback probe: read only the tag first.
+            self._in_access(now, line_addr, TAG_ACCESS_BYTES, _TAG, background=True)
+            result.latency = 0
+            if self._tags.get(frame) == line:
+                self._in_access(now, line_addr, line_size, _WB, background=True)
+                self._dirty_frames.add(frame)
+                self._count["writeback_hits"] += 1
+                result.dram_cache_hit = True
+                result.served_by = "in-package"
+            else:
+                self._off_access(now, line_addr, line_size, _WB, background=True)
+                self._count["writeback_misses"] += 1
+                result.dram_cache_hit = False
+                result.served_by = "off-package"
+            return result
 
-        store = self.store
-        frame = store.frame_of(line)
-        resident = store.hit(frame, line)
-
-        if resident:
-            served_by = "in-package"
+        if self._tags.get(frame) == line:
             if (
                 self.balancer is not None
                 and not request.is_write
-                and not store.is_dirty(frame)
+                and frame not in self._dirty_frames
                 and self.balancer.should_redirect(self.rng.random())
             ):
                 # Bandwidth balancing (Section 5.4.2): serve this clean hit
                 # from off-package DRAM to relieve the in-package channels.
-                latency = self.read_off(now, line_addr, self.line_size, TrafficCategory.HIT_DATA)
-                served_by = "off-package"
+                result.latency = self._off_access(now, line_addr, line_size, _HIT)
+                result.served_by = "off-package"
             else:
                 # One TAD read returns tag + data: 96 B on the wire.
-                latency = self.probe.hit_read(now, line_addr)
+                result.latency = self.probe.hit_read(now, line_addr)
+                result.served_by = "in-package"
             if request.is_write:
-                store.mark_dirty(frame)
-            self.record_hit(True)
-            return self._result_of(latency, True, served_by)
+                self._dirty_frames.add(frame)
+            self._count["dram_cache_hits"] += 1
+            result.dram_cache_hit = True
+            return result
 
         # Miss: the speculative TAD read is wasted, then fetch from off-package.
         spec_latency = self.probe.speculative_read(now, line_addr)
-        off_latency = self.read_off(now + spec_latency, line_addr, self.line_size, TrafficCategory.MISS_DATA)
-        latency = spec_latency + off_latency
-        self.record_hit(False)
-
+        latency = spec_latency + self._off_access(now + spec_latency, line_addr, line_size, _MISS)
+        self._count["dram_cache_misses"] += 1
         if self.rng.chance(self.fill_probability):
-            self._fill(now + latency, frame, line, line_addr, request.is_write)
-        return self._result_of(latency, False, "off-package")
-
-    def _fill(self, now: int, frame: int, line: int, line_addr: int, dirty: bool) -> None:
-        victim, victim_dirty = self.store.install(frame, line, dirty)
-        if victim_dirty:
-            # The evicted line is dirty: it must be written to off-package DRAM.
-            self.flows.evict_dirty_to_off(now, victim * self.line_size, self.line_size)
-            self.stats.inc("dirty_victim_writebacks")
-        # Fill writes the 64 B line and its tag into the TAD frame.
-        self.flows.fill_in_only(now, line_addr, self.line_size)
-        self.flows.fill_metadata(now, line_addr)
-        self.stats.inc("fills")
-
-    def _writeback(self, now: int, line: int, line_addr: int) -> AccessResult:
-        # BEAR writeback probe: read only the tag first.
-        self.probe.probe(now, line_addr)
-        if self.store.is_resident(line):
-            self.flows.writeback_to_cache(now, line_addr)
-            self.store.mark_dirty(self.store.frame_of(line))
-            self.stats.inc("writeback_hits")
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, line_addr)
-        self.stats.inc("writeback_misses")
-        return self._result_of(0, False, "off-package")
+            fill_now = now + latency
+            victim, victim_dirty = self.store.install(frame, line, request.is_write)
+            if victim_dirty:
+                # The evicted line is dirty: it must be written to off-package DRAM.
+                self.flows.evict_dirty_to_off(fill_now, victim * line_size, line_size)
+                self.stats.inc("dirty_victim_writebacks")
+            # The fill writes the 64 B line and its tag into the TAD frame.
+            self._in_access(fill_now, line_addr, line_size, _REPL, background=True)
+            self._in_access(fill_now, line_addr, TAG_ACCESS_BYTES, _REPL, background=True)
+            self._count["fills"] += 1
+        result.latency = latency
+        result.dram_cache_hit = False
+        result.served_by = "off-package"
+        return result

@@ -13,6 +13,14 @@ Traffic for operations that are off the critical path (fills, writebacks,
 replacement moves) is still issued against the DRAM channels — it consumes
 bandwidth and therefore delays later requests — but its latency is not added
 to the triggering request.
+
+Every LLC miss and writeback runs a scheme's ``access``, so each scheme runs
+its common path in that one frame: single transfers go straight to the
+hoisted device methods (``_in_access``/``_off_access``, ``background=True``
+when off the critical path), per-access counters are bumped in the stats'
+own dict (``_count``), and the reused ``_result`` is filled in place.
+Calls remain for flows of two or more transfers, RNG draws and store
+updates.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dram.device import DramDevice
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.config import SystemConfig
-from repro.sim.stats import StatsSet, TrafficCategory
+from repro.sim.stats import StatsSet
 from repro.util.rng import DeterministicRng
 
 LINE_SIZE = 64
@@ -76,22 +84,29 @@ class DramCacheScheme(ABC):
         self.stats = StatsSet(self.name)
         self.line_size = config.cacheline_size
         self.page_size = config.dram_cache.page_size
-        # Bound device-access methods, hoisted once: every LLC miss funnels
-        # through read_in/read_off/background_*, so the repeated
-        # ``self.in_dram.access_latency`` attribute chain is worth removing.
+        # Bound device-access methods, hoisted once: every LLC miss and
+        # writeback calls them from the scheme's ``access`` frame.
         self._in_access = self.in_dram.access_latency
         self._off_access = self.off_dram.access_latency
-        # Preallocated result record, returned by ``_result_of``: the System
-        # reads ``latency`` synchronously before issuing the next request and
-        # never retains a result, so one mutated-in-place instance per scheme
+        # The stats' counter dict, for in-frame ``+= 1`` on the access path.
+        self._count = self.stats.counters
+        # Preallocated result record, filled in place by ``access``: the
+        # System reads ``latency`` synchronously before issuing the next
+        # request and never retains a result, so one instance per scheme
         # replaces an AccessResult allocation per LLC miss and writeback.
         self._result = AccessResult(latency=0)
 
     # ------------------------------------------------------------------ interface
 
     @abstractmethod
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        """Handle one LLC miss or writeback arriving at controller ``mc_id``."""
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        """Handle one LLC miss or writeback.
+
+        Returns the scheme's reused :class:`AccessResult`, valid only until
+        the next ``access`` call; a caller that keeps a result must copy
+        its fields (:meth:`repro.sim.system.System.process_record_cols`
+        reads ``latency`` at once and drops the reference).
+        """
 
     def set_os_services(self, os_services: OsServices) -> None:
         """Install the system's OS-callback implementation."""
@@ -109,29 +124,6 @@ class DramCacheScheme(ABC):
 
     # ------------------------------------------------------------------ helpers
 
-    def _result_of(
-        self, latency: int, dram_cache_hit: Optional[bool], served_by: str
-    ) -> AccessResult:
-        """Fill and return the scheme's reused :class:`AccessResult`.
-
-        The returned object is only valid until the next ``access`` call on
-        this scheme; callers that need to retain a result must copy its
-        fields (the hot path — :meth:`repro.sim.system.System.process_record_cols`
-        — reads ``latency`` immediately and drops the reference).
-        """
-        result = self._result
-        result.latency = latency
-        result.dram_cache_hit = dram_cache_hit
-        result.served_by = served_by
-        return result
-
-    def record_hit(self, hit: bool) -> None:
-        """Track demand hit/miss counts for MPKI and miss-rate reporting."""
-        if hit:
-            self.stats.inc("dram_cache_hits")
-        else:
-            self.stats.inc("dram_cache_misses")
-
     @property
     def demand_accesses(self) -> int:
         """Number of demand accesses seen so far."""
@@ -144,22 +136,6 @@ class DramCacheScheme(ABC):
         if total == 0:
             return 0.0
         return self.stats.get("dram_cache_misses") / total
-
-    def read_in(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> int:
-        """Access the in-package DRAM, returning latency."""
-        return self._in_access(now, addr, num_bytes, category)
-
-    def read_off(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> int:
-        """Access the off-package DRAM, returning latency."""
-        return self._off_access(now, addr, num_bytes, category)
-
-    def background_in(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> None:
-        """In-package access whose latency is off the critical path."""
-        self._in_access(now, addr, num_bytes, category, background=True)
-
-    def background_off(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> None:
-        """Off-package access whose latency is off the critical path."""
-        self._off_access(now, addr, num_bytes, category, background=True)
 
     def traffic_summary(self) -> Dict[str, Dict[str, int]]:
         """Per-device traffic breakdown (bytes)."""

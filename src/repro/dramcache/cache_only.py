@@ -13,19 +13,27 @@ from repro.dramcache.base import DramCacheScheme
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.stats import TrafficCategory
 
+_HIT = TrafficCategory.HIT_DATA
+_WB = TrafficCategory.WRITEBACK
+
 
 class CacheOnly(DramCacheScheme):
     """Every LLC miss and writeback hits in an infinitely large in-package DRAM."""
 
     name = "cacheonly"
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        result = self._result
+        result.served_by = "in-package"
         if request.is_writeback:
-            self.background_in(now, request.addr, self.line_size, TrafficCategory.WRITEBACK)
-            return self._result_of(0, None, "in-package")
-        latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-        self.record_hit(True)
-        return self._result_of(latency, True, "in-package")
+            self._in_access(now, request.addr, self.line_size, _WB, background=True)
+            result.latency = 0
+            result.dram_cache_hit = None
+            return result
+        result.latency = self._in_access(now, request.addr, self.line_size, _HIT)
+        result.dram_cache_hit = True
+        self._count["dram_cache_hits"] += 1
+        return result
 
     def is_resident(self, page: int) -> bool:
         return True

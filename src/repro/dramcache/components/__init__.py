@@ -16,12 +16,13 @@ composition of a small number of recurring mechanisms:
   (:mod:`.coherence`).
 
 The components operate against a *port* — any object exposing the
-:class:`repro.dramcache.base.DramCacheScheme` traffic surface (``read_in``,
-``read_off``, ``background_in``, ``background_off``, ``line_size``,
+:class:`repro.dramcache.base.DramCacheScheme` traffic surface (the hoisted
+device-access methods ``_in_access``/``_off_access``, ``line_size``,
 ``stats``, ``in_dram``, ``off_dram``).  In practice the port is the scheme
 itself, so a scheme composes components by passing ``self`` at construction
-time.  Components bind the port's hoisted device-access methods once, so the
-composition adds no attribute-chain walking to the per-access hot path.
+time.  Components bind the port's device-access methods once, so the
+composition adds no attribute-chain walking to the per-access hot path;
+schemes call the same bound methods directly for single transfers.
 """
 
 from repro.dramcache.components.coherence import TagBufferCoherence

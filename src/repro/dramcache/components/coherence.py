@@ -5,8 +5,11 @@ therefore means updating PTEs and shooting down TLBs.  Doing that per
 replacement would be ruinous, so remaps accumulate in small per-memory-
 controller tag buffers and are applied in batches by a software routine
 (Sections 3.1–3.4).  :class:`TagBufferCoherence` packages that machinery —
-the buffers, the update batcher and the flush policy — behind four
-operations: ``lookup``, ``note_clean``, ``record_remap`` and ``flush``.
+the buffers, the update batcher and the flush policy — behind
+``record_remap``, ``flush`` and ``finalize``.  The per-access side reads
+the buffers directly: Banshee's ``access`` probes the owning controller's
+buffer inline and inserts the clean (remap=0) entries itself, since a
+clean insert never raises (a full set drops it).
 
 Schemes that keep their mapping in the PTEs (Banshee today; any future
 PTE-tracked variant) compose this instead of hand-wiring buffers, batcher
@@ -15,10 +18,10 @@ and thresholds.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.pte_extension import PteUpdateBatcher
-from repro.core.tag_buffer import TagBuffer, TagBufferEntry, TagBufferFullError
+from repro.core.tag_buffer import TagBuffer, TagBufferFullError
 from repro.dramcache.base import OsServices
 from repro.sim.stats import StatsSet
 
@@ -53,23 +56,6 @@ class TagBufferCoherence:
     def controller_of(self, page: int) -> int:
         """The memory controller (and therefore tag buffer) owning ``page``."""
         return page % len(self.tag_buffers)
-
-    # ------------------------------------------------------------------ lookups
-
-    def lookup(self, mc_id: int, page: int) -> Optional[TagBufferEntry]:
-        """The mapping entry controller ``mc_id`` holds for ``page``, if any."""
-        return self.tag_buffers[mc_id].lookup(page)
-
-    def note_clean(self, mc_id: int, page: int, cached: bool, way: int) -> None:
-        """Cache a clean (remap=0) mapping so later writebacks skip the tag probe.
-
-        Clean entries are droppable, so a full buffer silently skips the
-        insert instead of forcing a flush (Section 3.3).
-        """
-        try:
-            self.tag_buffers[mc_id].insert(page, cached, way, remap=False)
-        except TagBufferFullError:  # pragma: no cover - clean inserts never raise
-            pass
 
     # ------------------------------------------------------------------ remaps
 

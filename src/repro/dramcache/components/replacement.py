@@ -30,7 +30,7 @@ from repro.util.rng import DeterministicRng
 class AdaptiveSampler:
     """Miss-rate-proportional sampling of replacement-policy updates."""
 
-    __slots__ = ("miss_window", "coefficient", "always", "_chance")
+    __slots__ = ("miss_window", "coefficient", "always", "_random")
 
     def __init__(
         self,
@@ -42,22 +42,31 @@ class AdaptiveSampler:
         self.miss_window = miss_window
         self.coefficient = coefficient
         self.always = always
-        self._chance = rng.chance
-
-    def record(self, hit: bool) -> None:
-        """Feed one demand access into the miss-rate estimator."""
-        self.miss_window.record(hit)
+        self._random = rng.generator.random
 
     def should_update(self) -> bool:
         """Draw the sampling decision for the current access.
 
-        Always consumes exactly one RNG draw (even in the ``fbr-nosample``
-        ablation, where the rate is 1.0) so that ablation runs stay on the
-        same random sequence as the sampled policy.
+        The probability is the window's miss-rate estimate (the formula of
+        :attr:`MissRateWindow.rate`, computed in this frame because it runs
+        on every demand access) times the sampling coefficient.  Like
+        :meth:`DeterministicRng.chance`, a probability <= 0 or >= 1 decides
+        without an RNG draw, and so does the ``fbr-nosample`` ablation:
+        only a probability strictly between 0 and 1 consumes one draw.
         """
         if self.always:
-            return self._chance(1.0)
-        return self._chance(self.miss_window.rate * self.coefficient)
+            return True
+        window = self.miss_window
+        total = window._hits + window._misses
+        if total >= window.window // 4:
+            probability = 0.5 * (window._rate + window._misses / total) * self.coefficient
+        else:
+            probability = window._rate * self.coefficient
+        if probability <= 0.0:
+            return False
+        if probability >= 1.0:
+            return True
+        return self._random() < probability
 
 
 class SampledFrequencyPolicy:

@@ -37,25 +37,9 @@ class DirectMappedLineStore:
         self.tags: Dict[int, int] = {}
         self.dirty_frames: Set[int] = set()
 
-    def frame_of(self, line: int) -> int:
-        """Frame that ``line`` maps to."""
-        return line % self.num_frames
-
     def is_resident(self, line: int) -> bool:
         """True when ``line`` currently occupies its frame."""
         return self.tags.get(line % self.num_frames) == line
-
-    def hit(self, frame: int, line: int) -> bool:
-        """Residency check with the frame precomputed (the demand hot path)."""
-        return self.tags.get(frame) == line
-
-    def is_dirty(self, frame: int) -> bool:
-        """True when the line in ``frame`` has been modified."""
-        return frame in self.dirty_frames
-
-    def mark_dirty(self, frame: int) -> None:
-        """Record a write to the line resident in ``frame``."""
-        self.dirty_frames.add(frame)
 
     def install(self, frame: int, line: int, dirty: bool) -> Tuple[Optional[int], bool]:
         """Install ``line`` into ``frame``; returns ``(victim_line, victim_dirty)``.
@@ -88,7 +72,7 @@ class _StoredPage:
 class SetAssociativePageStore:
     """Set-associative page residency with a pluggable replacement policy."""
 
-    __slots__ = ("num_sets", "ways", "policy", "_sets", "_where", "_valid_scratch")
+    __slots__ = ("num_sets", "ways", "policy", "_sets", "locations", "_valid_scratch")
 
     def __init__(self, num_sets: int, ways: int, policy: ReplacementPolicy) -> None:
         if num_sets <= 0 or ways <= 0:
@@ -97,7 +81,8 @@ class SetAssociativePageStore:
         self.ways = ways
         self.policy = policy
         self._sets: List[List[Optional[_StoredPage]]] = [[None] * ways for _ in range(num_sets)]
-        self._where: Dict[int, Tuple[int, int]] = {}
+        #: page -> ``(set_index, way)`` of every resident page.
+        self.locations: Dict[int, Tuple[int, int]] = {}
         # Reused validity vector for victim_way (runs on every miss).
         self._valid_scratch: List[bool] = [False] * ways
 
@@ -105,17 +90,9 @@ class SetAssociativePageStore:
         """Set index that ``page`` maps to."""
         return page % self.num_sets
 
-    def lookup(self, page: int) -> Optional[Tuple[int, int]]:
-        """``(set_index, way)`` of ``page``, or ``None`` when absent."""
-        return self._where.get(page)
-
     def is_resident(self, page: int) -> bool:
         """True when ``page`` is currently cached."""
-        return page in self._where
-
-    def touch(self, set_index: int, way: int) -> None:
-        """Record a hit for the replacement policy."""
-        self.policy.on_access(set_index, way)
+        return page in self.locations
 
     def mark_dirty(self, set_index: int, way: int) -> None:
         """Record a write to the page in ``(set_index, way)``."""
@@ -136,7 +113,7 @@ class SetAssociativePageStore:
         entry = self._sets[set_index][way]
         if entry is not None:
             self._sets[set_index][way] = None
-            self._where.pop(entry.page, None)
+            self.locations.pop(entry.page, None)
         return entry
 
     def install(self, set_index: int, way: int, page: int, dirty: bool) -> _StoredPage:
@@ -147,7 +124,7 @@ class SetAssociativePageStore:
         entry = _StoredPage(page)  # repro: allow[hotpath-alloc]
         entry.dirty = dirty
         self._sets[set_index][way] = entry
-        self._where[page] = (set_index, way)  # repro: allow[hotpath-alloc]
+        self.locations[page] = (set_index, way)  # repro: allow[hotpath-alloc]
         self.policy.on_fill(set_index, way)
         return entry
 

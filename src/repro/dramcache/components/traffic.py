@@ -2,21 +2,20 @@
 
 Table 1 of the paper is, at heart, a catalogue of which DRAM accesses each
 scheme performs per hit, miss, fill and eviction.  These components express
-those accesses once, with the correct byte counts and
-:class:`~repro.sim.stats.TrafficCategory` labels, so schemes compose flows
-instead of re-implementing ``background_in``/``background_off`` sequences:
+the multi-transfer ones once, with the correct byte counts and
+:class:`~repro.sim.stats.TrafficCategory` labels:
 
-* :class:`TagProbe` — tag reads/updates for schemes that keep tags in the
-  in-package DRAM (Alloy's TAD layout, Unison's in-DRAM tags, Banshee's
-  writeback probe);
+* :class:`TagProbe` — data+tag reads for schemes that keep tags in the
+  in-package DRAM (Alloy's TAD layout, Unison's in-DRAM tags);
 * :class:`MetadataChannel` — the 32 B per-set metadata record that Banshee's
   frequency counters (and the LRU-ablation recency bits) live in;
-* :class:`TransferFlows` — fill, dirty-evict, writeback and migration data
-  movement between the two DRAM devices.
+* :class:`TransferFlows` — fill, dirty-evict and migration data movement
+  between the two DRAM devices.
 
-All latency-bearing accesses go through the port's hoisted device-access
-methods (bound once at construction), so composing these adds a single extra
-call per operation over the hand-inlined originals.
+A single transfer (an LLC writeback, a lone tag probe, a demand read) is
+issued by the scheme itself through its hoisted device-access methods, in
+the frame of its ``access``.  The components bind the same methods once at
+construction, so a flow costs one extra call over hand-inlined transfers.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class TagProbe:
         self.tag_bytes = tag_bytes
         self.line_size = port.line_size
         self._in_access = port._in_access
-
-    def probe(self, now: int, addr: int) -> None:
-        """One background tag read/update (32 B, off the critical path)."""
-        self._in_access(now, addr, self.tag_bytes, _TAG, background=True)
 
     def hit_read(self, now: int, addr: int, tag_accesses: int = 1) -> int:
         """Combined data+tag read on a hit; returns the critical-path latency.
@@ -112,10 +107,6 @@ class TransferFlows:
         self._off_access(now, addr, num_bytes, _REPL, background=True)
         self._in_access(now, addr, num_bytes, _REPL, background=True)
 
-    def fill_in_only(self, now: int, addr: int, num_bytes: int) -> None:
-        """Write ``num_bytes`` into the cache (data already fetched on demand)."""
-        self._in_access(now, addr, num_bytes, _REPL, background=True)
-
     def fill_metadata(self, now: int, addr: int, num_bytes: int = TAG_ACCESS_BYTES) -> None:
         """Tag/metadata update that accompanies a fill (replacement traffic)."""
         self._in_access(now, addr, num_bytes, _REPL, background=True)
@@ -126,16 +117,6 @@ class TransferFlows:
         """Read a dirty victim out of the cache and write it off-package."""
         self._in_access(now, addr, num_bytes, _REPL, background=True)
         self._off_access(now, addr, num_bytes, _WB, background=True)
-
-    # ------------------------------------------------------------------ LLC writebacks
-
-    def writeback_to_cache(self, now: int, addr: int) -> None:
-        """An LLC dirty eviction lands in the DRAM cache."""
-        self._in_access(now, addr, self.line_size, _WB, background=True)
-
-    def writeback_to_off(self, now: int, addr: int) -> None:
-        """An LLC dirty eviction bypasses the cache to off-package DRAM."""
-        self._off_access(now, addr, self.line_size, _WB, background=True)
 
     # ------------------------------------------------------------------ OS-driven migration
 

@@ -34,6 +34,9 @@ from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 from repro.util.units import cycles_from_ms, cycles_from_us
 
+_HIT = TrafficCategory.HIT_DATA
+_WB = TrafficCategory.WRITEBACK
+
 
 class HmaCache(DramCacheScheme):
     """Software-managed, interval-based hot-page migration."""
@@ -67,28 +70,39 @@ class HmaCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest) -> AccessResult:
         self.notify_cycle(now)
-        page = request.addr // self.page_size
+        addr = request.addr
+        page = addr // self.page_size
+        result = self._result
         if request.is_writeback:
+            result.latency = 0
             if self.store.is_resident(page):
                 self.store.mark_dirty(page)
-                self.flows.writeback_to_cache(now, request.addr)
-                return self._result_of(0, True, "in-package")
-            self.flows.writeback_to_off(now, request.addr)
-            return self._result_of(0, False, "off-package")
+                self._in_access(now, addr, self.line_size, _WB, background=True)
+                result.dram_cache_hit = True
+                result.served_by = "in-package"
+            else:
+                self._off_access(now, addr, self.line_size, _WB, background=True)
+                result.dram_cache_hit = False
+                result.served_by = "off-package"
+            return result
 
         self._epoch_counts[page] += 1
         if self.store.is_resident(page):
-            latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+            result.latency = self._in_access(now, addr, self.line_size, _HIT)
             if request.is_write:
                 self.store.mark_dirty(page)
-            self.record_hit(True)
-            return self._result_of(latency, True, "in-package")
+            self._count["dram_cache_hits"] += 1
+            result.dram_cache_hit = True
+            result.served_by = "in-package"
+            return result
 
-        latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-        self.record_hit(False)
-        return self._result_of(latency, False, "off-package")
+        result.latency = self._off_access(now, addr, self.line_size, _HIT)
+        self._count["dram_cache_misses"] += 1
+        result.dram_cache_hit = False
+        result.served_by = "off-package"
+        return result
 
     # ------------------------------------------------------------------ periodic remap
 

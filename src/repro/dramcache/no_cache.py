@@ -9,16 +9,24 @@ from repro.dramcache.base import DramCacheScheme
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.stats import TrafficCategory
 
+_HIT = TrafficCategory.HIT_DATA
+_WB = TrafficCategory.WRITEBACK
+
 
 class NoCache(DramCacheScheme):
     """Every LLC miss and writeback is served by off-package DRAM."""
 
     name = "nocache"
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        result = self._result
+        result.served_by = "off-package"
         if request.is_writeback:
-            self.background_off(now, request.addr, self.line_size, TrafficCategory.WRITEBACK)
-            return self._result_of(0, None, "off-package")
-        latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-        self.record_hit(False)
-        return self._result_of(latency, False, "off-package")
+            self._off_access(now, request.addr, self.line_size, _WB, background=True)
+            result.latency = 0
+            result.dram_cache_hit = None
+            return result
+        result.latency = self._off_access(now, request.addr, self.line_size, _HIT)
+        result.dram_cache_hit = False
+        self._count["dram_cache_misses"] += 1
+        return result

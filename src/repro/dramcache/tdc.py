@@ -33,6 +33,10 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_HIT = TrafficCategory.HIT_DATA
+_MISS = TrafficCategory.MISS_DATA
+_WB = TrafficCategory.WRITEBACK
+
 
 class TaglessDramCache(DramCacheScheme):
     """Fully-associative, FIFO, PTE/TLB-mapped page-granularity DRAM cache."""
@@ -65,25 +69,44 @@ class TaglessDramCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        page = request.addr // self.page_size
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        addr = request.addr
+        page = addr // self.page_size
+        result = self._result
         if request.is_writeback:
-            return self._writeback(now, request, page)
+            # The mapping is known from the PTE/TLB extension, so no tag probe.
+            result.latency = 0
+            if self.store.is_resident(page):
+                self.store.mark_dirty(page)
+                self._in_access(now, addr, self.line_size, _WB, background=True)
+                self.footprint.on_access(page, addr)
+                result.dram_cache_hit = True
+                result.served_by = "in-package"
+            else:
+                self._off_access(now, addr, self.line_size, _WB, background=True)
+                result.dram_cache_hit = False
+                result.served_by = "off-package"
+            return result
 
         if self.store.is_resident(page):
-            latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+            result.latency = self._in_access(now, addr, self.line_size, _HIT)
             if request.is_write:
                 self.store.mark_dirty(page)
-            self.footprint.on_access(page, request.addr)
-            self.record_hit(True)
-            return self._result_of(latency, True, "in-package")
+            self.footprint.on_access(page, addr)
+            self._count["dram_cache_hits"] += 1
+            result.dram_cache_hit = True
+            result.served_by = "in-package"
+            return result
 
         # Miss: the mapping was already known from the TLB, so the demand line
         # comes straight from off-package DRAM with no DRAM-cache probe.
-        latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.MISS_DATA)
-        self.record_hit(False)
+        latency = self._off_access(now, addr, self.line_size, _MISS)
+        self._count["dram_cache_misses"] += 1
         self._fill(now + latency, request, page)
-        return self._result_of(latency, False, "off-package")
+        result.latency = latency
+        result.dram_cache_hit = False
+        result.served_by = "off-package"
+        return result
 
     def _fill(self, now: int, request: MemRequest, page: int) -> None:
         """Replacement on every miss with FIFO eviction."""
@@ -93,24 +116,14 @@ class TaglessDramCache(DramCacheScheme):
             if victim_dirty:
                 dirty_bytes = self.footprint.writeback_bytes(victim_page)
                 self.flows.evict_dirty_to_off(now, victim_page * self.page_size, dirty_bytes)
-                self.stats.inc("dirty_page_evictions")
+                self._count["dirty_page_evictions"] += 1
             self.footprint.on_evict(victim_page)
-            self.stats.inc("page_evictions")
+            self._count["page_evictions"] += 1
 
         self.store.insert(page, request.is_write)
         self.footprint.on_fill(page)
         self.footprint.on_access(page, request.addr)
         fill_bytes = self.footprint.predicted_fill_bytes()
         self.flows.fill_from_off(now, page * self.page_size, fill_bytes)
-        self.stats.inc("page_fills")
-        self.stats.inc("fill_bytes", fill_bytes)
-
-    def _writeback(self, now: int, request: MemRequest, page: int) -> AccessResult:
-        # The mapping is known from the PTE/TLB extension, so no tag probe.
-        if self.store.is_resident(page):
-            self.store.mark_dirty(page)
-            self.flows.writeback_to_cache(now, request.addr)
-            self.footprint.on_access(page, request.addr)
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, request.addr)
-        return self._result_of(0, False, "off-package")
+        self._count["page_fills"] += 1
+        self._count["fill_bytes"] += fill_bytes

@@ -18,9 +18,12 @@ roughly 2x latency.
 
 Mechanically the scheme is a composition of a
 :class:`~repro.dramcache.components.stores.SetAssociativePageStore` (residency
-+ LRU), a :class:`~repro.dramcache.components.traffic.TagProbe` (in-DRAM tag
-reads/updates) and :class:`~repro.dramcache.components.traffic.TransferFlows`
-(footprint-sized fills and dirty-page evictions).
++ LRU), a :class:`~repro.dramcache.components.traffic.TagProbe` (in-DRAM
+data+tag reads) and :class:`~repro.dramcache.components.traffic.TransferFlows`
+(footprint-sized fills and dirty-page evictions).  Hits, misses and
+writebacks run in ``access``'s one frame, which finds the page in the store's
+location dict and records hits with the LRU policy directly; a miss calls
+``_replace`` for the victim search, the install and the footprint fill.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional
 
 from repro.cache.replacement import LruPolicy
 from repro.dram.device import DramDevice
-from repro.dramcache.base import DramCacheScheme, OsServices
+from repro.dramcache.base import TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.stores import SetAssociativePageStore
 from repro.dramcache.components.traffic import TagProbe, TransferFlows
 from repro.dramcache.footprint import FootprintPredictor
@@ -37,6 +40,10 @@ from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
+
+_MISS = TrafficCategory.MISS_DATA
+_TAG = TrafficCategory.TAG
+_WB = TrafficCategory.WRITEBACK
 
 
 class UnisonCache(DramCacheScheme):
@@ -59,6 +66,10 @@ class UnisonCache(DramCacheScheme):
         self.store = SetAssociativePageStore(
             self.num_sets, self.ways, LruPolicy(self.num_sets, self.ways)
         )
+        # ``access`` finds a page in the store's location dict and records a
+        # hit with the LRU policy directly, in its own frame.
+        self._locations = self.store.locations
+        self._lru_access = self.store.policy.on_access
         self.probe = TagProbe(self)
         self.flows = TransferFlows(self)
         self.footprint = FootprintPredictor(
@@ -72,35 +83,50 @@ class UnisonCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        page = request.addr // self.page_size
+    def access(self, now: int, request: MemRequest) -> AccessResult:
+        addr = request.addr
+        page = addr // self.page_size
+        location = self._locations.get(page)
+        result = self._result
         if request.is_writeback:
-            return self._writeback(now, request, page)
+            # Writebacks must probe the in-DRAM tags to find the page.
+            self._in_access(now, addr, TAG_ACCESS_BYTES, _TAG, background=True)
+            result.latency = 0
+            if location is not None:
+                set_index, way = location
+                self.store.mark_dirty(set_index, way)
+                self._in_access(now, addr, self.line_size, _WB, background=True)
+                self.footprint.on_access(page, addr)
+                result.dram_cache_hit = True
+                result.served_by = "in-package"
+            else:
+                self._off_access(now, addr, self.line_size, _WB, background=True)
+                result.dram_cache_hit = False
+                result.served_by = "off-package"
+            return result
 
-        location = self.store.lookup(page)
         if location is not None:
-            return self._hit(now, request, page, location)
-        return self._miss(now, request, page)
+            set_index, way = location
+            # Data + tag read in one access (perfect way prediction), LRU update write.
+            result.latency = self.probe.hit_read(now, addr, 2)
+            self._lru_access(set_index, way)
+            if request.is_write:
+                self.store.mark_dirty(set_index, way)
+            self.footprint.on_access(page, addr)
+            self._count["dram_cache_hits"] += 1
+            result.dram_cache_hit = True
+            result.served_by = "in-package"
+            return result
 
-    def _hit(self, now: int, request: MemRequest, page: int, location: tuple) -> AccessResult:
-        set_index, way = location
-        # Data + tag read in one access (perfect way prediction), LRU update write.
-        latency = self.probe.hit_read(now, request.addr, tag_accesses=2)
-        self.store.touch(set_index, way)
-        if request.is_write:
-            self.store.mark_dirty(set_index, way)
-        self.footprint.on_access(page, request.addr)
-        self.record_hit(True)
-        return self._result_of(latency, True, "in-package")
-
-    def _miss(self, now: int, request: MemRequest, page: int) -> AccessResult:
         # Speculative tag + data read in the DRAM cache, then the real fetch.
-        spec_latency = self.probe.speculative_read(now, request.addr)
-        off_latency = self.read_off(now + spec_latency, request.addr, self.line_size, TrafficCategory.MISS_DATA)
-        latency = spec_latency + off_latency
-        self.record_hit(False)
+        spec_latency = self.probe.speculative_read(now, addr)
+        latency = spec_latency + self._off_access(now + spec_latency, addr, self.line_size, _MISS)
+        self._count["dram_cache_misses"] += 1
         self._replace(now + latency, request, page)
-        return self._result_of(latency, False, "off-package")
+        result.latency = latency
+        result.dram_cache_hit = False
+        result.served_by = "off-package"
+        return result
 
     def _replace(self, now: int, request: MemRequest, page: int) -> None:
         """Replacement happens on every miss (Table 1)."""
@@ -120,26 +146,13 @@ class UnisonCache(DramCacheScheme):
         page_addr = page * self.page_size
         self.flows.fill_from_off(now, page_addr, fill_bytes)
         self.flows.fill_metadata(now, page_addr)
-        self.stats.inc("page_fills")
-        self.stats.inc("fill_bytes", fill_bytes)
+        self._count["page_fills"] += 1
+        self._count["fill_bytes"] += fill_bytes
 
     def _evict(self, now: int, victim_page: int, victim_dirty: bool) -> None:
         if victim_dirty:
             dirty_bytes = self.footprint.writeback_bytes(victim_page)
             self.flows.evict_dirty_to_off(now, victim_page * self.page_size, dirty_bytes)
-            self.stats.inc("dirty_page_evictions")
+            self._count["dirty_page_evictions"] += 1
         self.footprint.on_evict(victim_page)
-        self.stats.inc("page_evictions")
-
-    def _writeback(self, now: int, request: MemRequest, page: int) -> AccessResult:
-        # Writebacks must probe the in-DRAM tags to find the page.
-        self.probe.probe(now, request.addr)
-        location = self.store.lookup(page)
-        if location is not None:
-            set_index, way = location
-            self.store.mark_dirty(set_index, way)
-            self.flows.writeback_to_cache(now, request.addr)
-            self.footprint.on_access(page, request.addr)
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, request.addr)
-        return self._result_of(0, False, "off-package")
+        self._count["page_evictions"] += 1

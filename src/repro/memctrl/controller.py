@@ -1,10 +1,11 @@
 """Memory-controller routing.
 
 Physical addresses are statically mapped to memory controllers at page
-granularity (Section 2).  The set of controllers shares one DRAM-cache
-scheme object; schemes that keep per-controller hardware (Banshee's tag
-buffers) index their internal structures with the controller id returned by
-:meth:`MemoryControllerSet.controller_for`.
+granularity (Section 2): page ``addr // page_size`` belongs to controller
+``page % num_mem_controllers``.  The set of controllers shares one
+DRAM-cache scheme object, so routing a request is handing it to the scheme;
+a scheme that keeps per-controller hardware (Banshee's tag buffers) computes
+the owning controller itself from the request's page.
 """
 
 from __future__ import annotations
@@ -28,17 +29,7 @@ class MemoryControllerSet:
         # Bound method hoisted once: ``access`` runs for every LLC miss and
         # writeback, and the extra attribute hop is measurable at trace scale.
         self._scheme_access = scheme.access
-        self.requests = 0
-        self.writebacks = 0
-
-    def controller_for(self, addr: int, page_size: int) -> int:
-        """Memory controller owning ``addr`` (static page-granularity mapping)."""
-        return (addr // page_size) % self.num_controllers
 
     def access(self, now: int, request: MemRequest) -> AccessResult:
-        """Route one request to the DRAM-cache scheme."""
-        self.requests += 1
-        if request.is_writeback:
-            self.writebacks += 1
-        mc_id = self.controller_for(request.addr, request.page_size)
-        return self._scheme_access(now, request, mc_id)
+        """Hand one LLC miss or writeback to the DRAM-cache scheme."""
+        return self._scheme_access(now, request)

@@ -44,35 +44,37 @@ class StatsSet:
 
     def __init__(self, name: str = "stats") -> None:
         self.name = name
-        self._counters: Dict[str, float] = defaultdict(float)
+        #: The counters themselves.  Schemes bump per-access counters here
+        #: directly (``counters[key] += 1``) instead of through :meth:`inc`.
+        self.counters: Dict[str, float] = defaultdict(float)
 
     def inc(self, key: str, amount: float = 1) -> None:
         """Increment counter ``key`` by ``amount``."""
-        self._counters[key] += amount
+        self.counters[key] += amount
 
     def get(self, key: str) -> float:
         """Read counter ``key`` (0 if never incremented)."""
-        return self._counters.get(key, 0)
+        return self.counters.get(key, 0)
 
     def set(self, key: str, value: float) -> None:
         """Set counter ``key`` to ``value``."""
-        self._counters[key] = value
+        self.counters[key] = value
 
     def keys(self) -> Iterable[str]:
         """All counter names recorded so far."""
-        return self._counters.keys()
+        return self.counters.keys()
 
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of all counters."""
-        return dict(self._counters)
+        return dict(self.counters)
 
     def merge(self, other: "StatsSet") -> None:
         """Add all counters from ``other`` into this set."""
         for key, value in other.as_dict().items():
-            self._counters[key] += value
+            self.counters[key] += value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"StatsSet({self.name!r}, {dict(self._counters)!r})"
+        return f"StatsSet({self.name!r}, {dict(self.counters)!r})"
 
 
 class TrafficStats:

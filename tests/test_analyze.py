@@ -71,6 +71,44 @@ def test_hotpath_alloc_follows_call_graph(tmp_path):
     assert "dict display" in findings[0].message
 
 
+PROPERTY_FIXTURE = """
+    from typing import List
+
+    class Window:
+        def __init__(self):
+            self.samples = 0
+
+        @property
+        def history(self):
+            return [self.samples]
+
+    class Sampler:
+        def __init__(self, window: Window, windows: List[Window]):
+            self.window = window
+            self.windows: List[Window] = list(windows)
+
+        def draw(self):  # repro: hotpath
+            {read}
+    """
+
+
+@pytest.mark.parametrize(
+    "read",
+    ["return self.window.{attr}", "for window in self.windows:\n                total = window.{attr}"],
+    ids=["typed-attribute", "loop-over-typed-list"],
+)
+def test_hotpath_alloc_follows_property_reads(tmp_path, read):
+    """Reading a ``@property`` runs its getter; reading a plain attribute runs nothing."""
+    def findings_for(attr):
+        source = PROPERTY_FIXTURE.replace("{read}", read.replace("{attr}", attr))
+        return analyze(tmp_path, source, rules=["hotpath-alloc"])
+
+    flagged = findings_for("history")
+    assert [f.symbol for f in flagged] == ["fixture.Window.history"]
+    assert "list display" in flagged[0].message
+    assert findings_for("samples") == []
+
+
 def test_hotpath_alloc_marker_scopes_to_loop_body(tmp_path):
     findings = analyze(
         tmp_path,

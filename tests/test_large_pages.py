@@ -56,5 +56,5 @@ def test_banshee_routes_large_requests_to_large_partition():
     large_partition = scheme.partition_for(64 * 1024)
     assert large_partition.page_size == 64 * 1024
     request = MemRequest(addr=0, is_write=False, core_id=0, mapping=MappingInfo(), page_size=64 * 1024)
-    result = scheme.access(0, request, 0)
+    result = scheme.access(0, request)
     assert result.dram_cache_hit is False

@@ -37,7 +37,10 @@ def test_tag_buffer_remap_entries_never_lost(operations):
         try:
             buffer.insert(page, cached, 0, remap)
         except TagBufferFullError:
+            assert buffer.remap_count == len(buffer.remap_entries())
             continue
+        # The running count must match a full scan after every operation.
+        assert buffer.remap_count == len(buffer.remap_entries())
         if remap:
             expected_remaps[page] = cached
         elif page in expected_remaps:
@@ -47,6 +50,8 @@ def test_tag_buffer_remap_entries_never_lost(operations):
     recorded = {page: cached for page, cached, _way in buffer.remap_entries()}
     assert recorded == expected_remaps
     assert buffer.occupancy <= buffer.num_entries
+    buffer.clear_remap_bits()
+    assert buffer.remap_count == len(buffer.remap_entries()) == 0
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memctrl.controller import MemoryControllerSet
+from repro.memctrl.request import MappingInfo, MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.system import System
@@ -121,12 +122,21 @@ def test_dram_cache_schemes_reduce_off_package_traffic_vs_nocache():
 
 
 def test_memory_controller_routing_is_page_granular():
-    config = SystemConfig.tiny()
+    """A request reaches the tag buffer of the controller owning its page."""
+    config = SystemConfig.tiny(scheme="banshee")
     system = System(config, get_workload("gcc", config.num_cores, scale=0.05))
     controllers = system.controllers
     assert isinstance(controllers, MemoryControllerSet)
-    assert controllers.controller_for(0, 4096) == controllers.controller_for(4095, 4096)
-    assert controllers.controller_for(0, 4096) != controllers.controller_for(4096, 4096)
+    buffers = system.scheme.tag_buffers
+    assert len(buffers) == config.num_mem_controllers > 1
+
+    def probed(addr):
+        before = [buffer.lookups for buffer in buffers]
+        controllers.access(0, MemRequest(addr=addr, is_write=False, core_id=0, mapping=MappingInfo()))
+        return [index for index, buffer in enumerate(buffers) if buffer.lookups != before[index]]
+
+    assert probed(0) == probed(4095) == [0]
+    assert probed(4096) == [1]
 
 
 def test_engine_validates_arguments():

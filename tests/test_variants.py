@@ -267,14 +267,14 @@ def test_every_scheme_and_variant_runs_in_isolation(name):
         page = (i * 7) % 23
         addr = page * 4096 + (i % 64) * 64
         request = MemRequest(addr=addr, is_write=(i % 5 == 0), core_id=i % 2)
-        result = scheme.access(now, request, mc_id=page % 2)
+        result = scheme.access(now, request)
         assert result.latency >= 0
         assert result.served_by in ("in-package", "off-package")
         now += 10 + result.latency
     for i in range(40):
         addr = ((i * 3) % 23) * 4096
         wb = MemRequest(addr=addr, is_write=True, core_id=0, is_writeback=True)
-        result = scheme.access(now, wb, mc_id=0)
+        result = scheme.access(now, wb)
         assert result.latency == 0
         now += 10
 
