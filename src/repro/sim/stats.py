@@ -143,6 +143,8 @@ class MissRateWindow:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
+        # ``AdaptiveSampler.should_update`` evaluates :attr:`rate`'s formula
+        # from these three fields in its own frame; change both together.
         self._hits = 0
         self._misses = 0
         self._rate = float(initial_rate)
