@@ -124,6 +124,15 @@ class CodeIndex:
                 return info
         return None
 
+    def declared_attrs(self, info: ClassInfo, depth: int = 0) -> Set[str]:
+        """Attributes ``info`` or an analyzed base declares (``__init__``, class body, ``__slots__``)."""
+        declared = info.init_attrs | info.class_attrs | (info.slots or set())
+        if depth < 4:
+            for base_name in info.base_names:
+                for base in self.classes_by_name.get(base_name, []):
+                    declared |= self.declared_attrs(base, depth + 1)
+        return declared
+
     def subclasses_of(self, info: ClassInfo) -> List[ClassInfo]:
         """Analyzed classes whose (transitive) syntactic bases include ``info``."""
         if self._subclasses is None:
@@ -432,9 +441,13 @@ class CallResolver:
         hot_targets = [t for t in targets if not _matches_cold(self.cold_calls, t)]
         return hot_targets, constructed
 
+    def type_of(self, func: FunctionInfo, expr: ast.AST) -> Optional[InferredType]:
+        """Inferred type of ``expr`` where it appears in ``func``, if any."""
+        return self._infer_expr(expr, self._local_env(func), func)
+
     def resolve_property(self, func: FunctionInfo, node: ast.Attribute) -> List[FunctionInfo]:
         """The ``@property`` getter an attribute read runs, on a typed receiver."""
-        receiver = self._infer_expr(node.value, self._local_env(func), func)
+        receiver = self.type_of(func, node.value)
         if not isinstance(receiver, ClassInfo):
             return []
         getter = self._lookup_method(receiver, node.attr)

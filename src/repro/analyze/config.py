@@ -49,7 +49,6 @@ class AnalyzerConfig:
         "repro.cache.hierarchy.HierarchyAccess",
         "repro.cache.sram_cache.Eviction",
         "repro.cache.sram_cache.CacheAccessResult",
-        "repro.dram.channel.ChannelAccess",
         "repro.dram.device.DramAccessResult",
     )
 

@@ -10,7 +10,12 @@ trace record must not:
 * create closures (``lambda``, nested ``def``) — ``hotpath-alloc``;
 * format strings (f-strings, ``%``, ``str.format``) — ``hotpath-alloc``;
 * pack ``*args``/``**kwargs`` at call sites — ``hotpath-alloc``;
-* create attributes outside ``__init__`` — ``hotpath-attr``.
+* store an attribute that the receiver's class does not declare —
+  ``hotpath-attr``.  A declaration is an assignment in ``__init__``, a
+  class-body name or a ``__slots__`` entry, of the class or an analyzed
+  base.  Every receiver the call graph can type is checked: ``self``,
+  annotated parameters, locals bound from typed attributes, elements of
+  typed lists and ``for`` targets over them.
 
 Error paths are exempt: an allocation whose nearest statement is ``raise``
 only runs when the simulation is already failing loudly.
@@ -25,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analyze.callgraph import HotSpan, build_index, hot_graph
+from repro.analyze.callgraph import CallResolver, ClassInfo, HotSpan, build_index, hot_graph
 from repro.analyze.core import AnalysisContext, Finding, register_rule
 
 _ALLOCATING_BUILTINS = frozenset(
@@ -164,41 +169,35 @@ def check_hotpath_alloc(context: AnalysisContext) -> List[Finding]:
 
 @register_rule(
     "hotpath-attr",
-    "hot-path methods must not create attributes outside __init__",
+    "hot-path stores must target attributes declared by the receiver's class",
 )
 def check_hotpath_attr(context: AnalysisContext) -> List[Finding]:
     graph = hot_graph(context)
     index = build_index(context)
+    resolver = CallResolver(index, context.config.hotpath_cold_calls)
     findings: List[Finding] = []
     for span in graph.spans:
         func = span.function
-        if not func.class_name or func.name == "__init__":
-            continue
-        owner = index.classes.get(f"{func.module.name}.{func.class_name}")
-        if owner is None:
-            continue
-        known = owner.init_attrs | owner.class_attrs | (owner.slots or set())
         for node in span.walk_region():
             if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 continue
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr not in known
-                ):
-                    findings.append(
-                        func.module.finding(
-                            "hotpath-attr",
-                            node,
-                            f"creates attribute self.{target.attr} outside __init__ "
-                            f"(forces dict-backed instances and hides state from "
-                            f"__init__ readers)",
-                            symbol=func.qualname,
-                        )
+                if not isinstance(target, ast.Attribute):
+                    continue
+                owner = resolver.type_of(func, target.value)
+                if not isinstance(owner, ClassInfo) or target.attr in index.declared_attrs(owner):
+                    continue
+                findings.append(
+                    func.module.finding(
+                        "hotpath-attr",
+                        node,
+                        f"creates attribute {ast.unparse(target.value)}.{target.attr} "
+                        f"outside {owner.name}.__init__ (forces dict-backed instances "
+                        f"and hides state from __init__ readers)",
+                        symbol=func.qualname,
                     )
+                )
     return findings
 
 

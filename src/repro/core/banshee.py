@@ -42,6 +42,7 @@ from repro.cache.replacement import LruPolicy
 from repro.core.bandwidth_balancer import BandwidthBalancer
 from repro.core.frequency import INVALID_PAGE, FrequencySetMetadata
 from repro.core.large_pages import PartitionPlan, plan_partitions
+from repro.core.tag_buffer import TagBuffer
 from repro.dram.device import DramDevice
 from repro.dramcache.base import TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.coherence import TagBufferCoherence
@@ -154,7 +155,7 @@ class BansheeCache(DramCacheScheme):
             os_services=self.os,
             stats=self.stats,
         )
-        self.tag_buffers = self.coherence.tag_buffers
+        self.tag_buffers: List[TagBuffer] = self.coherence.tag_buffers
         self.pte_updater = self.coherence.pte_updater
         self.metadata_channel = MetadataChannel(self)
         self.flows = TransferFlows(self)

@@ -5,6 +5,11 @@ and the off-package DRAM (backing memory).  Addresses are interleaved across
 the device's channels at page granularity, matching the paper's assumption
 that physical addresses map to memory controllers statically at page
 granularity.
+
+Every transfer is one :meth:`DramDevice.access_latency` call, and that call
+is one Python frame: it runs the channel timing model of
+:mod:`repro.dram.channel` over the owning :class:`DramChannel`'s fields and
+records the traffic itself.
 """
 
 from __future__ import annotations
@@ -42,9 +47,15 @@ class DramDevice:
             latency_scale=config.latency_scale,
             bandwidth_scale=config.bandwidth_scale,
         )
-        self.channels: List[DramChannel] = [DramChannel(i, self.timing) for i in range(config.num_channels)]
+        self.channels: List[DramChannel] = [DramChannel(i) for i in range(config.num_channels)]
         self._num_channels = config.num_channels
         self.traffic = TrafficStats(config.name)
+        # Read on every access without a call: the timing's transfer memo
+        # (filled by ``DramTiming.transfer_cycles`` on a miss) and the two
+        # device latencies.
+        self._transfer_memo = self.timing.transfer_memo
+        self._row_hit_cycles = self.timing.row_hit_latency_cycles
+        self._row_miss_cycles = self.timing.row_miss_latency_cycles
 
     @property
     def name(self) -> str:
@@ -72,23 +83,71 @@ class DramDevice:
     def access_latency(
         self, now: int, addr: int, num_bytes: int, category: TrafficCategory, background: bool = False
     ) -> int:
-        """Perform one access of ``num_bytes`` at ``addr``; return its latency.
+        """Perform one transfer of ``num_bytes`` at ``addr``; return its latency.
 
-        The only per-access entry point: the DRAM-cache schemes drive it for
-        every LLC miss and writeback.  It validates the byte count before it
-        changes any state, runs the owning channel's timing model, then
-        records the traffic inline (the work of :meth:`TrafficStats.record`
-        without its call and repeated check).
+        The only per-transfer entry point: the DRAM-cache schemes drive it for
+        every LLC miss and writeback.  It rejects a negative byte count or
+        time before it changes any state, then runs the owning channel's
+        timing model and records the traffic, calling nothing unless
+        ``num_bytes`` misses the transfer memo.
+
+        Args:
+            now: current CPU cycle at the requesting core.
+            addr: physical address; picks the channel and the 8 KB row.
+            num_bytes: payload size; channel occupancy is proportional to it.
+            category: traffic category the bytes are counted under.
+            background: True for fills/replacement/writeback traffic that is
+                not on any core's critical path.
         """
         if num_bytes < 0:
             raise ValueError(f"traffic bytes must be non-negative, got {num_bytes}")
-        latency = self.channels[(addr // self.page_size) % self._num_channels].access_latency(
-            now, num_bytes, addr // 8192, background
-        )
-        traffic = self.traffic
-        traffic._bytes[category] += num_bytes
-        traffic._accesses += 1
-        return latency
+        if now < 0:
+            raise ValueError("time must be non-negative")
+        channel = self.channels[(addr // self.page_size) % self._num_channels]
+        try:
+            transfer = self._transfer_memo[num_bytes]
+        except KeyError:
+            transfer = self.timing.transfer_cycles(num_bytes)
+        row = addr // 8192
+        if row == channel._last_row:
+            device_latency = self._row_hit_cycles
+        else:
+            device_latency = self._row_miss_cycles
+            channel._last_row = row
+        self.traffic._bytes[category] += num_bytes
+
+        # Idle time before ``now`` drains buffered background work first.
+        busy_until = channel.busy_until
+        backlog = channel._background_backlog
+        if backlog > 0 and busy_until < now:
+            drained = now - busy_until
+            if drained > backlog:
+                drained = backlog
+            busy_until += drained
+            backlog -= drained
+        channel.total_busy_cycles += transfer
+
+        if background:
+            backlog += transfer
+            overflow = backlog - channel.background_buffer_cycles
+            if overflow > 0:
+                # The fill/writeback buffers are full: the excess applies
+                # back-pressure and delays demand traffic like any transfer.
+                if busy_until < now:
+                    busy_until = now
+                busy_until += overflow
+                backlog = channel.background_buffer_cycles
+            channel.busy_until = busy_until
+            channel._background_backlog = backlog
+            channel.last_queue_delay = 0
+            return device_latency + transfer
+
+        channel._background_backlog = backlog
+        start = busy_until if busy_until > now else now
+        queue_delay = start - now
+        channel.last_queue_delay = queue_delay
+        channel.busy_until = start + transfer
+        return queue_delay + device_latency + transfer
 
     def record_only(self, num_bytes: int, category: TrafficCategory) -> None:
         """Record traffic without a timing effect (used for bulk background moves)."""
@@ -99,9 +158,3 @@ class DramDevice:
         if not self.channels:
             return 0.0
         return sum(channel.utilization(elapsed_cycles) for channel in self.channels) / len(self.channels)
-
-    def reset(self) -> None:
-        """Reset dynamic channel state and traffic counters."""
-        for channel in self.channels:
-            channel.reset()
-        self.traffic = TrafficStats(self.config.name)

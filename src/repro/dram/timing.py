@@ -53,7 +53,8 @@ class DramTiming:
         self._row_hit_cycles = max(1, int(round(self._row_hit_latency)))
         # Transfer-cycle memo: only a handful of distinct payload sizes occur
         # (line, line+tag, page, metadata), so cache the rounding result.
-        # Channels read it directly and call ``transfer_cycles`` on a miss.
+        # ``DramDevice.access_latency`` reads it directly and calls
+        # ``transfer_cycles`` on a miss.
         self.transfer_memo: Dict[int, int] = {}
 
     @property

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 
 class TrafficCategory(Enum):
@@ -68,11 +68,6 @@ class StatsSet:
         """Snapshot of all counters."""
         return dict(self.counters)
 
-    def merge(self, other: "StatsSet") -> None:
-        """Add all counters from ``other`` into this set."""
-        for key, value in other.as_dict().items():
-            self.counters[key] += value
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StatsSet({self.name!r}, {dict(self.counters)!r})"
 
@@ -81,21 +76,19 @@ class TrafficStats:
     """Bytes moved on one DRAM device, by traffic category.
 
     ``DramDevice.access_latency`` validates its byte count itself and then
-    bumps ``_bytes``/``_accesses`` inline; :meth:`record` is the checked
-    entry for every other caller.
+    bumps ``_bytes`` inline; :meth:`record` is the checked entry for every
+    other caller.
     """
 
     def __init__(self, device_name: str) -> None:
         self.device_name = device_name
         self._bytes: Dict[TrafficCategory, int] = {category: 0 for category in TrafficCategory}
-        self._accesses: int = 0
 
     def record(self, category: TrafficCategory, num_bytes: int) -> None:
         """Record ``num_bytes`` of traffic in ``category``."""
         if num_bytes < 0:
             raise ValueError(f"traffic bytes must be non-negative, got {num_bytes}")
         self._bytes[category] += num_bytes
-        self._accesses += 1
 
     def bytes_for(self, category: TrafficCategory) -> int:
         """Total bytes recorded in ``category``."""
@@ -106,11 +99,6 @@ class TrafficStats:
         """Total bytes across all categories."""
         return sum(self._bytes.values())
 
-    @property
-    def total_accesses(self) -> int:
-        """Number of individual DRAM accesses recorded."""
-        return self._accesses
-
     def breakdown(self) -> Dict[str, int]:
         """Per-category byte totals keyed by the paper's category labels."""
         return {category.value: count for category, count in self._bytes.items()}
@@ -120,12 +108,6 @@ class TrafficStats:
         if instructions <= 0:
             return {category.value: 0.0 for category in TrafficCategory}
         return {category.value: count / instructions for category, count in self._bytes.items()}
-
-    def merge(self, other: "TrafficStats") -> None:
-        """Accumulate another device's traffic into this one."""
-        for category in TrafficCategory:
-            self._bytes[category] += other._bytes[category]
-        self._accesses += other._accesses
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TrafficStats({self.device_name!r}, total={self.total_bytes})"
@@ -171,10 +153,3 @@ class MissRateWindow:
             return 0.5 * (self._rate + current)
         return self._rate
 
-
-def merge_traffic(stats: Mapping[str, TrafficStats]) -> TrafficStats:
-    """Merge a mapping of traffic stats into a single aggregate."""
-    merged = TrafficStats("aggregate")
-    for traffic in stats.values():
-        merged.merge(traffic)
-    return merged

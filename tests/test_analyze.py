@@ -201,6 +201,63 @@ def test_hotpath_attr_clean_when_attributes_predeclared(tmp_path):
     assert findings == []
 
 
+TYPED_STORE_FIXTURE = """
+    from typing import List
+
+    class Counter:
+        def __init__(self):
+            self.count = 0
+
+    class Channel:
+        def __init__(self):
+            self.busy_until = 0
+
+    class Traffic(Counter):
+        def __init__(self):
+            super().__init__()
+            self.total = 0
+
+    class Device:
+        def __init__(self, traffic: Traffic):
+            self.channels: List[Channel] = [Channel() for _ in range(2)]
+            self.traffic = traffic
+
+        def access(self, addr, spare: Channel):  # repro: hotpath
+            {store}
+    """
+
+
+@pytest.mark.parametrize(
+    "store, declared, misspelled",
+    [
+        ("self.channels[addr % 2].{attr} = addr", "busy_until", "busy_untl"),
+        ("channel = self.channels[addr % 2]\n            channel.{attr} = addr", "busy_until", "busy_untl"),
+        ("for channel in self.channels:\n                channel.{attr} = addr", "busy_until", "busy_untl"),
+        ("traffic = self.traffic\n            traffic.{attr} += addr", "total", "totl"),
+        ("self.traffic.{attr} += addr", "count", "cuont"),
+        ("spare.{attr} = addr", "busy_until", "busy_untl"),
+    ],
+    ids=[
+        "typed-list-element",
+        "local-from-typed-list",
+        "loop-target",
+        "typed-attribute-alias",
+        "base-class-attribute",
+        "annotated-parameter",
+    ],
+)
+def test_hotpath_attr_checks_stores_on_typed_receivers(tmp_path, store, declared, misspelled):
+    """A store on any receiver the call graph can type must name a declared attribute."""
+    def findings_for(attr):
+        source = TYPED_STORE_FIXTURE.replace("{store}", store.replace("{attr}", attr))
+        return analyze(tmp_path, source, rules=["hotpath-attr"])
+
+    flagged = findings_for(misspelled)
+    assert [(f.rule, f.symbol) for f in flagged] == [("hotpath-attr", "fixture.Device.access")]
+    assert f".{misspelled} outside " in flagged[0].message
+    assert findings_for(declared) == []
+
+
 # --------------------------------------------------------------------- hotpath-slots
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dram.channel import DramChannel
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTiming
 from repro.sim.config import DramConfig, DramTimingConfig, SystemConfig
@@ -41,50 +40,60 @@ def test_bandwidth_scale_changes_transfer_time():
     assert narrow.transfer_cycles(4096) > wide.transfer_cycles(4096)
 
 
+def one_channel_device(background_buffer_cycles=None):
+    device = DramDevice(DramConfig(name="off", capacity_bytes=1 << 20, num_channels=1), 2.7)
+    if background_buffer_cycles is not None:
+        device.channels[0].background_buffer_cycles = background_buffer_cycles
+    return device
+
+
 def test_channel_queueing_delay_accumulates():
-    channel = DramChannel(0, make_timing())
-    first = channel.access(0, 4096, 0)
-    second = channel.access(0, 64, 0)
+    device = one_channel_device()
+    first = device.access(0, 0, 4096, TrafficCategory.HIT_DATA)
+    second = device.access(0, 0, 64, TrafficCategory.HIT_DATA)
     assert first.queue_delay == 0
     assert second.queue_delay > 0
-    assert channel.total_requests == 2
+    timing = device.timing
+    assert device.channels[0].total_busy_cycles == timing.transfer_cycles(4096) + timing.transfer_cycles(64)
 
 
 def test_channel_idle_requests_have_no_queue_delay():
-    channel = DramChannel(0, make_timing())
-    first = channel.access(0, 64, 0)
-    later = channel.access(first.completion_time + 10_000, 64, 0)
+    device = one_channel_device()
+    # A demand read completes at ``now + latency``.
+    first = device.access(0, 0, 64, TrafficCategory.HIT_DATA)
+    later = device.access(first.latency + 10_000, 0, 64, TrafficCategory.HIT_DATA)
     assert later.queue_delay == 0
 
 
 def test_channel_background_traffic_is_buffered():
-    channel = DramChannel(0, make_timing(), background_buffer_cycles=100_000)
-    channel.access(0, 4096, 0, background=True)
-    demand = channel.access(0, 64, 0)
+    device = one_channel_device(background_buffer_cycles=100_000)
+    device.access(0, 0, 4096, TrafficCategory.REPLACEMENT, background=True)
+    demand = device.access(0, 0, 64, TrafficCategory.HIT_DATA)
     # The buffered page move does not block the demand read.
     assert demand.queue_delay == 0
 
 
 def test_channel_background_overflow_applies_backpressure():
-    channel = DramChannel(0, make_timing(), background_buffer_cycles=10)
-    channel.access(0, 1 << 16, 0, background=True)
-    demand = channel.access(0, 64, 0)
+    device = one_channel_device(background_buffer_cycles=10)
+    device.access(0, 0, 1 << 16, TrafficCategory.REPLACEMENT, background=True)
+    demand = device.access(0, 0, 64, TrafficCategory.HIT_DATA)
     assert demand.queue_delay > 0
 
 
 def test_channel_background_drains_in_idle_gaps():
-    channel = DramChannel(0, make_timing(), background_buffer_cycles=1 << 30)
-    channel.access(0, 4096, 0, background=True)
+    device = one_channel_device(background_buffer_cycles=1 << 30)
+    channel = device.channels[0]
+    device.access(0, 0, 4096, TrafficCategory.REPLACEMENT, background=True)
     backlog = channel.background_backlog_cycles
     assert backlog > 0
-    channel.access(backlog + 10_000, 64, 0)
+    device.access(backlog + 10_000, 0, 64, TrafficCategory.HIT_DATA)
     assert channel.background_backlog_cycles == 0
 
 
 def test_channel_rejects_negative_time():
-    channel = DramChannel(0, make_timing())
+    device = one_channel_device()
     with pytest.raises(ValueError):
-        channel.access(-1, 64, 0)
+        device.access(-1, 0, 64, TrafficCategory.HIT_DATA)
 
 
 def test_device_routes_by_page_and_records_traffic():
@@ -97,20 +106,10 @@ def test_device_routes_by_page_and_records_traffic():
 
 
 def test_device_record_only_has_no_timing_effect():
-    config = DramConfig(name="off", capacity_bytes=1 << 20, num_channels=1)
-    device = DramDevice(config, 2.7)
+    device = one_channel_device()
     device.record_only(4096, TrafficCategory.REPLACEMENT)
     assert device.traffic.bytes_for(TrafficCategory.REPLACEMENT) == 4096
-    assert device.channels[0].total_requests == 0
-
-
-def test_device_reset_clears_state():
-    config = DramConfig(name="off", capacity_bytes=1 << 20, num_channels=1)
-    device = DramDevice(config, 2.7)
-    device.access(0, 0, 64, TrafficCategory.HIT_DATA)
-    device.reset()
-    assert device.traffic.total_bytes == 0
-    assert device.channels[0].busy_until == 0
+    assert _channel_state(device.channels[0]) == _channel_state(one_channel_device().channels[0])
 
 
 def test_device_utilization_bounded():
@@ -124,45 +123,54 @@ def test_device_utilization_bounded():
 # ------------------------------------------------------ rejected accesses
 
 
+#: Every field of a channel: its whole state.
+_CHANNEL_FIELDS = (
+    "channel_id",
+    "background_buffer_cycles",
+    "busy_until",
+    "total_busy_cycles",
+    "_background_backlog",
+    "_last_row",
+    "last_queue_delay",
+)
+
+
 def _channel_state(channel):
-    return (
-        channel.busy_until,
-        channel.background_backlog_cycles,
-        channel.total_requests,
-        channel.total_busy_cycles,
-        channel._last_row,
-        channel.last_queue_delay,
-        channel.last_transfer_cycles,
-        channel.last_completion_time,
-    )
+    return tuple(getattr(channel, name) for name in _CHANNEL_FIELDS)
 
 
 def _device_state(device):
-    return (
-        [_channel_state(channel) for channel in device.channels],
-        device.traffic.breakdown(),
-        device.traffic.total_accesses,
-    )
+    return ([_channel_state(channel) for channel in device.channels], device.traffic.breakdown())
 
 
-@pytest.mark.parametrize("method", ["access", "access_latency"])
-@pytest.mark.parametrize("dram", ["in_package_dram", "off_package_dram"])
-def test_device_rejects_negative_bytes_before_changing_state(dram, method):
+def _assert_rejected_before_any_state_change(dram, method, now, num_bytes):
     config = SystemConfig.scaled_default(num_cores=4)
     device = DramDevice(getattr(config, dram), config.core.freq_ghz)
     device.access_latency(0, 0, 4096, TrafficCategory.REPLACEMENT, background=True)
     assert device.channels[0].background_backlog_cycles > 0
     before = _device_state(device)
     with pytest.raises(ValueError):
-        getattr(device, method)(50_000, 24_576, -64, TrafficCategory.HIT_DATA)
+        getattr(device, method)(now, 24_576, num_bytes, TrafficCategory.HIT_DATA)
     assert _device_state(device) == before
+
+
+@pytest.mark.parametrize("method", ["access", "access_latency"])
+@pytest.mark.parametrize("dram", ["in_package_dram", "off_package_dram"])
+def test_device_rejects_negative_bytes_before_changing_state(dram, method):
+    _assert_rejected_before_any_state_change(dram, method, now=50_000, num_bytes=-64)
+
+
+@pytest.mark.parametrize("method", ["access", "access_latency"])
+@pytest.mark.parametrize("dram", ["in_package_dram", "off_package_dram"])
+def test_device_rejects_negative_time_before_changing_state(dram, method):
+    _assert_rejected_before_any_state_change(dram, method, now=-1, num_bytes=64)
 
 
 # ------------------------------------------- reference model of the access path
 #
 # ``access_latency``/``_drain_background`` below are the original multi-call
-# channel implementation and ``record`` the original traffic accounting,
-# copied unmodified; the fused device/channel path must match them exactly.
+# channel implementation, copied unmodified, and ``record`` the original
+# traffic accounting; the one-frame device path must match them exactly.
 
 
 class _ReferenceTiming(DramTiming):
@@ -172,7 +180,8 @@ class _ReferenceTiming(DramTiming):
 
 
 class _ReferenceChannel:
-    def __init__(self, timing, background_buffer_cycles=4096):
+    def __init__(self, channel_id, timing, background_buffer_cycles=4096):
+        self.channel_id = channel_id
         self.timing = timing
         self.background_buffer_cycles = background_buffer_cycles
         self.busy_until = 0
@@ -244,7 +253,6 @@ class _ReferenceTraffic(TrafficStats):
         if num_bytes < 0:
             raise ValueError(f"traffic bytes must be non-negative, got {num_bytes}")
         self._bytes[category] += num_bytes
-        self._accesses += 1
 
 
 class _ReferenceDevice:
@@ -253,7 +261,7 @@ class _ReferenceDevice:
             config.timing, cpu_freq_ghz, latency_scale=config.latency_scale, bandwidth_scale=config.bandwidth_scale
         )
         self.page_size = page_size
-        self.channels = [_ReferenceChannel(timing) for _ in range(config.num_channels)]
+        self.channels = [_ReferenceChannel(i, timing) for i in range(config.num_channels)]
         self.traffic = _ReferenceTraffic(config.name)
 
     def access_latency(self, now, addr, num_bytes, category, background=False):
@@ -287,12 +295,15 @@ _BURST_THEN_IDLE = (
     # On one channel: a demand read; one cycle after it ends, a background
     # transfer that overflows the empty buffer on its own; a demand read one
     # cycle before the channel frees up; another one cycle after, with a
-    # backlog to drain.
+    # backlog to drain; a demand read queued behind it, then a background
+    # transfer, which reports no queue delay.
     + [
         (0, None, 12288, 64, TrafficCategory.HIT_DATA, False),
         (0, 1, 12288, 12_000, TrafficCategory.REPLACEMENT, True),
         (0, -1, 12288 + 64, 64, TrafficCategory.HIT_DATA, False),
         (0, 1, 12288 + 128, 64, TrafficCategory.HIT_DATA, False),
+        (0, None, 12288 + 192, 64, TrafficCategory.HIT_DATA, False),
+        (0, None, 12288 + 256, 64, TrafficCategory.WRITEBACK, True),
     ]
 )
 
@@ -306,6 +317,7 @@ def test_device_matches_reference_access_path(accesses):
     device = DramDevice(dram, config.core.freq_ghz)
     reference = _ReferenceDevice(dram, config.core.freq_ghz)
     assert len(device.channels) > 1
+    assert sorted(vars(device.channels[0])) == sorted(_CHANNEL_FIELDS)
     now = 0
     for advance, snap, addr, num_bytes, category, background in accesses:
         now += advance
@@ -315,15 +327,5 @@ def test_device_matches_reference_access_path(accesses):
         expected = reference.access_latency(now, addr, num_bytes, category, background=background)
         assert got == expected
         for channel, ref in zip(device.channels, reference.channels):
-            assert _channel_state(channel) == (
-                ref.busy_until,
-                ref._background_backlog,
-                ref.total_requests,
-                ref.total_busy_cycles,
-                ref._last_row,
-                ref.last_queue_delay,
-                ref.last_transfer_cycles,
-                ref.last_completion_time,
-            )
+            assert _channel_state(channel) == _channel_state(ref)
         assert device.traffic.breakdown() == reference.traffic.breakdown()
-        assert device.traffic.total_accesses == reference.traffic.total_accesses

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.cache.sram_cache import SramCache
 from repro.core.frequency import FrequencySetMetadata
 from repro.core.tag_buffer import TagBuffer, TagBufferFullError
-from repro.dram.channel import DramChannel
-from repro.dram.timing import DramTiming
+from repro.dram.device import DramDevice
 from repro.dramcache.footprint import FootprintPredictor
-from repro.sim.config import CacheLevelConfig, DramTimingConfig
+from repro.sim.config import CacheLevelConfig, DramConfig
 from repro.sim.stats import TrafficCategory, TrafficStats
 
 
@@ -86,17 +85,21 @@ def test_frequency_counters_stay_in_range(pages):
     )
 )
 def test_channel_time_never_goes_backwards(requests):
-    channel = DramChannel(0, DramTiming(DramTimingConfig(), 2.7))
+    device = DramDevice(DramConfig(name="off", capacity_bytes=1 << 20, num_channels=1), 2.7)
+    channel = device.channels[0]
     now = 0
     previous_busy = 0
+    previous_busy_until = 0
     for advance, num_bytes, row, background in requests:
         now += advance
-        outcome = channel.access(now, num_bytes, row, background=background)
+        category = TrafficCategory.REPLACEMENT if background else TrafficCategory.HIT_DATA
+        outcome = device.access(now, row * 8192, num_bytes, category, background=background)
         assert outcome.latency >= 0
-        assert outcome.transfer_cycles >= 1
-        assert channel.busy_until >= 0
-        assert channel.total_busy_cycles >= previous_busy
+        # Every transfer of at least one byte occupies the channel.
+        assert channel.total_busy_cycles > previous_busy
+        assert channel.busy_until >= previous_busy_until
         previous_busy = channel.total_busy_cycles
+        previous_busy_until = channel.busy_until
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import MissRateWindow, StatsSet, TrafficCategory, TrafficStats, merge_traffic
+from repro.sim.stats import MissRateWindow, StatsSet, TrafficCategory, TrafficStats
 
 
 def test_stats_set_inc_and_get():
@@ -13,17 +13,6 @@ def test_stats_set_inc_and_get():
     assert stats.get("missing") == 0
 
 
-def test_stats_set_merge():
-    a = StatsSet("a")
-    b = StatsSet("b")
-    a.inc("x", 2)
-    b.inc("x", 3)
-    b.inc("y", 1)
-    a.merge(b)
-    assert a.get("x") == 5
-    assert a.get("y") == 1
-
-
 def test_traffic_stats_breakdown():
     traffic = TrafficStats("in-package")
     traffic.record(TrafficCategory.HIT_DATA, 64)
@@ -32,7 +21,6 @@ def test_traffic_stats_breakdown():
     assert traffic.total_bytes == 160
     assert traffic.bytes_for(TrafficCategory.HIT_DATA) == 128
     assert traffic.breakdown()["Tag"] == 32
-    assert traffic.total_accesses == 3
 
 
 def test_traffic_stats_bytes_per_instruction():
@@ -47,15 +35,6 @@ def test_traffic_stats_rejects_negative():
     traffic = TrafficStats("x")
     with pytest.raises(ValueError):
         traffic.record(TrafficCategory.TAG, -1)
-
-
-def test_merge_traffic():
-    a = TrafficStats("a")
-    b = TrafficStats("b")
-    a.record(TrafficCategory.HIT_DATA, 64)
-    b.record(TrafficCategory.HIT_DATA, 64)
-    merged = merge_traffic({"a": a, "b": b})
-    assert merged.bytes_for(TrafficCategory.HIT_DATA) == 128
 
 
 def test_miss_rate_window_tracks_rate():
