@@ -134,7 +134,6 @@ class CacheHierarchy:
             if l1._random:
                 l1._random_victim_to_front(bucket)
             victim, dirty = bucket.popitem(last=False)
-            l1.evictions += 1
             if dirty:
                 l1.dirty_evictions += 1
                 spill = victim << l1._line_bits
@@ -154,7 +153,6 @@ class CacheHierarchy:
                     if l2._random:
                         l2._random_victim_to_front(bucket)
                     victim, dirty = bucket.popitem(last=False)
-                    l2.evictions += 1
                     if dirty:
                         l2.dirty_evictions += 1
                         spill = victim << l2._line_bits
@@ -172,7 +170,6 @@ class CacheHierarchy:
                         if l3._random:
                             l3._random_victim_to_front(bucket)
                         victim, dirty = bucket.popitem(last=False)
-                        l3.evictions += 1
                         if dirty:
                             l3.dirty_evictions += 1
                             eviction = wb_pool[len(writebacks)]
@@ -198,7 +195,6 @@ class CacheHierarchy:
             if l2._random:
                 l2._random_victim_to_front(bucket)
             victim, dirty = bucket.popitem(last=False)
-            l2.evictions += 1
             if dirty:
                 l2.dirty_evictions += 1
                 spill = victim << l2._line_bits
@@ -217,7 +213,6 @@ class CacheHierarchy:
                     if l3._random:
                         l3._random_victim_to_front(bucket)
                     victim, dirty = bucket.popitem(last=False)
-                    l3.evictions += 1
                     if dirty:
                         l3.dirty_evictions += 1
                         eviction = wb_pool[len(writebacks)]
@@ -242,7 +237,6 @@ class CacheHierarchy:
             if l3._random:
                 l3._random_victim_to_front(bucket)
             victim, dirty = bucket.popitem(last=False)
-            l3.evictions += 1
             if dirty:
                 l3.dirty_evictions += 1
                 eviction = wb_pool[len(writebacks)]

@@ -73,7 +73,6 @@ class SramCache:
 
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.dirty_evictions = 0
 
     # ------------------------------------------------------------------ address math
@@ -122,7 +121,6 @@ class SramCache:
             if self._random:
                 self._random_victim_to_front(bucket)
             victim, victim_dirty = bucket.popitem(last=False)
-            self.evictions += 1
             if victim_dirty:
                 self.dirty_evictions += 1
             eviction = Eviction(addr=victim << self._line_bits, dirty=victim_dirty)

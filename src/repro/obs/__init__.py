@@ -8,7 +8,7 @@ The layer every other subsystem reports through:
   metric deltas during a run, yielding a :class:`Timeline` attached to
   ``SimulationResults.timeline`` (exact CSV/JSONL round-trip);
 * :mod:`repro.obs.events` — append-only JSONL event logs
-  (:class:`EventLog`) with schema validation and merge, plus
+  (:class:`EventLog`) with schema validation, plus
   :class:`ObsSink` naming a campaign's event log, which
   ``python -m repro.campaign status --live`` reads;
 * :mod:`repro.obs.snapshot` — :class:`EngineSnapshot` pickles the whole
@@ -17,8 +17,8 @@ The layer every other subsystem reports through:
   :func:`~repro.obs.snapshot.state_view` renders it as diffable JSON;
 * :mod:`repro.obs.export_chrome` — Chrome trace-event JSON export of
   timelines and event logs (open in Perfetto);
-* ``python -m repro.obs`` (:mod:`repro.obs.cli`) summarizes, merges,
-  exports and replays all of the above.
+* ``python -m repro.obs`` (:mod:`repro.obs.cli`) summarizes, exports and
+  replays all of the above.
 """
 
 from repro.obs.events import (
@@ -26,7 +26,6 @@ from repro.obs.events import (
     EventLog,
     ObsSink,
     make_event,
-    merge_events,
     read_events,
     validate_event,
     write_events,
@@ -56,7 +55,6 @@ __all__ = [
     "capture_cursor",
     "events_to_trace",
     "make_event",
-    "merge_events",
     "read_events",
     "timeline_to_trace",
     "validate_event",

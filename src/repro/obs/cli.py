@@ -1,10 +1,9 @@
-"""``python -m repro.obs`` — summarize, merge, export and replay runs.
+"""``python -m repro.obs`` — summarize, export and replay runs.
 
 Subcommands::
 
     summarize      describe an event log, a timeline file, a store's timelines,
                    or an engine snapshot
-    merge          merge several JSONL event logs into one, ordered by timestamp
     export         export stored timelines as CSV or JSONL
     export-chrome  render a timeline or an event log as Chrome trace JSON (Perfetto)
     replay         rebuild an engine from a snapshot and re-run the remainder
@@ -25,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.events import merge_events, read_events, validate_event, write_events
+from repro.obs.events import read_events, validate_event
 from repro.obs.timeline import Timeline, TimelineObserver
 
 
@@ -34,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Summarize, merge and export run telemetry (timelines + event logs).",
+        description="Summarize and export run telemetry (timelines + event logs).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -47,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--snapshot", help="engine snapshot JSON: its envelope "
                                           "(with --json, plus a diffable state view)")
     summarize.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    merge = sub.add_parser("merge", help="merge event logs ordered by timestamp")
-    merge.add_argument("--inputs", required=True, nargs="+", help="JSONL event log paths")
-    merge.add_argument("--output", required=True, help="merged JSONL output path")
-    merge.add_argument("--validate", action="store_true",
-                       help="schema-check every event while merging")
 
     export = sub.add_parser("export", help="export stored timelines as CSV or JSONL")
     export.add_argument("--store", required=True, help="result-store directory")
@@ -229,17 +222,6 @@ def cmd_summarize(args: argparse.Namespace, stream) -> int:
     return 0
 
 
-# -------------------------------------------------------------------- merge
-
-
-def cmd_merge(args: argparse.Namespace, stream) -> int:
-    records = merge_events(args.inputs, validate=args.validate)
-    count = write_events(records, args.output)
-    print(f"merged {count} events from {len(args.inputs)} log(s) into {args.output}",
-          file=stream)
-    return 0
-
-
 # ------------------------------------------------------------------- export
 
 
@@ -413,8 +395,6 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
     try:
         if args.command == "summarize":
             return cmd_summarize(args, stream)
-        if args.command == "merge":
-            return cmd_merge(args, stream)
         if args.command == "export-chrome":
             return cmd_export_chrome(args, stream)
         if args.command == "replay":

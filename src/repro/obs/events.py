@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 #: Known event types (the schema CI validates against).
 EVENT_TYPES = frozenset({
@@ -118,20 +118,6 @@ def read_events(path, validate: bool = False) -> List[Dict[str, object]]:
                 validate_event(record)
             records.append(record)
     return records
-
-
-def merge_events(paths: Sequence, validate: bool = False) -> List[Dict[str, object]]:
-    """Merge several event logs into one list ordered by timestamp.
-
-    The sort is stable, so events sharing a timestamp keep their per-file
-    order; campaign post-mortems merge the driver log with per-worker logs
-    this way.
-    """
-    merged: List[Dict[str, object]] = []
-    for path in paths:
-        merged.extend(read_events(path, validate=validate))
-    merged.sort(key=lambda record: record.get("ts", 0.0))
-    return merged
 
 
 def write_events(records: Iterable[Dict[str, object]], path) -> int:

@@ -34,27 +34,41 @@ Batch scheduling and order preservation
 The scalar engine moves one ``TraceRecord`` object per iteration through an
 iterator and a heap.  This kernel moves *columns*: each core pulls
 ``(gaps, addrs, writes)`` batches from :meth:`Workload.trace_batches` and the
-scheduler processes whole **runs** — maximal record sequences one core can
-execute before any other core's clock could interleave — touching the heap
-once per run and constructing no record object.
+scheduler processes **runs** — record sequences one core executes before any
+other core's clock could interleave — touching the heap once per run and
+constructing no record object.
 
 The heap invariant of the scalar engine is that every live core holds exactly
 one ``(clock, core_id)`` entry, keyed by its clock *after its previous
 record* (0.0 before its first).  The next record therefore always belongs to
 the core with the minimum key, ties broken by core id.  This scheduler keeps
-the same ``heapq`` heap and pops its minimum ``c`` once per run; the new
-minimum ``heap[0] = B = (b_clock, b_core)`` (``(inf, num_cores)`` when ``c``
-is the only live core) bounds the run: ``c`` keeps executing records while
-its evolving clock satisfies ``(clock, c) < B`` — exactly the condition under
-which the scalar heap would pop it again.  After the run ``c`` is pushed back
-with its new clock while it is below its budget; a core whose stream runs dry
-is dropped when it would next run, as in the scalar loop.  The first record
-of a run needs no check (``c`` is the minimum), and the run is cut at the
-next edge so every edge fires at the same processed count as in the scalar
-loop.  Pending OS stalls only apply when the stalled core executes its next
-record (both engines), so no other core's key can change while ``c`` runs.
-The interleaving — and therefore DRAM channel contention — is provably
-identical, and all results are bit-identical to the scalar engine.
+the same ``heapq`` heap, pops its minimum ``c`` once per run and probes
+``c``'s next record before it builds any run state:
+
+* **Slow first record.**  When the inline hit path (below) cannot take the
+  record and another core is live, the run is that one record: one
+  ``process_record_cols`` call, then ``c`` is pushed back keyed by its new
+  clock.  That is the scalar loop's own step — ``c`` was the minimum, and
+  its new key is its clock after the record — so order and heap keys are
+  unchanged.  On the miss-bound workloads most runs are of this kind.
+* **Inline-eligible first record, or ``c`` alone.**  The new minimum
+  ``heap[0] = B = (b_clock, b_core)`` (``(inf, num_cores)`` when ``c`` is
+  the only live core) bounds the run: ``c`` keeps executing records while
+  its evolving clock satisfies ``(clock, c) < B`` — exactly the condition
+  under which the scalar heap would pop it again.  The first record needs
+  no check (``c`` is the minimum).  After the run ``c`` is pushed back with
+  its new clock.  A core running alone takes this branch whatever its
+  first record: nothing bounds its run, so one-record steps would only pay
+  the heap per record.
+
+Either way ``c`` goes back only while it is below its budget; a core whose
+stream runs dry is dropped when it would next run, as in the scalar loop.
+Every run is cut at the next edge, so every edge fires at the same processed
+count as in the scalar loop.  Pending OS stalls only apply when the stalled
+core executes its next record (both engines), so no other core's key can
+change while ``c`` runs.  The interleaving — and therefore DRAM channel
+contention — is provably identical, and all results are bit-identical to
+the scalar engine.
 
 Within a run, records that hit both the TLB and the L1 with no pending OS
 stall touch only core-private state; they are executed by an inlined copy of
@@ -363,12 +377,16 @@ class BatchRunner:
         The scheduler and record loop are fully inlined.  Multicore
         interleave runs average only one to a few records (cores advance
         their clocks at similar rates), so per-run overhead is paid almost
-        per record; this loop therefore hoists all per-core state into
-        context tuples built once per run() and keeps the three float
+        per record.  A run whose first record cannot take the inline hit
+        path is therefore that one record, stepped as in the scalar loop
+        with no run set-up, unless its core runs alone.  Only the other
+        runs read their bound, unpack the rest of their core's context
+        (tuples built once per run()) and keep the three float
         accumulators (core clock, compute cycles, memory stall cycles) in
-        locals, flushing them only around slow-path calls and at run ends.
-        The flushes preserve the exact per-record addition order, so results
-        stay bit-identical (see the module docstring for the order proof).
+        locals, flushing them only around slow-path calls and at the run's
+        end.  The flushes preserve the exact per-record
+        addition order, so results stay bit-identical (see the module
+        docstring for the order proof).
         """
         system = self._system
         num_cores = system.config.num_cores
@@ -385,17 +403,19 @@ class BatchRunner:
         page_shift = page_size.bit_length() - 1
         if (1 << page_shift) != page_size:
             fast_ok = False
-        # Per-core invariant context, resolved once: (core, tlb, l1,
-        # tlb entries, tlb move_to_end, l1 sets, set mask, line bits,
-        # lru flag, issue width, l1 stall, stats).
+        # Per-core invariant state, resolved once: what probes a run's first
+        # record (core, tlb entries, l1 sets, set mask, line bits), and the
+        # rest of what a run needs (tlb, l1, tlb move_to_end, lru flag,
+        # issue width, l1 stall, stats).
+        probes: List[Any] = []
         contexts: List[Any] = []
         for core_id in range(num_cores):
             core = system.cores[core_id]
             tlb = system.tlbs[core_id]
             l1 = system.hierarchy.l1[core_id]
+            probes.append((core, tlb._entries, l1._sets, l1._set_mask, l1._line_bits))
             contexts.append((
-                core, tlb, l1, tlb._entries, tlb._entries.move_to_end,
-                l1._sets, l1._set_mask, l1._line_bits, l1._lru,
+                tlb, l1, tlb._entries.move_to_end, l1._lru,
                 core._issue_width, core._l1_stall, core.stats,
             ))
         consumed, heap, processed = self._init_schedule(max_records_per_core, resume)
@@ -404,16 +424,11 @@ class BatchRunner:
         infinity = float("inf")
         next_stop = edges.next_at
 
-        # One iteration per run.  On the miss-bound workloads a run averages
-        # barely more than one record, so this loop is nearly per record.
+        # One iteration per run.  On the miss-bound workloads most runs are
+        # a single record that misses the TLB or the L1, so the first record
+        # is probed before any run state is built.
         while heap:  # repro: hotpath
             _key, best = heappop(heap)
-            # The run's bound: the next core in (clock, core_id) order.
-            if heap:
-                b_clock, b_core = heap[0]
-            else:
-                b_clock = infinity
-                b_core = num_cores
             source = sources[best]
             pos = source.pos
             if pos >= source.length:
@@ -422,6 +437,38 @@ class BatchRunner:
                     # minimum core is dropped when it would next run.
                     continue
                 pos = 0
+            addr = source.addrs[pos]
+            core, tlb_entries, l1_sets, set_mask, line_bits = probes[best]
+            if heap and not (
+                fast_ok
+                and core._pending_stall == 0.0
+                and addr >> page_shift in tlb_entries
+                and addr >> line_bits in l1_sets[(addr >> line_bits) & set_mask]
+            ):
+                # A slow first record takes the scalar loop's own step: one
+                # call, and the core goes back on the heap keyed by its new
+                # clock.  A core running alone (an empty heap) starts a run
+                # instead: nothing bounds it, so it lasts to the batch's end
+                # or the next edge.
+                clock = process_cols(best, source.gaps[pos], addr, source.writes[pos])
+                source.pos = pos + 1
+                processed += 1
+                consumed[best] += 1
+                if consumed[best] < max_records_per_core:
+                    # heapq's API requires a fresh (clock, core) entry: the
+                    # scalar loop's per-record push.
+                    heappush(heap, (clock, best))  # repro: allow[hotpath-alloc]
+                if processed >= next_stop:
+                    if edges.edge(processed, consumed):
+                        break
+                    next_stop = edges.next_at
+                continue
+            # The run's bound: the next core in (clock, core_id) order.
+            if heap:
+                b_clock, b_core = heap[0]
+            else:
+                b_clock = infinity
+                b_core = num_cores
             # The run ends at the core's budget, the buffered batch's end or
             # the next edge, whichever comes first.
             cap = max_records_per_core - consumed[best]
@@ -431,8 +478,7 @@ class BatchRunner:
             left = next_stop - processed
             if left < cap:
                 cap = left
-            (core, tlb, l1, tlb_entries, tlb_move, l1_sets, set_mask,
-             line_bits, l1_lru, issue_width, l1_stall, stats) = contexts[best]
+            tlb, l1, tlb_move, l1_lru, issue_width, l1_stall, stats = contexts[best]
             gaps = source.gaps
             addrs = source.addrs
             writes = source.writes
@@ -495,16 +541,13 @@ class BatchRunner:
                 if clock < b_clock or (clock == b_clock and tie_lt):
                     continue
                 break
-            if fast_count:
-                # After a slow-path call the accumulators equal the objects'
-                # fields, so a run of slow records alone needs no flush.
-                core.clock = clock
-                stats.compute_cycles = cc
-                stats.memory_stall_cycles = ms
-                stats.instructions += instructions
-                stats.memory_accesses += fast_count
-                tlb.hits += fast_count
-                l1.hits += fast_count
+            core.clock = clock
+            stats.compute_cycles = cc
+            stats.memory_stall_cycles = ms
+            stats.instructions += instructions
+            stats.memory_accesses += fast_count
+            tlb.hits += fast_count
+            l1.hits += fast_count
             done = pos - start
             source.pos = pos
             processed += done

@@ -12,8 +12,10 @@ Two engine modes drive that identical interleaving:
 * ``"scalar"`` — the reference loop: one record object at a time through an
   iterator and a heap (heap-free when there is only one core).
 * ``"batch"`` (default) — column batches and run-length scheduling
-  (:mod:`repro.sim.batch`): whole runs of the minimum-clock core execute
-  without heap traffic, and TLB+L1 hits take an inlined fast path.
+  (:mod:`repro.sim.batch`): a run of the minimum-clock core that starts on
+  a TLB+L1 hit executes without heap traffic, its hits on an inlined fast
+  path; while other cores are live, a run that starts on any other record
+  is that one record, stepped as in the scalar loop.
 
 Both modes are bit-identical: same record order, same arithmetic, same
 results (the hot-path golden tests pin this for every scheme).

@@ -134,3 +134,62 @@ def test_coinciding_edges_fire_once_in_dispatch_order(mode, num_cores, monkeypat
     got = result.identity_dict()
     assert got.pop("timeline") is not None
     assert got == expected.identity_dict()
+
+
+class _CursorLog(RunController):
+    """Asks for an edge every ``step`` records and logs what each one sees."""
+
+    def __init__(self, step):
+        self.step = step
+        self.seen = []
+
+    def next_stop(self, processed):
+        return processed + self.step
+
+    def on_edge(self, cursor):
+        self.seen.append((
+            cursor.processed,
+            list(cursor.consumed_per_core),
+            [(core.clock, core._pending_stall) for core in cursor.system.cores],
+            cursor.measurement_started,
+        ))
+        return False
+
+
+#: Miss-heavy 4-core cells: Banshee flushes its tag buffers mid-run (so
+#: cores carry pending OS stalls across edges), HMA's cycle hook turns the
+#: batch engine's inline hit path off, and Alloy mixes inline and slow runs.
+_CURSOR_SCHEMES = {
+    "banshee": {"sampling_coefficient": 1.0, "tag_buffer_flush_threshold": 0.1},
+    "hma": {},
+    "alloy": {},
+}
+
+
+@pytest.mark.parametrize("step", [1, 7])
+@pytest.mark.parametrize("scheme", sorted(_CURSOR_SCHEMES))
+def test_edges_see_the_same_cursor_in_both_modes(scheme, step):
+    """Every edge sees the same cursor and core state in both engine modes.
+
+    At each edge the processed and consumed counts, every core's clock and
+    pending stall, and whether measurement has started must match the
+    scalar reference, and so must the final results.
+    """
+    def run(mode):
+        config = SystemConfig.tiny(scheme=scheme, num_cores=4, seed=3).with_scheme(
+            scheme, **_CURSOR_SCHEMES[scheme]
+        )
+        system = System(config, get_workload("mcf", 4, scale=0.05, seed=3))
+        log = _CursorLog(step)
+        results = SimulationEngine(system, mode=mode).run(
+            600, warmup_records_per_core=150, controller=log
+        )
+        return log.seen, results.identity_dict()
+
+    scalar_seen, scalar_results = run("scalar")
+    batch_seen, batch_results = run("batch")
+    assert [seen[0] for seen in scalar_seen] == list(range(step, 4 * 600 + 1, step))
+    if scheme == "banshee":
+        assert any(stall > 0.0 for seen in scalar_seen for _clock, stall in seen[2])
+    assert batch_seen == scalar_seen
+    assert batch_results == scalar_results

@@ -149,7 +149,6 @@ def _level_state(cache):
         cache.name,
         cache.hits,
         cache.misses,
-        cache.evictions,
         cache.dirty_evictions,
         [list(bucket.items()) for bucket in cache._sets],
     )

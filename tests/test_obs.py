@@ -14,7 +14,6 @@ from repro.obs.events import (
     EventLog,
     ObsSink,
     make_event,
-    merge_events,
     read_events,
     validate_event,
 )
@@ -192,16 +191,6 @@ def test_read_events_skips_truncated_tail(tmp_path):
     assert [r["event"] for r in read_events(path)] == ["run_start"]
 
 
-def test_merge_events_orders_by_timestamp(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    with open(a, "w", encoding="utf-8") as handle:
-        handle.write('{"ts": 2.0, "pid": 1, "event": "run_end"}\n')
-    with open(b, "w", encoding="utf-8") as handle:
-        handle.write('{"ts": 1.0, "pid": 1, "event": "run_start"}\n')
-    merged = merge_events([a, b], validate=True)
-    assert [r["event"] for r in merged] == ["run_start", "run_end"]
-
-
 def test_engine_emits_run_events(tmp_path):
     log = EventLog(tmp_path / "events.jsonl")
     tiny_run(records=200, events=log)
@@ -333,24 +322,13 @@ def test_campaign_cli_no_obs_flag(tmp_path):
     assert not (store_dir / "obs").exists()
 
 
-def test_obs_cli_summarize_merge_export(tmp_path):
+def test_obs_cli_summarize_export(tmp_path):
     timeline = tiny_run(timeline_interval=100, records=300).timeline_object()
     csv_path = tmp_path / "t.csv"
     csv_path.write_text(timeline.to_csv(), encoding="utf-8")
     out = io.StringIO()
     assert obs_main(["summarize", "--timeline", str(csv_path)], stream=out) == 0
     assert "windows" in out.getvalue()
-
-    log = EventLog(tmp_path / "e.jsonl")
-    log.emit("run_start")
-    log.emit("run_end", records=10)
-    merged_path = tmp_path / "merged.jsonl"
-    out = io.StringIO()
-    assert obs_main(
-        ["merge", "--inputs", str(log.path), "--output", str(merged_path), "--validate"],
-        stream=out,
-    ) == 0
-    assert len(read_events(merged_path)) == 2
 
     # Export a store written through run_simulation's cache layer.
     from repro.experiments.runner import ResultCache

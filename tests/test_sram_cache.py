@@ -89,7 +89,7 @@ def test_victims_and_counters_match_a_reference_model(policy):
     """``access``/``fill`` against a list-per-set model of each policy.
 
     Checks every hit flag and reported victim (address and dirty bit), the
-    four counters and the ordered set contents.  The model keeps each set
+    three counters and the ordered set contents.  The model keeps each set
     oldest first: LRU moves a hit to the back, FIFO leaves it, and every
     policy evicts the front except random, which evicts the entry its draw
     picks (the same seeded stream the cache draws from).
@@ -131,9 +131,7 @@ def test_victims_and_counters_match_a_reference_model(policy):
         else:
             assert (eviction.addr, eviction.dirty) == (victim[0] << 6, victim[1])
     assert evictions > 0 and dirty_evictions > 0
-    assert (cache.hits, cache.misses, cache.evictions, cache.dirty_evictions) == (
-        hits, misses, evictions, dirty_evictions
-    )
+    assert (cache.hits, cache.misses, cache.dirty_evictions) == (hits, misses, dirty_evictions)
     assert [list(bucket.items()) for bucket in cache._sets] == [
         [tuple(entry) for entry in entries] for entries in sets
     ]
