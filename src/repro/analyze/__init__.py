@@ -11,7 +11,6 @@ Public surface:
 * :func:`repro.analyze.core.run_analysis` / :class:`~repro.analyze.core.Finding`
 * :func:`repro.analyze.core.register_rule` — the pluggable rule registry
 * :class:`repro.analyze.config.AnalyzerConfig` — the declared invariants
-* :mod:`repro.analyze.baseline` — grandfathered-finding management
 """
 
 from repro.analyze.config import AnalyzerConfig, DEFAULT_CONFIG

@@ -5,13 +5,11 @@ Usage::
     python -m repro.analyze src/repro                  # all rules, text output
     python -m repro.analyze src/repro --rule determinism,serde-symmetry
     python -m repro.analyze src/repro --format json
-    python -m repro.analyze src/repro --write-baseline # refresh grandfathered set
     python -m repro.analyze --list-rules
 
-Exit status: 0 when no *new* findings remain after inline suppressions and
-the baseline; 1 when new findings exist (this is the CI gate); 2 on usage
-errors.  Stale baseline entries (fixed findings still listed) are reported
-but do not fail the gate — delete them with ``--write-baseline``.
+Exit status: 0 when no findings remain after inline ``# repro: allow[rule]``
+suppressions; 1 when any finding remains (this is the CI gate); 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -21,12 +19,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analyze.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analyze.core import all_rules, run_analysis
 
 
@@ -61,22 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE}; "
-        "an absent file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
     )
     return parser
@@ -101,43 +77,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        count = write_baseline(args.baseline, findings)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} to {args.baseline}")
-        return 0
-
-    baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    new, grandfathered, stale = apply_baseline(findings, baseline)
-
     if args.format == "json":
         print(
             json.dumps(
-                {
-                    "findings": [finding.to_dict() for finding in new],
-                    "grandfathered": [finding.to_dict() for finding in grandfathered],
-                    "stale_baseline": stale,
-                    "counts": {
-                        "new": len(new),
-                        "grandfathered": len(grandfathered),
-                        "stale_baseline": len(stale),
-                    },
-                },
+                {"findings": [finding.to_dict() for finding in findings]},
                 indent=2,
                 sort_keys=True,
             )
         )
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        for entry in stale:
-            print(
-                f"stale baseline entry {entry['fingerprint']} "
-                f"({entry['rule']}: {entry['message']}) — fixed; refresh with "
-                f"--write-baseline"
-            )
-        summary = (
-            f"{len(new)} finding{'s' if len(new) != 1 else ''}"
-            f" ({len(grandfathered)} grandfathered, {len(stale)} stale baseline)"
-        )
-        print(summary)
-    return 1 if new else 0
+        print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''}")
+    return 1 if findings else 0

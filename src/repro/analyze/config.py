@@ -8,7 +8,7 @@ so a layer refactor updates this file, not the rule logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -94,8 +94,6 @@ class AnalyzerConfig:
     #: ``Path``-style objects); fine when directly wrapped in ``sorted()``.
     listing_calls: Tuple[str, ...] = ("glob.glob", "glob.iglob", "os.listdir", "os.scandir")
     listing_methods: Tuple[str, ...] = ("glob", "rglob", "iterdir")
-
-    extra: Tuple[Tuple[str, str], ...] = field(default_factory=tuple)
 
 
 DEFAULT_CONFIG = AnalyzerConfig()

@@ -13,16 +13,14 @@ guarantees the goldens and A/B benchmarks only check *dynamically*:
 
 Rules are plain functions registered with :func:`register_rule`; each
 receives an :class:`AnalysisContext` (every parsed module plus the analyzer
-configuration) and returns :class:`Finding` objects.  Findings can be
+configuration) and returns :class:`Finding` objects.  Findings are
 suppressed inline with ``# repro: allow[rule]`` (same line or the line
-above) or grandfathered via a committed baseline file
-(:mod:`repro.analyze.baseline`).
+above); that is the only way to keep an intentional exception.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -45,21 +43,11 @@ class Finding:
 
     rule: str
     path: str          #: display path (relative to the invocation cwd when possible)
-    module: str        #: dotted module name — stable across checkouts, used for identity
+    module: str        #: dotted module name — stable across checkouts
     line: int
     col: int
     message: str
     symbol: str = ""   #: enclosing function/class qualname, when known
-
-    @property
-    def fingerprint(self) -> str:
-        """Location-insensitive identity used by the baseline file.
-
-        Line/column are excluded so unrelated edits above a grandfathered
-        finding do not invalidate the baseline entry.
-        """
-        raw = "|".join((self.rule, self.module, self.symbol, self.message))
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -70,7 +58,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "symbol": self.symbol,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:

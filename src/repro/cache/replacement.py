@@ -68,10 +68,6 @@ class LruPolicy(ReplacementPolicy):
             return invalid
         return self._recency[set_index][-1]
 
-    def lru_order(self, set_index: int) -> List[int]:
-        """Expose the MRU→LRU ordering (used by tests and the tag buffer)."""
-        return list(self._recency[set_index])
-
 
 class FifoPolicy(ReplacementPolicy):
     """First-in-first-out replacement (used by the TDC baseline)."""

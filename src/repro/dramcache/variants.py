@@ -15,9 +15,8 @@ Resolution happens in :func:`repro.dramcache.factory.create_scheme`: the
 variant's overrides are applied onto the configuration's ``dram_cache``
 before the base scheme class is constructed (variant overrides therefore win
 over field-level overrides for the same key; everything else passes
-through).  Each variant's ``axis`` names the design dimension it perturbs,
-which is how the sensitivity sweeps in ``repro.experiments.defaults`` group
-them.
+through).  Each variant's ``axis`` names the design dimension it perturbs;
+:func:`describe_variants` lists the registry grouped by axis.
 
 New variants can be registered at runtime with :func:`register_variant` —
 the intended extension point for new scenarios (see ROADMAP.md).

@@ -17,7 +17,6 @@ import dataclasses
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.dramcache.variants import all_variants
 from repro.sim.config import SystemConfig
 
 #: (label, scheme name, DramCacheConfig overrides) in the order of Figure 4.
@@ -32,31 +31,6 @@ FIGURE4_SCHEMES: List[Tuple[str, str, Dict]] = [
 
 #: Workload subset used by the parameter sweeps (Figures 8/9, Tables 5/6).
 SWEEP_WORKLOADS: List[str] = ["pagerank", "mcf", "omnetpp", "lbm"]
-
-#: Scheme/variant names per sensitivity axis (the Sections 5-6 sweeps).
-#: Every entry resolves through the variant registry, so a whole axis runs
-#: through ``python -m repro.campaign run --schemes <names>`` (or a
-#: ``SweepGrid``) with zero new scheme code; the base scheme is included as
-#: each axis's reference point.
-SENSITIVITY_AXES: Dict[str, List[str]] = {
-    "tag-buffer": ["banshee-tb128", "banshee", "banshee-tb4k"],
-    "sampling": ["banshee-sample01", "banshee", "banshee-sample32", "banshee-nosample"],
-    "associativity": ["banshee-2way", "banshee", "banshee-8way", "unison-2way", "unison"],
-    "page-size": ["banshee", "banshee-2kpage", "unison", "unison-2kpage", "unison-8kpage"],
-    "replacement": ["banshee", "banshee-lru", "banshee-nosample"],
-}
-
-
-def sensitivity_schemes(axis: str) -> List[str]:
-    """The scheme/variant names of one sensitivity axis, in sweep order."""
-    if axis not in SENSITIVITY_AXES:
-        raise ValueError(f"unknown sensitivity axis {axis!r}; available: {sorted(SENSITIVITY_AXES)}")
-    return list(SENSITIVITY_AXES[axis])
-
-
-def sensitivity_variant_names() -> List[str]:
-    """Every registered variant name (for exhaustive sweeps and tests)."""
-    return sorted(all_variants())
 
 BENCH_RECORDS_PER_CORE = int(os.environ.get("REPRO_BENCH_RECORDS", "30000"))
 BENCH_NUM_CORES = int(os.environ.get("REPRO_BENCH_CORES", "4"))

@@ -3,10 +3,10 @@
 Edges
 -----
 
-Every engine loop (scalar single-core, scalar multi-core, batch) cuts its
-runs in exactly one way: a :class:`RunEdges` chain names the next processed
-count it wants control at (``next_at``), the loop never runs past it, and
-when ``processed`` reaches it the loop makes one ``edges.edge(...)`` call.
+Both engine loops (scalar, batch) cut their runs in exactly one way: a
+:class:`RunEdges` chain names the next processed count it wants control at
+(``next_at``), the loop never runs past it, and when ``processed`` reaches
+it the loop makes one ``edges.edge(...)`` call.
 Everything that needs control between two records is a
 :class:`RunController` member of that chain, dispatched in a fixed order:
 
@@ -31,12 +31,13 @@ extra run cuts, and results stay bit-identical: edges fall between records.
 Batch scheduling and order preservation
 ---------------------------------------
 
-The scalar engine moves one ``TraceRecord`` object per iteration through an
-iterator and a heap.  This kernel moves *columns*: each core pulls
-``(gaps, addrs, writes)`` batches from :meth:`Workload.trace_batches` and the
-scheduler processes **runs** — record sequences one core executes before any
-other core's clock could interleave — touching the heap once per run and
-constructing no record object.
+Both engine modes start the same way: :func:`_init_schedule` opens one
+:class:`_CoreSource` per core, which buffers the ``(gaps, addrs, writes)``
+batches of :meth:`Workload.trace_batches`, fast-forwards the sources on a
+resume and builds the heap.  The scalar loop then runs one record per heap
+pop.  This kernel processes **runs** — record sequences one core executes
+before any other core's clock could interleave — touching the heap once
+per run.
 
 The heap invariant of the scalar engine is that every live core holds exactly
 one ``(clock, core_id)`` entry, keyed by its clock *after its previous
@@ -314,6 +315,48 @@ class _CoreSource:
                 return True
 
 
+def _init_schedule(
+    system: "System",
+    max_records_per_core: int,
+    resume: Optional[Dict[str, Any]],
+) -> Tuple[List[_CoreSource], List[int], List[Tuple[float, int]], int]:
+    """Build (sources, consumed, heap, processed) for a run of either engine mode.
+
+    One :class:`_CoreSource` per core over the workload's ``trace_batches``.
+    The heap holds one ``(clock, core_id)`` entry per core below its budget:
+    0.0 before a core's first record (even on a reused engine), the core's
+    clock after its latest record otherwise.  On a resume the sources are
+    fast-forwarded by the snapshot's consumed counts and the keys come from
+    the restored core clocks — exactly the keys the original run held at
+    the snapshot edge.
+    """
+    num_cores = system.config.num_cores
+    workload = system.workload
+    sources = [_CoreSource(workload.trace_batches(core_id)) for core_id in range(num_cores)]
+    if resume is None:
+        consumed = [0] * num_cores
+        processed = 0
+    else:
+        consumed = [int(count) for count in resume["consumed_per_core"]]
+        processed = int(resume["processed"])
+        for core_id, count in enumerate(consumed):
+            skipped = _fast_forward(sources[core_id], count)
+            if skipped != count:
+                raise ValueError(
+                    f"cannot resume: core {core_id} stream holds {skipped} "
+                    f"records, snapshot consumed {count}; the workload does "
+                    "not match the snapshot"
+                )
+    cores = system.cores
+    heap = [
+        (cores[core_id].clock if consumed[core_id] > 0 else 0.0, core_id)
+        for core_id in range(num_cores)
+        if consumed[core_id] < max_records_per_core
+    ]
+    heapq.heapify(heap)
+    return sources, consumed, heap, processed
+
+
 class BatchRunner:
     """One run of the batch engine (constructed per :meth:`SimulationEngine.run`)."""
 
@@ -325,46 +368,6 @@ class BatchRunner:
         # attached (HMA's cycle notifications, the observer's latency
         # histogram).  With a hook attached every record takes the full path.
         self._fast_ok = system._notify_cycle is None and system._obs_latency_hook is None
-        self._sources: List[_CoreSource] = []
-
-    def _init_schedule(
-        self,
-        max_records_per_core: int,
-        resume: Optional[Dict[str, Any]],
-    ) -> Tuple[List[int], List[Tuple[float, int]], int]:
-        """Build (consumed, heap, processed) for the run.
-
-        The heap holds one ``(clock, core_id)`` entry per core below its
-        budget, exactly the scalar engine's heap: 0.0 before a core's first
-        record (even on a reused engine), the core's clock after its latest
-        record otherwise.  On a resume the sources are fast-forwarded by the
-        snapshot's consumed counts and the keys come from the restored core
-        clocks — exactly the keys the original run held at the snapshot edge.
-        """
-        system = self._system
-        num_cores = system.config.num_cores
-        if resume is None:
-            consumed = [0] * num_cores
-            processed = 0
-        else:
-            consumed = [int(count) for count in resume["consumed_per_core"]]
-            processed = int(resume["processed"])
-            for core_id, count in enumerate(consumed):
-                skipped = _fast_forward(self._sources[core_id], count)
-                if skipped != count:
-                    raise ValueError(
-                        f"cannot resume: core {core_id} stream holds {skipped} "
-                        f"records, snapshot consumed {count}; the workload does "
-                        "not match the snapshot"
-                    )
-        cores = system.cores
-        heap = [
-            (cores[core_id].clock if consumed[core_id] > 0 else 0.0, core_id)
-            for core_id in range(num_cores)
-            if consumed[core_id] < max_records_per_core
-        ]
-        heapq.heapify(heap)
-        return consumed, heap, processed
 
     def run(
         self,
@@ -390,10 +393,6 @@ class BatchRunner:
         """
         system = self._system
         num_cores = system.config.num_cores
-        workload = system.workload
-        sources = self._sources = [
-            _CoreSource(workload.trace_batches(core_id)) for core_id in range(num_cores)
-        ]
         process_cols = self._process_cols
         fast_ok = self._fast_ok
         page_size = system.page_size
@@ -418,7 +417,7 @@ class BatchRunner:
                 tlb, l1, tlb._entries.move_to_end, l1._lru,
                 core._issue_width, core._l1_stall, core.stats,
             ))
-        consumed, heap, processed = self._init_schedule(max_records_per_core, resume)
+        sources, consumed, heap, processed = _init_schedule(system, max_records_per_core, resume)
         heappop = heapq.heappop
         heappush = heapq.heappush
         infinity = float("inf")
@@ -433,8 +432,8 @@ class BatchRunner:
             pos = source.pos
             if pos >= source.length:
                 if not source.refill():
-                    # Matches the scalar engine's StopIteration handling: the
-                    # minimum core is dropped when it would next run.
+                    # As in the scalar loop, the minimum core is dropped
+                    # when it would next run.
                     continue
                 pos = 0
             addr = source.addrs[pos]

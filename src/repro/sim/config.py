@@ -60,11 +60,6 @@ class DramTimingConfig:
             raise ValueError("min_transfer_bytes must be positive")
 
     @property
-    def bus_bytes_per_transfer(self) -> int:
-        """Bytes moved per DDR transfer (both edges of one bus cycle move 2x width)."""
-        return self.bus_width_bits // 8
-
-    @property
     def peak_bandwidth_gb_per_s(self) -> float:
         """Peak channel bandwidth in GB/s (DDR: two transfers per bus cycle)."""
         transfers_per_s = self.bus_mhz * 1e6 * 2.0

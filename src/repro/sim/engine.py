@@ -9,8 +9,9 @@ arrive at the channels in front of its next one.
 
 Two engine modes drive that identical interleaving:
 
-* ``"scalar"`` — the reference loop: one record object at a time through an
-  iterator and a heap (heap-free when there is only one core).
+* ``"scalar"`` — the reference loop: one record per heap pop, read from the
+  same column buffers and scheduled through the same heap set-up and resume
+  fast-forward as the batch engine.
 * ``"batch"`` (default) — column batches and run-length scheduling
   (:mod:`repro.sim.batch`): a run of the minimum-clock core that starts on
   a TLB+L1 hit executes without heap traffic, its hits on an inlined fast
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.batch import (
@@ -42,6 +42,7 @@ from repro.sim.batch import (
     RunController,
     RunEdges,
     WarmupEdge,
+    _init_schedule,
 )
 from repro.sim.results import SimulationResults
 from repro.sim.system import System
@@ -255,69 +256,34 @@ class SimulationEngine:
         edges: RunEdges,
         resume: Optional[Dict[str, Any]] = None,
     ) -> Tuple[int, List[int]]:
-        """The reference per-record loop; returns (processed, consumed per core)."""
+        """The reference per-record loop; returns (processed, consumed per core).
+
+        Reads the column buffers the batch engine reads and starts from the
+        same heap and resume fast-forward
+        (:func:`~repro.sim.batch._init_schedule`), then runs one record per
+        heap pop.
+        """
         system = self.system
-        workload = system.workload
-        num_cores = system.config.num_cores
-        processed = int(resume["processed"]) if resume is not None else 0
-        consumed = (
-            [int(count) for count in resume["consumed_per_core"]]
-            if resume is not None
-            else [0] * num_cores
-        )
-        next_stop = edges.next_at
-
-        # Hot loop: everything it touches per record is a local.
-        process_cols = system.process_record_cols
-
-        if num_cores == 1:
-            # Single-core fast path: with one core there is nothing to
-            # interleave, so the heap (and its per-record tuple allocation)
-            # is pure overhead.  The processing order is trivially identical,
-            # and the one core's consumed count is ``processed`` itself.
-            iterator = workload.trace(0)
-            if resume is not None:
-                self._skip(iterator, 0, consumed[0])
-            while processed < max_records_per_core:  # repro: hotpath
-                try:
-                    gap, addr, is_write = next(iterator)
-                except StopIteration:
-                    break
-                process_cols(0, gap, addr, is_write)
-                processed += 1
-                if processed >= next_stop:
-                    consumed[0] = processed
-                    if edges.edge(processed, consumed):
-                        break
-                    next_stop = edges.next_at
-            consumed[0] = processed
-            return processed, consumed
-
-        iterators = [workload.trace(core_id) for core_id in range(num_cores)]
-        if resume is None:
-            heap = [(0.0, core_id) for core_id in range(num_cores)]
-        else:
-            # Resumed heap keys mirror the straight run's invariant: 0.0
-            # before a core's first record, its clock afterwards.
-            heap = []
-            for core_id in range(num_cores):
-                count = self._skip(iterators[core_id], core_id, consumed[core_id])
-                if count < max_records_per_core:
-                    key = system.cores[core_id].clock if count > 0 else 0.0
-                    heap.append((key, core_id))
-        heapq.heapify(heap)
+        sources, consumed, heap, processed = _init_schedule(system, max_records_per_core, resume)
         heappush = heapq.heappush
         heappop = heapq.heappop
+        process_cols = system.process_record_cols
+        next_stop = edges.next_at
         # Every heap entry is a core with records left to run: a core is
         # pushed back only below its budget, and dropped when its stream
         # runs dry.
         while heap:  # repro: hotpath
             _clock, core_id = heappop(heap)
-            try:
-                gap, addr, is_write = next(iterators[core_id])
-            except StopIteration:
-                continue
-            new_clock = process_cols(core_id, gap, addr, is_write)
+            source = sources[core_id]
+            pos = source.pos
+            if pos >= source.length:
+                if not source.refill():
+                    continue
+                pos = 0
+            new_clock = process_cols(
+                core_id, source.gaps[pos], source.addrs[pos], source.writes[pos]
+            )
+            source.pos = pos + 1
             processed += 1
             consumed[core_id] += 1
             if consumed[core_id] < max_records_per_core:
@@ -329,15 +295,3 @@ class SimulationEngine:
                     break
                 next_stop = edges.next_at
         return processed, consumed
-
-    @staticmethod
-    def _skip(iterator: Any, core_id: int, count: int) -> int:
-        """Fast-forward a resumed core's stream by its consumed count."""
-        count = int(count)
-        skipped = sum(1 for _ in islice(iterator, count))
-        if skipped != count:
-            raise ValueError(
-                f"cannot resume: core {core_id} stream holds {skipped} records, "
-                f"snapshot consumed {count}; the workload does not match the snapshot"
-            )
-        return count

@@ -99,7 +99,6 @@ class System:
 
         self.llc_misses = 0
         self.llc_writebacks = 0
-        self._baseline = None
 
         # ---- hot-path state, hoisted out of the per-record loop ----------
         # Preallocated request/mapping objects, mutated in place per record:
@@ -130,6 +129,8 @@ class System:
         # ``is None`` check per record and the observer only ever *reads*
         # state — results stay bit-identical either way.
         self._obs_latency_hook = None
+        # A run without warmup measures from its first record.
+        self.begin_measurement()
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickled state (engine snapshots): everything but the workload and the hook.
@@ -261,22 +262,7 @@ class System:
 
     def collect_results(self, wall_time_seconds: float = 0.0) -> SimulationResults:
         """Assemble a :class:`SimulationResults` snapshot (post-warmup deltas)."""
-        base = self._baseline or {
-            "instructions": 0,
-            "accesses": 0,
-            "cycles": 0.0,
-            "per_core_cycles": [0.0] * self.config.num_cores,
-            "hits": 0,
-            "misses": 0,
-            "llc_misses": 0,
-            "llc_writebacks": 0,
-            "tlb_misses": 0,
-            "in_traffic": {},
-            "off_traffic": {},
-            "os_stall": 0.0,
-            "scheme_stats": {},
-            "hierarchy_stats": {},
-        }
+        base = self._baseline
         instructions = sum(core.stats.instructions for core in self.cores) - base["instructions"]
         accesses = sum(core.stats.memory_accesses for core in self.cores) - base["accesses"]
         cycles = max((core.clock for core in self.cores), default=0.0) - base["cycles"]

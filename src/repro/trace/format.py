@@ -45,7 +45,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.cpu.trace import TraceRecord, TraceStats, TraceStream, combine_stats
+from repro.cpu.trace import TraceBatch, TraceRecord, TraceStats, TraceStream, combine_stats, flatten
 
 MAGIC = b"RTRC"
 FORMAT_VERSION = 1
@@ -114,25 +114,17 @@ def pack_records(records: List[TraceRecord]) -> bytes:
     return struct.pack("<" + "IQ" * len(records), *flat)
 
 
-def unpack_records(payload: bytes) -> Iterator[TraceRecord]:
-    """Inverse of :func:`pack_records` (lazy)."""
-    for word, addr in _RECORD.iter_unpack(payload):
-        yield TraceRecord(word & _GAP_MASK, addr, bool(word & _WRITE_BIT))
-
-
 # Chunk-sized Struct objects, keyed by record count.  Nearly every chunk
 # holds exactly CHUNK_RECORDS records, so this dict stays tiny (the final
 # short chunk of each core stream adds at most one entry per length).
 _COLUMN_STRUCTS: Dict[int, struct.Struct] = {}
 
 
-def unpack_columns(payload: bytes) -> Tuple[List[int], List[int], List[bool]]:
-    """Decode a packed chunk into ``(gaps, addrs, writes)`` columns.
+def unpack_columns(payload: bytes) -> TraceBatch:
+    """Inverse of :func:`pack_records`: decode a chunk into one column batch.
 
-    One ``struct.unpack`` call decodes the whole chunk (versus one
-    :class:`TraceRecord` construction per record in :func:`unpack_records`),
-    which is what makes ``.rtrace`` replay cheap enough to feed the batch
-    engine at full speed.
+    One ``struct.unpack`` call decodes the whole chunk, which is what makes
+    ``.rtrace`` replay cheap enough to feed the engines at full speed.
     """
     count = len(payload) // _RECORD.size
     decoder = _COLUMN_STRUCTS.get(count)
@@ -300,32 +292,12 @@ class TraceReader:
     def record_counts(self) -> List[int]:
         return [entry[2] for entry in self.index]
 
-    def stream(self, core_id: int) -> Iterator[TraceRecord]:
-        """Lazily yield ``core_id``'s records.
-
-        Each call opens its own file handle, so all cores' streams can be
-        consumed concurrently (the engine interleaves cores by local clock).
-        """
-        if not 0 <= core_id < self.num_cores:
-            raise ValueError(f"core_id {core_id} out of range for {self.num_cores}-core trace")
-        offset, _nbytes, nrecords = self.index[core_id]
-        compressed = self.compressed
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            remaining = nrecords
-            while remaining > 0:
-                nrec, payload_len = _CHUNK_HEADER.unpack(fh.read(_CHUNK_HEADER.size))
-                payload = fh.read(payload_len)
-                if compressed:
-                    payload = zlib.decompress(payload)
-                yield from unpack_records(payload)
-                remaining -= nrec
-
-    def stream_batches(self, core_id: int) -> Iterator[Tuple[List[int], List[int], List[bool]]]:
+    def stream_batches(self, core_id: int) -> Iterator[TraceBatch]:
         """Lazily yield ``core_id``'s records as per-chunk column batches.
 
-        The concatenated batches replay exactly what :meth:`stream` yields;
-        each stored chunk becomes one batch via a single bulk decode.
+        Each stored chunk becomes one batch via a single bulk decode.  Each
+        call opens its own file handle, so all cores' streams can be
+        consumed concurrently (the engine interleaves cores by local clock).
         """
         if not 0 <= core_id < self.num_cores:
             raise ValueError(f"core_id {core_id} out of range for {self.num_cores}-core trace")
@@ -342,9 +314,9 @@ class TraceReader:
                 yield unpack_columns(payload)
                 remaining -= nrec
 
-    def streams(self) -> List[Iterator[TraceRecord]]:
-        """One lazy stream per core, in core order."""
-        return [self.stream(core_id) for core_id in range(self.num_cores)]
+    def stream(self, core_id: int) -> Iterator[TraceRecord]:
+        """Lazily yield ``core_id``'s records (a flatten of :meth:`stream_batches`)."""
+        return flatten(self.stream_batches(core_id))
 
 
 def read_meta(path: str) -> TraceMeta:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterator, Optional
 
-from repro.cpu.trace import TraceRecord
 from repro.trace.format import TraceReader
 from repro.workloads.base import TraceBatch, Workload
 
@@ -87,9 +86,6 @@ class TraceWorkload(Workload):
     def max_records_per_core(self) -> int:
         """Finite bound the engine enforces (see :class:`Workload`)."""
         return self.records_per_core
-
-    def trace(self, core_id: int) -> Iterator[TraceRecord]:
-        return self.reader.stream(core_id)
 
     def trace_batches(self, core_id: int) -> Iterator[TraceBatch]:
         """Chunked column replay: one bulk decode per stored chunk."""

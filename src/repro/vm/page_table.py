@@ -14,7 +14,7 @@ memory requests propagate (Section 4.3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.vm.physical_memory import FrameAllocator
 from repro.vm.reverse_mapping import ReverseMapping
@@ -45,11 +45,6 @@ class PageTableEntry:
         self.way = way
         self.large = large
         self.generation = generation
-
-    @property
-    def mapping_bits(self) -> Tuple[bool, int]:
-        """The (cached, way) pair that TLBs carry into memory requests."""
-        return (self.cached, self.way)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

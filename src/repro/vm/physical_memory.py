@@ -34,8 +34,3 @@ class FrameAllocator:
             raise ValueError("frame must be non-negative")
         self.allocated -= 1
         self._free.append(frame)
-
-    @property
-    def live_frames(self) -> int:
-        """Number of frames currently allocated."""
-        return self.allocated

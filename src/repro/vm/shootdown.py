@@ -21,11 +21,6 @@ class ShootdownCost:
     initiator_core: int
     per_core_cycles: List[int]
 
-    @property
-    def total_cycles(self) -> int:
-        """Sum of all per-core penalties."""
-        return sum(self.per_core_cycles)
-
 
 class ShootdownCostModel:
     """Computes per-core penalties for TLB shootdowns and PTE update batches."""

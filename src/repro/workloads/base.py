@@ -1,10 +1,14 @@
 """Workload interface.
 
-A workload describes, for each simulated core, a stream of
-:class:`repro.cpu.trace.TraceRecord` — short instruction runs ending in one
-memory access.  The same workload object always produces the same traces
-(seeded generation), so different DRAM-cache schemes are compared on
-identical instruction and access streams, which is what makes the speedup
+A workload describes, for each simulated core, a stream of short
+instruction runs ending in one memory access, produced as column batches
+(:data:`repro.cpu.trace.TraceBatch`) by :meth:`Workload.trace_batches` —
+the one stream method every workload implements and both engine modes
+read.  :meth:`Workload.trace` flattens it into
+:class:`repro.cpu.trace.TraceRecord` objects for trace capture and
+tests.  The same workload object always produces the same streams (seeded
+generation), so different DRAM-cache schemes are compared on identical
+instruction and access streams, which is what makes the speedup
 comparisons of Figure 4 meaningful.
 
 Workloads carry two pieces of timing advice for the core model:
@@ -18,19 +22,15 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
-from repro.cpu.trace import TraceRecord
+from repro.cpu.trace import TraceBatch, TraceRecord, flatten
 from repro.util.rng import DeterministicRng
 
 #: Records per column batch produced by :meth:`Workload.trace_batches`.
 #: Large enough to amortise per-batch overhead, small enough that a batch
 #: of three Python lists stays cache- and memory-friendly.
 BATCH_RECORDS = 4096
-
-#: One column batch: parallel ``(gaps, addrs, writes)`` lists of equal length.
-TraceBatch = Tuple[List[int], List[int], List[bool]]
 
 
 class Workload(ABC):
@@ -59,40 +59,20 @@ class Workload(ABC):
         self.seed = seed
 
     @abstractmethod
-    def trace(self, core_id: int) -> Iterator[TraceRecord]:
-        """Yield the trace records for ``core_id``."""
-
     def trace_batches(self, core_id: int) -> Iterator[TraceBatch]:
         """Yield ``core_id``'s records as flat ``(gaps, addrs, writes)`` columns.
 
-        The batch engine consumes columns instead of per-record objects; the
-        concatenation of the yielded columns must replay *exactly* the record
-        sequence :meth:`trace` yields (same order, same values, ending at the
-        same record).  Batches may be any positive length; only the final
-        batch may be shorter than its predecessors.
-
-        This default shim adapts any legacy :meth:`trace` iterator, so every
-        workload keeps working with the batch engine; generators and trace
-        replays override it to fill columns directly without constructing
-        per-record objects.
+        Batches may be any positive length.  This is the workload's one
+        stream: both engine modes read it, and :meth:`trace` flattens it.
         """
-        iterator = self.trace(core_id)
-        while True:
-            gaps: List[int] = []
-            addrs: List[int] = []
-            writes: List[bool] = []
-            append_gap = gaps.append
-            append_addr = addrs.append
-            append_write = writes.append
-            for gap, addr, is_write in islice(iterator, BATCH_RECORDS):
-                append_gap(gap)
-                append_addr(addr)
-                append_write(is_write)
-            if not gaps:
-                return
-            yield gaps, addrs, writes
-            if len(gaps) < BATCH_RECORDS:
-                return
+
+    def trace(self, core_id: int) -> Iterator[TraceRecord]:
+        """Yield ``core_id``'s records one :class:`TraceRecord` at a time.
+
+        A flatten of :meth:`trace_batches`, for consumers that want records
+        (trace capture, tests); the engines read the batches.
+        """
+        return flatten(self.trace_batches(core_id))
 
     @property
     def max_records_per_core(self) -> Optional[int]:
@@ -116,11 +96,6 @@ class Workload(ABC):
         """
         token = f"{self.name}|{self.seed}|{core_id}".encode("utf-8")
         return DeterministicRng(zlib.crc32(token) & 0x7FFFFFFF)
-
-    @property
-    def footprint_pages(self) -> int:
-        """Footprint in (4 KB-equivalent) pages."""
-        return self.footprint_bytes // self.page_size
 
     def describe(self) -> Dict[str, object]:
         """Human-readable summary used by examples and reports."""

@@ -137,6 +137,13 @@ class GraphWorkload(Workload):
                     yield vertices[0] + int(index)
 
     def trace(self, core_id: int) -> Iterator[TraceRecord]:
+        """The readable per-record reference for :meth:`trace_batches`.
+
+        One straightforward loop over the vertex sweep, kept so the
+        vectorized column builder has an oracle to match record for record
+        (``tests/test_workloads.py`` checks it across sweep ends).  The
+        engines never call it; they read :meth:`trace_batches`.
+        """
         self._build_graph()
         rng = self.rng_for_core(core_id).generator
         gap = max(1, int(self.mean_gap))
@@ -164,16 +171,16 @@ class GraphWorkload(Workload):
                 yield TraceRecord(gap, self.vertex_b_base + vertex * _WORD, True)
 
     def trace_batches(self, core_id: int) -> Iterator[TraceBatch]:
-        """Native column batches: the exact record stream of :meth:`trace`.
+        """The workload's stream: the exact record sequence of :meth:`trace`.
 
         Builds whole chunks of the per-vertex record pattern
         ``[row-pointer read][edge read, neighbour read(s)]*degree[write]*W``
         with vectorized numpy scatter-assignments instead of constructing one
-        :class:`TraceRecord` per access — the per-record cost the batch
-        engine exists to avoid.  The RNG draw schedule is replicated exactly
-        (the same pool draws at the same vertices, the same permutation per
-        random-order sweep), so the stream is record-for-record identical to
-        :meth:`trace`; the property tests pin this.
+        :class:`TraceRecord` per access.  The RNG draw schedule is replicated
+        exactly (the same pool draws at the same vertices, the same
+        permutation per random-order sweep), so the stream is
+        record-for-record identical to :meth:`trace`; the workload tests pin
+        this.
 
         Chunks are cut at vertex boundaries (so they can run slightly past
         ``BATCH_RECORDS``), at pool-refill points and at sweep ends;

@@ -10,9 +10,8 @@ compute-bound programs sharing the DRAM cache).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List
 
-from repro.cpu.trace import TraceRecord
 from repro.sim.config import GB
 from repro.workloads.base import TraceBatch, Workload
 from repro.workloads.spec import SpecWorkload
@@ -45,15 +44,8 @@ class MixWorkload(Workload):
                          page_size=page_size, seed=seed)
         self.assignment = assignment
 
-    def trace(self, core_id: int) -> Iterator[TraceRecord]:
-        """Each core runs its benchmark in a private 1 GB-aligned slice."""
-        if not 0 <= core_id < self.num_cores:
-            raise ValueError("core_id out of range")
-        member = self._members[core_id]
-        return member.trace(0, base=core_id * GB)
-
     def trace_batches(self, core_id: int) -> Iterator[TraceBatch]:
-        """Column batches from the member generator (same slice as trace)."""
+        """Each core runs its benchmark in a private 1 GB-aligned slice."""
         if not 0 <= core_id < self.num_cores:
             raise ValueError("core_id out of range")
         member = self._members[core_id]
@@ -64,7 +56,3 @@ class MixWorkload(Workload):
         info["assignment"] = list(self.assignment)
         return info
 
-
-def mix_names() -> Sequence[str]:
-    """Names of the defined mixes."""
-    return tuple(sorted(MIX_DEFINITIONS))

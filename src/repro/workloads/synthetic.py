@@ -14,7 +14,7 @@ mixtures of a small number of archetypal access patterns:
   over a region (mcf, omnetpp): poor spatial locality, low MLP.
 
 A :class:`SyntheticWorkload` composes weighted patterns into per-core traces.
-Addresses are generated in bulk with numpy and then emitted as trace records,
+Addresses are generated in bulk with numpy and emitted as column batches,
 which keeps generation fast enough to be negligible next to simulation time.
 """
 
@@ -25,7 +25,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.trace import TraceRecord
 from repro.sim.config import CACHELINE_SIZE
 from repro.util.rng import DeterministicRng
 from repro.workloads.base import TraceBatch, Workload
@@ -160,13 +159,13 @@ class SyntheticWorkload(Workload):
         """Base address of ``core_id``'s address-space slice (0 = shared space)."""
         return 0
 
-    def _column_chunks(self, core_id: int, base: Optional[int] = None) -> Iterator[TraceBatch]:
+    def trace_batches(self, core_id: int, base: Optional[int] = None) -> Iterator[TraceBatch]:
         """Generate ``(gaps, addrs, writes)`` column chunks for one core.
 
-        Both :meth:`trace` and :meth:`trace_batches` draw from this generator,
-        and the RNG call sequence is exactly the pre-batch ``trace`` loop's,
-        so record streams are bit-identical across engine modes and across
-        releases.
+        ``base`` overrides :meth:`core_base` (a mix places each member in
+        its own slice).  Each chunk draws from the core's RNG in a fixed
+        order (pattern split, addresses, shuffle, gaps, write flags), so
+        record streams stay bit-identical across releases.
         """
         rng = self.rng_for_core(core_id).generator
         region_base = base if base is not None else self.core_base(core_id)
@@ -184,14 +183,6 @@ class SyntheticWorkload(Workload):
             gaps = rng.geometric(1.0 / self.mean_gap, size=len(addrs))
             writes = rng.random(len(addrs)) < self.write_fraction
             yield gaps.tolist(), addrs.tolist(), writes.tolist()
-
-    def trace(self, core_id: int, base: Optional[int] = None) -> Iterator[TraceRecord]:
-        for gaps, addrs, writes in self._column_chunks(core_id, base):
-            yield from map(TraceRecord, gaps, addrs, writes)
-
-    def trace_batches(self, core_id: int, base: Optional[int] = None) -> Iterator[TraceBatch]:
-        """Column batches straight from the generator (no record objects)."""
-        return self._column_chunks(core_id, base)
 
 
 #: A callable returning a fresh AccessPattern (typing alias for readability).

@@ -1,6 +1,6 @@
 """Tests for repro.analyze: each rule on crafted good/bad fixtures, the
-suppression and baseline semantics, the CLI contract, and a self-check that
-the shipped source tree is clean against the committed baseline."""
+inline-suppression semantics, the CLI contract, and a self-check that the
+shipped source tree is clean."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ import pytest
 
 import repro.analyze
 from repro.analyze import DEFAULT_CONFIG, run_analysis
-from repro.analyze.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analyze.cli import main
 
 REPO_ROOT = Path(repro.analyze.__file__).resolve().parents[3]
@@ -537,62 +536,6 @@ def test_inline_allow_for_other_rule_does_not_suppress(tmp_path):
     assert len(findings) == 1
 
 
-# -------------------------------------------------------------------------- baseline
-
-
-def test_baseline_grandfathers_then_reports_stale(tmp_path):
-    fixture = tmp_path / "fixture.py"
-    fixture.write_text(
-        textwrap.dedent(
-            """
-            def process(record):  # repro: hotpath
-                return [record.addr]
-            """
-        )
-    )
-    findings = run_analysis([fixture], rules=["hotpath-alloc"])
-    assert len(findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    assert write_baseline(baseline_path, findings) == 1
-    baseline = load_baseline(baseline_path)
-
-    # Unchanged code: the finding is grandfathered, the gate sees nothing new.
-    new, grandfathered, stale = apply_baseline(findings, baseline)
-    assert new == [] and len(grandfathered) == 1 and stale == []
-
-    # Fingerprints ignore location: edits above the finding keep it matched.
-    fixture.write_text("import os\n\n\n" + fixture.read_text())
-    moved = run_analysis([fixture], rules=["hotpath-alloc"])
-    new, grandfathered, stale = apply_baseline(moved, baseline)
-    assert new == [] and len(grandfathered) == 1
-
-    # Fixed code: the entry goes stale (reported, not failing).
-    fixture.write_text(
-        textwrap.dedent(
-            """
-            def process(record):  # repro: hotpath
-                return record.addr
-            """
-        )
-    )
-    new, grandfathered, stale = apply_baseline(
-        run_analysis([fixture], rules=["hotpath-alloc"]), baseline
-    )
-    assert new == [] and grandfathered == [] and len(stale) == 1
-
-
-def test_load_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "absent.json") == {}
-
-
-def test_load_baseline_rejects_unknown_version(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(path)
-
-
 # ------------------------------------------------------------------------------- CLI
 
 
@@ -602,31 +545,18 @@ def test_cli_exit_codes_and_json_output(tmp_path, capsys):
     good = tmp_path / "good.py"
     good.write_text("def process(record):  # repro: hotpath\n    return record.addr\n")
 
-    assert main([str(good), "--no-baseline"]) == 0
+    assert main([str(good)]) == 0
     capsys.readouterr()
 
-    assert main([str(bad), "--no-baseline", "--format", "json"]) == 1
+    assert main([str(bad), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["new"] == 1
+    assert len(payload["findings"]) == 1
     finding = payload["findings"][0]
     assert finding["rule"] == "hotpath-alloc"
     assert finding["symbol"] == "bad.process"
-    assert finding["fingerprint"]
 
     assert main([str(bad), "--rule", "no-such-rule"]) == 2
     assert "unknown rules" in capsys.readouterr().err
-
-
-def test_cli_write_baseline_then_gate_passes(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("def process(record):  # repro: hotpath\n    return [record.addr]\n")
-    baseline = tmp_path / "baseline.json"
-
-    assert main([str(bad), "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert main([str(bad), "--baseline", str(baseline)]) == 0
-    # --no-baseline re-reports the grandfathered finding.
-    assert main([str(bad), "--no-baseline"]) == 1
-    capsys.readouterr()
 
 
 def test_cli_list_rules(capsys):
@@ -648,7 +578,11 @@ def test_cli_list_rules(capsys):
 
 
 def test_shipped_tree_is_clean_against_committed_baseline(monkeypatch, capsys):
-    """The gate CI runs must pass on the tree as committed."""
+    """The gate CI runs must pass on the tree as committed: no findings at all.
+
+    Intentional exceptions carry ``# repro: allow[rule]`` inline; there is no
+    baseline file to grandfather findings into.
+    """
     monkeypatch.chdir(REPO_ROOT)
     assert main(["src/repro"]) == 0
     assert "0 findings" in capsys.readouterr().out

@@ -311,11 +311,11 @@ def test_batch_engine_matches_scalar_for_every_variant(workload, num_cores, budg
 
 
 def test_single_core_scalar_fast_path_matches_multicore_semantics():
-    """The heap-free single-core scalar loop is bit-identical per core.
+    """One core alone gives the same results in the scalar and batch loops.
 
-    One core simulated alone must produce the same identity results whether
-    the scheduler uses the heap or the dedicated single-core loop; compare
-    against the batch engine, which schedules without a heap by design.
+    The scalar loop pops and pushes its one core's heap entry per record;
+    the batch engine runs a lone core as one unbounded run.  Both must
+    produce the same identity results.
     """
     assert _identity("banshee", "scalar", workload="pagerank", num_cores=1) == \
         _identity("banshee", "batch", workload="pagerank", num_cores=1)

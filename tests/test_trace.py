@@ -549,14 +549,14 @@ def test_stream_batches_round_trips_capture(tmp_path):
     """Column batches must replay the stored streams exactly, per chunk.
 
     Both the raw and the compressed layout go through the same one-shot
-    struct decode; concatenated columns must equal the per-record stream.
+    struct decode; concatenated columns must equal the generator's stream.
     """
     for compress in (False, True):
         path, _ = capture(tmp_path, records=300, compress=compress,
                           filename=f"cols-{compress}.rtrace")
         reader = TraceReader(path)
         for core_id in range(reader.num_cores):
-            expected = [(r.gap, r.addr, r.is_write) for r in reader.stream(core_id)]
+            expected = [tuple(r) for r in generator_records("gcc", core_id, 300)]
             got = []
             for gaps, addrs, writes in reader.stream_batches(core_id):
                 assert len(gaps) == len(addrs) == len(writes) > 0
@@ -565,11 +565,11 @@ def test_stream_batches_round_trips_capture(tmp_path):
 
 
 def test_trace_workload_batches_match_trace(tmp_path):
-    """TraceWorkload.trace_batches replays exactly its trace() stream."""
+    """TraceWorkload.trace_batches replays exactly the captured generator stream."""
     path, _ = capture(tmp_path, records=250)
     workload = TraceWorkload(path)
     for core_id in range(workload.num_cores):
-        expected = [(r.gap, r.addr, r.is_write) for r in workload.trace(core_id)]
+        expected = [tuple(r) for r in generator_records("gcc", core_id, 250)]
         got = []
         for gaps, addrs, writes in workload.trace_batches(core_id):
             got.extend(zip(gaps, addrs, writes))

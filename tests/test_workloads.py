@@ -211,9 +211,9 @@ def batch_records(workload, core_id, count):
 
 
 @pytest.mark.parametrize("name", [
-    "gcc",        # SPEC generator (default per-record shim)
+    "gcc",        # SPEC generator (trace() flattens its batches)
     "mcf",
-    "pagerank",   # graph generators (native vectorized batches)
+    "pagerank",   # graph generators (vectorized batches vs per-record reference)
     "tri_count",
     "graph500",   # random vertex order: permutation draws must line up
     "sgd",
@@ -223,10 +223,9 @@ def batch_records(workload, core_id, count):
 def test_trace_batches_replays_trace_exactly(name):
     """trace_batches must yield exactly the records trace() yields, in order.
 
-    This is the contract the whole batch engine rests on: the default shim,
-    the native synthetic/graph column builders and the mix wrapper all
-    promise the identical stream (gaps, addresses, write flags) — only the
-    container changes.
+    For the graph workloads trace() is the readable per-record reference
+    the vectorized column builder must match; for the others it is the
+    base-class flatten of trace_batches, so those cases pin the flatten.
     """
     count = 6000
     for cores in (1, 2):
@@ -250,22 +249,29 @@ def test_trace_batches_chunks_are_column_aligned():
     assert seen > 20000
 
 
-def test_trace_batches_default_shim_handles_finite_streams():
-    """The base-class shim must flush a final partial batch, then stop."""
+@pytest.mark.parametrize("name", ["pagerank", "tri_count", "graph500", "sgd", "lsh"])
+def test_graph_batches_match_reference_across_sweeps(name):
+    """The vectorized graph builder matches trace() across sweep ends.
 
-    from repro.cpu.trace import TraceRecord
-    from repro.workloads.base import BATCH_RECORDS, Workload
-
-    class Finite(Workload):
-        def __init__(self, n):
-            super().__init__("finite", 1, footprint_bytes=4096)
-            self.n = n
-
-        def trace(self, core_id):
-            for i in range(self.n):
-                yield TraceRecord(1, i * 64, False)
-
-    n = BATCH_RECORDS + 7
-    chunks = list(Finite(n).trace_batches(0))
-    assert [len(gaps) for gaps, _, _ in chunks] == [BATCH_RECORDS, 7]
-    assert sum(len(gaps) for gaps, _, _ in chunks) == n
+    At scale 0.001 (1,024 vertices) two full sweeps of every core's vertex
+    slice plus 100 records reach a sweep end, a fresh random-order
+    permutation (graph500, sgd) and, with three cores, the last core's
+    extra vertex.
+    """
+    for cores in (1, 3):
+        workload = get_workload(name, cores, scale=0.001, seed=5)
+        assert workload.num_vertices == 1024
+        workload._build_graph()
+        records_per_vertex = (
+            1
+            + workload._degrees * (1 + workload.neighbor_reads_per_edge)
+            + workload.writes_per_vertex
+        )
+        for core_id in range(cores):
+            vertices = workload._vertex_range(core_id)
+            sweep = int(records_per_vertex[vertices.start:vertices.stop].sum())
+            count = 2 * sweep + 100
+            expected = [(r.gap, r.addr, r.is_write) for r in take(workload, core_id, count)]
+            got = [(g, a, bool(w)) for g, a, w in batch_records(workload, core_id, count)]
+            assert len(got) == count
+            assert got == expected, f"{name} core {core_id} of {cores} diverged"
