@@ -25,7 +25,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-from repro.analyze.core import AnalysisContext, Finding, Module, register_rule
+from repro.analyze.core import AnalysisContext, Finding, register_rule
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -11,10 +11,10 @@ all three levels in one frame, against the levels' sets directly.
 :meth:`~repro.cache.sram_cache.SramCache.fill` are the per-level reference
 that walk is tested against.
 
-Coherence between private caches is not modelled (see DESIGN.md §2): the
-studied workloads are dominated by private data and the DRAM-cache schemes
-under comparison are below the LLC, where coherence traffic is identical for
-all of them.
+Coherence between private caches is not modelled, a simplification that
+leaves the comparison intact: the studied workloads are dominated by
+private data, and the DRAM-cache schemes under comparison sit below the
+LLC, where coherence traffic is identical for all of them.
 """
 
 from __future__ import annotations
@@ -105,18 +105,20 @@ class CacheHierarchy:
         does, in the same order: the L1 access, whose dirty victim fills the
         L2, whose dirty victim fills the L3, whose dirty victim becomes a
         writeback; then the L2 access, whose dirty victim goes down the same
-        way; then the L3 access.  A full set evicts its front entry (LRU and
-        FIFO order; the random policy's draw moves its victim there first).
+        way; then the L3 access.  A full set evicts its first key (LRU and
+        FIFO order), or under the random policy the key its draw picks; a
+        resident line that a dirty victim fills becomes dirty, and under LRU
+        also most recent.
         """
         l1 = self.l1[core_id]
         line = addr >> l1._line_bits
         bucket = l1._sets[line & l1._set_mask]
         if line in bucket:
             l1.hits += 1
-            if is_write:
-                bucket[line] = True
             if l1._lru:
-                bucket.move_to_end(line)
+                bucket[line] = bucket.pop(line) or is_write
+            elif is_write:
+                bucket[line] = True
             return self._l1_hit
 
         outcome = self._scratch
@@ -132,9 +134,11 @@ class CacheHierarchy:
         spill: Optional[int] = None
         if len(bucket) >= l1.num_ways:
             if l1._random:
-                l1._random_victim_to_front(bucket)
-            victim, dirty = bucket.popitem(last=False)
-            if dirty:
+                victim = l1._random_victim(bucket)
+            else:
+                for victim in bucket:
+                    break
+            if bucket.pop(victim):
                 l1.dirty_evictions += 1
                 spill = victim << l1._line_bits
         bucket[line] = is_write
@@ -145,47 +149,47 @@ class CacheHierarchy:
             bucket = l2._sets[line & l2._set_mask]
             spill = None
             if line in bucket:
-                bucket[line] = True
                 if l2._lru:
-                    bucket.move_to_end(line)
-            else:
-                if len(bucket) >= l2.num_ways:
-                    if l2._random:
-                        l2._random_victim_to_front(bucket)
-                    victim, dirty = bucket.popitem(last=False)
-                    if dirty:
-                        l2.dirty_evictions += 1
-                        spill = victim << l2._line_bits
-                bucket[line] = True
+                    del bucket[line]
+            elif len(bucket) >= l2.num_ways:
+                if l2._random:
+                    victim = l2._random_victim(bucket)
+                else:
+                    for victim in bucket:
+                        break
+                if bucket.pop(victim):
+                    l2.dirty_evictions += 1
+                    spill = victim << l2._line_bits
+            bucket[line] = True
             if spill is not None:
                 # Its dirty L2 victim fills the L3.
                 line = spill >> l3._line_bits
                 bucket = l3._sets[line & l3._set_mask]
                 if line in bucket:
-                    bucket[line] = True
                     if l3._lru:
-                        bucket.move_to_end(line)
-                else:
-                    if len(bucket) >= l3.num_ways:
-                        if l3._random:
-                            l3._random_victim_to_front(bucket)
-                        victim, dirty = bucket.popitem(last=False)
-                        if dirty:
-                            l3.dirty_evictions += 1
-                            eviction = wb_pool[len(writebacks)]
-                            eviction.addr = victim << l3._line_bits
-                            writebacks.append(eviction)
-                    bucket[line] = True
+                        del bucket[line]
+                elif len(bucket) >= l3.num_ways:
+                    if l3._random:
+                        victim = l3._random_victim(bucket)
+                    else:
+                        for victim in bucket:
+                            break
+                    if bucket.pop(victim):
+                        l3.dirty_evictions += 1
+                        eviction = wb_pool[len(writebacks)]
+                        eviction.addr = victim << l3._line_bits
+                        writebacks.append(eviction)
+                bucket[line] = True
 
         # L2 access.
         line = addr >> l2._line_bits
         bucket = l2._sets[line & l2._set_mask]
         if line in bucket:
             l2.hits += 1
-            if is_write:
-                bucket[line] = True
             if l2._lru:
-                bucket.move_to_end(line)
+                bucket[line] = bucket.pop(line) or is_write
+            elif is_write:
+                bucket[line] = True
             outcome.level = "l2"
             outcome.llc_miss = False
             return outcome
@@ -193,9 +197,11 @@ class CacheHierarchy:
         spill = None
         if len(bucket) >= l2.num_ways:
             if l2._random:
-                l2._random_victim_to_front(bucket)
-            victim, dirty = bucket.popitem(last=False)
-            if dirty:
+                victim = l2._random_victim(bucket)
+            else:
+                for victim in bucket:
+                    break
+            if bucket.pop(victim):
                 l2.dirty_evictions += 1
                 spill = victim << l2._line_bits
         bucket[line] = is_write
@@ -205,39 +211,41 @@ class CacheHierarchy:
             line = spill >> l3._line_bits
             bucket = l3._sets[line & l3._set_mask]
             if line in bucket:
-                bucket[line] = True
                 if l3._lru:
-                    bucket.move_to_end(line)
-            else:
-                if len(bucket) >= l3.num_ways:
-                    if l3._random:
-                        l3._random_victim_to_front(bucket)
-                    victim, dirty = bucket.popitem(last=False)
-                    if dirty:
-                        l3.dirty_evictions += 1
-                        eviction = wb_pool[len(writebacks)]
-                        eviction.addr = victim << l3._line_bits
-                        writebacks.append(eviction)
-                bucket[line] = True
+                    del bucket[line]
+            elif len(bucket) >= l3.num_ways:
+                if l3._random:
+                    victim = l3._random_victim(bucket)
+                else:
+                    for victim in bucket:
+                        break
+                if bucket.pop(victim):
+                    l3.dirty_evictions += 1
+                    eviction = wb_pool[len(writebacks)]
+                    eviction.addr = victim << l3._line_bits
+                    writebacks.append(eviction)
+            bucket[line] = True
 
         # L3 access.
         line = addr >> l3._line_bits
         bucket = l3._sets[line & l3._set_mask]
         if line in bucket:
             l3.hits += 1
-            if is_write:
-                bucket[line] = True
             if l3._lru:
-                bucket.move_to_end(line)
+                bucket[line] = bucket.pop(line) or is_write
+            elif is_write:
+                bucket[line] = True
             outcome.level = "l3"
             outcome.llc_miss = False
             return outcome
         l3.misses += 1
         if len(bucket) >= l3.num_ways:
             if l3._random:
-                l3._random_victim_to_front(bucket)
-            victim, dirty = bucket.popitem(last=False)
-            if dirty:
+                victim = l3._random_victim(bucket)
+            else:
+                for victim in bucket:
+                    break
+            if bucket.pop(victim):
                 l3.dirty_evictions += 1
                 eviction = wb_pool[len(writebacks)]
                 eviction.addr = victim << l3._line_bits

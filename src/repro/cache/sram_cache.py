@@ -7,11 +7,18 @@ to the memory controllers (which matters a great deal for the DRAM-cache
 schemes: Banshee's tag-probe path and Alloy's BEAR writeback probe both exist
 to serve exactly these requests).
 
-Each set is an :class:`collections.OrderedDict` mapping line tag -> dirty
-bit.  For the LRU policy the dict order is recency order (MRU at the end);
-for FIFO it is insertion order; for random the victim is drawn from the
-keys.  This representation keeps the per-access cost low, which matters
-because three caches are consulted for every trace record.
+Each set is a plain ``dict`` mapping line tag -> dirty bit, whose
+iteration order is insertion order.  For the LRU policy that order is
+recency order (MRU at the end): a hit pops its line and inserts it again.
+For FIFO it is insertion order, and a hit leaves it alone.  A full set
+evicts its first key under both; the random policy evicts the key its draw
+picks, in place.  Plain dicts rather than ``collections``' ordered mapping:
+an eviction then allocates and frees no linked-list node, and CPython
+specialises item loads and stores only for exact dicts.  That makes every
+miss cheaper, and on the miss-bound workloads nearly every record misses
+every level.  An LRU hit costs more (a pop and an insert instead of one
+move), which is why the TLB, where hits are the common case, keeps its
+ordered mapping.
 
 The per-record hot path does not call :meth:`SramCache.access` or
 :meth:`SramCache.fill`: :meth:`repro.cache.hierarchy.CacheHierarchy.access_reused`
@@ -22,9 +29,8 @@ side by side), and the API for every other caller.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.config import CacheLevelConfig
 from repro.util.bits import log2_exact
@@ -63,7 +69,7 @@ class SramCache:
         self.policy = config.replacement
         self._line_bits = log2_exact(config.line_size)
         self._set_mask = self.num_sets - 1
-        self._sets: List["OrderedDict[int, bool]"] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         self._rng = rng if rng is not None else DeterministicRng(0)
         # Policy flags hoisted out of the per-access path (string comparisons
         # in ``access``/``fill`` and the hierarchy walk show up in profiles at
@@ -94,10 +100,10 @@ class SramCache:
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
             self.hits += 1
-            if is_write:
-                bucket[line] = True
             if self._lru:
-                bucket.move_to_end(line)
+                bucket[line] = bucket.pop(line) or is_write
+            elif is_write:
+                bucket[line] = True
             return CacheAccessResult(hit=True, eviction=None)
         self.misses += 1
         return CacheAccessResult(hit=False, eviction=self._insert(bucket, line, is_write))
@@ -107,41 +113,43 @@ class SramCache:
         line = addr >> self._line_bits
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
-            if dirty:
-                bucket[line] = True
             if self._lru:
-                bucket.move_to_end(line)
+                bucket[line] = bucket.pop(line) or dirty
+            elif dirty:
+                bucket[line] = True
             return None
         return self._insert(bucket, line, dirty)
 
-    def _insert(self, bucket: "OrderedDict[int, bool]", line: int, dirty: bool) -> Optional[Eviction]:
+    def _insert(self, bucket: Dict[int, bool], line: int, dirty: bool) -> Optional[Eviction]:
         """Allocate ``line`` in ``bucket``, evicting a victim when the set is full."""
         eviction: Optional[Eviction] = None
         if len(bucket) >= self.num_ways:
             if self._random:
-                self._random_victim_to_front(bucket)
-            victim, victim_dirty = bucket.popitem(last=False)
+                victim = self._random_victim(bucket)
+            else:
+                for victim in bucket:
+                    break
+            victim_dirty = bucket.pop(victim)
             if victim_dirty:
                 self.dirty_evictions += 1
             eviction = Eviction(addr=victim << self._line_bits, dirty=victim_dirty)
         bucket[line] = dirty
         return eviction
 
-    def _random_victim_to_front(self, bucket: "OrderedDict[int, bool]") -> None:
-        """Draw the random policy's victim and move it to the front of ``bucket``.
+    def _random_victim(self, bucket: Dict[int, bool]) -> int:
+        """Draw the random policy's victim from the non-empty ``bucket``.
 
-        LRU keeps recency order and FIFO insertion order, so both evict the
-        front entry; moving the drawn victim there lets every eviction site
-        pop the front.  The rest of the set keeps its order, so popping the
-        front equals popping the victim in place.  One ``randint`` per
-        eviction, and an iterator advance instead of materialising the key
-        list (dict iteration order is the order ``list(bucket)`` would have).
+        LRU and FIFO evict the first key; the random policy evicts the key
+        at a drawn position, and the caller pops it in place, so the rest
+        of the set keeps its order.  One ``randint`` per eviction, and an
+        iterator advance instead of materialising the key list (dict
+        iteration order is the order ``list(bucket)`` would have).
         """
         index = self._rng.randint(0, len(bucket))
         iterator = iter(bucket)
         for _ in range(index):
             next(iterator)
-        bucket.move_to_end(next(iterator), last=False)
+        return next(iterator)
 
     def invalidate(self, addr: int) -> Optional[Eviction]:
         """Remove ``addr`` if present, returning it as an eviction if dirty."""

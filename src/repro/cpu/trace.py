@@ -16,7 +16,7 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 #: One column batch: parallel ``(gaps, addrs, writes)`` lists of equal length.

@@ -139,7 +139,10 @@ class FifoPageStore:
             raise ValueError("in-package DRAM too small for a single page")
         self.capacity_pages = capacity_pages
         # OrderedDict doubles as the FIFO queue: insertion order is eviction
-        # order.  The value is the page's dirty bit.
+        # order.  The value is the page's dirty bit.  Not a plain dict (as the
+        # SRAM cache sets are): popping the front of a dict of thousands of
+        # pages leaves deleted slots there, which every later front lookup
+        # skips until the next resize.
         self.entries: "OrderedDict[int, bool]" = OrderedDict()
 
     def is_resident(self, page: int) -> bool:

@@ -1,8 +1,11 @@
 """Default parameters for the benchmark harness.
 
 The benchmark suite regenerates every table and figure of the paper on a
-scaled-down system (DESIGN.md §2).  Runtime is controlled by two knobs that
-can be overridden through environment variables without touching code:
+scaled-down system that keeps the paper's footprint : DRAM-cache : LLC
+ratios and its bandwidth per core (see
+:meth:`repro.sim.config.SystemConfig.scaled_default`).  Runtime is
+controlled by two knobs that can be overridden through environment
+variables without touching code:
 
 * ``REPRO_BENCH_RECORDS`` — trace records per core per simulation
   (default 30 000; the paper simulates 100 G instructions, which is far out

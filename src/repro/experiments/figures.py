@@ -16,7 +16,7 @@ a snapshot of their output next to the paper's numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.defaults import (
     BENCH_NUM_CORES,

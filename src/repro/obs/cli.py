@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.events import read_events, validate_event
+from repro.obs.events import read_events
 from repro.obs.timeline import Timeline, TimelineObserver
 
 

@@ -505,7 +505,12 @@ class BatchRunner:
                         if line in bucket:
                             # Inline TLB-hit + L1-hit path: identical
                             # operations in identical order to
-                            # process_record_cols, so bit-identical.
+                            # process_record_cols, so bit-identical.  The
+                            # L1 hit is the hierarchy walk's own: under
+                            # LRU the line is popped and inserted again
+                            # (the set's end is its MRU), and the
+                            # ``writes`` columns hold bools, so stored
+                            # dirty bits keep their type.
                             if const_gap is None:
                                 gap = gaps[pos]
                                 cycles = gap / issue_width
@@ -513,10 +518,10 @@ class BatchRunner:
                                 gap = const_gap
                                 cycles = cycles_const
                             tlb_move(vpn)
-                            if writes[pos]:
-                                bucket[line] = True
                             if l1_lru:
-                                bucket.move_to_end(line)
+                                bucket[line] = bucket.pop(line) or writes[pos]
+                            elif writes[pos]:
+                                bucket[line] = True
                             clock += cycles
                             cc += cycles
                             clock += l1_stall

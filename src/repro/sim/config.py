@@ -7,7 +7,9 @@ Two presets are provided:
   (16 cores, 1 GB in-package DRAM, 8 MB LLC, ...).  Running at this scale in
   a pure-Python simulator is possible but slow; it is provided for fidelity.
 * :meth:`SystemConfig.scaled_default` — a proportionally scaled-down system
-  (see DESIGN.md §2) used by the test suite and the benchmark harness.
+  used by the test suite and the benchmark harness; its docstring gives the
+  scaling rule (the paper's footprint : DRAM-cache : LLC ratios, and its
+  bandwidth per core).
 
 Every dataclass validates itself in ``__post_init__`` so that a bad
 configuration fails loudly at construction time rather than mid-simulation.
@@ -368,7 +370,7 @@ class SystemConfig:
 
     @classmethod
     def scaled_default(cls, scheme: str = "banshee", num_cores: int = 4, seed: int = 1) -> "SystemConfig":
-        """Scaled-down configuration used by the benchmark harness (DESIGN.md §2).
+        """Scaled-down configuration used by the benchmark harness.
 
         Capacities are scaled so that the footprint : DRAM-cache : LLC ratios
         of the paper are preserved, and channel bandwidth is scaled by

@@ -17,7 +17,7 @@ write stream of a workload.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.cpu.trace import TraceRecord
 from repro.trace.format import _GAP_MASK, TraceFormatError, TraceMeta, TraceReader, TraceWriter

@@ -26,6 +26,14 @@ class Tlb:
     Real L1 TLBs are set-associative; full associativity with LRU is a
     conventional simulator simplification that slightly under-counts TLB
     misses and is identical across all compared schemes.
+
+    The entries are an ``OrderedDict`` in recency order (MRU at the end),
+    unlike the SRAM cache's plain-dict sets: every TLB hit moves its entry,
+    and in a plain dict a move is a pop plus an insert (which also rebuilds
+    a 64-entry dict every ~107 moves), where ``move_to_end`` is one call.
+    A plain-dict TLB measured 5.1% slower on perfbench's ``hit-path`` and
+    no faster on ``miss-read`` (EXPERIMENTS.md, "SRAM cache sets as plain
+    dicts").
     """
 
     def __init__(self, core_id: int, config: TlbConfig) -> None:

@@ -26,7 +26,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.cpu.trace import TraceRecord
-from repro.sim.config import CACHELINE_SIZE, MB
 from repro.workloads.base import BATCH_RECORDS, TraceBatch, Workload
 
 _WORD = 8

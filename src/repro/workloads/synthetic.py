@@ -26,7 +26,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim.config import CACHELINE_SIZE
-from repro.util.rng import DeterministicRng
 from repro.workloads.base import TraceBatch, Workload
 
 _CHUNK = 4096

@@ -374,8 +374,6 @@ def test_timeline_bounds_extend_cell_key_only_when_set():
 
 
 def test_campaign_cli_stale_after(tmp_path):
-    import time
-
     store_dir = str(tmp_path / "store")
     stream = io.StringIO()
     code = campaign_main(

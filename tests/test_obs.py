@@ -17,7 +17,7 @@ from repro.obs.events import (
     read_events,
     validate_event,
 )
-from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.timeline import (
     PHASE_MEASURE,
     PHASE_WARMUP,

@@ -10,8 +10,10 @@ from repro.core.frequency import FrequencySetMetadata
 from repro.core.tag_buffer import TagBuffer, TagBufferFullError
 from repro.dram.device import DramDevice
 from repro.dramcache.footprint import FootprintPredictor
-from repro.sim.config import CacheLevelConfig, DramConfig
+from repro.sim.config import CacheLevelConfig, DramConfig, TlbConfig
 from repro.sim.stats import TrafficCategory, TrafficStats
+from repro.vm.page_table import PageTable
+from repro.vm.tlb import Tlb
 
 
 @settings(max_examples=50, deadline=None)
@@ -142,3 +144,58 @@ def test_lru_cache_matches_reference_model(addresses, ways):
             if len(reference) >= ways:
                 reference.popitem(last=False)
             reference[line] = True
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["lookup", "fill", "refill", "invalidate", "invalidate_all"]), st.integers(0, 11)),
+        max_size=300,
+    ),
+    st.integers(min_value=1, max_value=6),
+)
+def test_tlb_lru_matches_reference_model(operations, entries):
+    """The TLB's hits, misses, occupancy and LRU order match a list model.
+
+    The model keeps resident vpns least recently used first: a hit or a
+    fill moves its vpn to the back, a fill of a vpn that is not resident
+    into a full TLB drops the front, and invalidations remove in place.
+    ``refill`` fills a vpn that is already resident (picked by index).
+    """
+    table = PageTable(page_size=4096)
+    tlb = Tlb(0, TlbConfig(entries=entries))
+    order = []
+    hits = misses = 0
+    for op, value in operations:
+        if op == "refill":
+            if not order:
+                continue
+            op, value = "fill", order[value % len(order)]
+        vpn = value
+        if op == "lookup":
+            entry = tlb.lookup(vpn)
+            if vpn in order:
+                hits += 1
+                order.remove(vpn)
+                order.append(vpn)
+                assert entry is table.entry_for_vpn(vpn)
+            else:
+                misses += 1
+                assert entry is None
+        elif op == "fill":
+            pte = table.entry_for_vpn(vpn)
+            assert tlb.fill(pte) is pte
+            if vpn in order:
+                order.remove(vpn)
+            elif len(order) >= entries:
+                del order[0]
+            order.append(vpn)
+        elif op == "invalidate":
+            assert tlb.invalidate(vpn) == (vpn in order)
+            if vpn in order:
+                order.remove(vpn)
+        else:
+            assert tlb.invalidate_all() == len(order)
+            order.clear()
+        assert list(tlb._entries) == order
+    assert (tlb.hits, tlb.misses, tlb.occupancy) == (hits, misses, len(order))
