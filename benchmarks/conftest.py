@@ -5,9 +5,10 @@ the required simulations (through the process-wide result cache, so figures
 that share a matrix do not re-simulate), prints the reproduced rows as an
 ASCII table, and registers the wall-clock cost with pytest-benchmark.
 
-Run with::
+Run with (name the files: pytest collects only ``test_*.py`` modules by
+default, so ``pytest benchmarks/`` collects nothing)::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_*.py --benchmark-only -s
 
 Environment knobs: ``REPRO_BENCH_RECORDS`` (trace records per core, default
 30000) and ``REPRO_BENCH_CORES`` (simulated cores, default 4).

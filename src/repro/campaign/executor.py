@@ -13,8 +13,8 @@ scale, page_size), and the simulator is seeded from the cell alone, so the
 parallel path produces results bit-identical to the serial path (modulo
 ``wall_time_seconds``, which measures the host) — including any attached
 interval timeline, which is built from simulated state only.  Results cross
-the process boundary as ``SimulationResults.to_dict()`` payloads, which
-preserve floats exactly.
+the process boundary pickled over the worker slot's pipe, which preserves
+floats exactly.
 
 Observability and liveness: given an :class:`~repro.obs.events.ObsSink`,
 every cell emits structured ``cell_start``/``cell_finish``/``cell_error``
@@ -109,7 +109,7 @@ def execute_cell(
     start/finish/error and heartbeats are all emitted here, so the serial
     and supervised paths produce the same event stream shape.  ``pipe`` is
     a supervised worker slot's end of its pipe to the supervisor (the
-    completion notice's channel).  Every :data:`BEAT_RECORDS` processed
+    channel its outcome goes back on).  Every :data:`BEAT_RECORDS` processed
     records the cell beats: a message on ``pipe`` and a ``heartbeat``
     event, whichever of the two exists, so the supervisor can tell a slow
     worker from a wedged one (a ``drop-heartbeat`` fault silences both).

@@ -6,15 +6,17 @@ survive the failures long overnight runs actually hit:
 
 * **Leases.**  Every cell attempt runs on a worker slot under a *lease*:
   the supervisor knows which worker holds which cell, since when, and
-  until when (``cell_timeout``).  The slot's process receives the cell
-  over a pipe, writes its outcome to a spool file (atomic rename) and only
-  then sends a completion notice, so losing the process can never lose an
-  already-completed outcome.  It then collects its heap and waits for the
-  next lease: each cell starts from a collected heap, and no cell pays
-  for a process start.
+  until when (``cell_timeout``).  Each slot has one pipe, which carries
+  the lease to its process and the cell's progress beats and outcome
+  back; the outcome is one message, so the supervisor holds all of it or
+  none.  The worker then collects its heap and waits for the next lease:
+  each cell starts from a collected heap, and no cell pays for a process
+  start.  A freed slot gets its next cell before the supervisor stores
+  and reports the outcome it just received, so no worker idles through a
+  store write.
 * **Dead-worker detection.**  The supervisor sleeps until a leased worker
   sends something or exits, so a worker that is OOM-killed or SIGKILLed
-  mid-cell is noticed at once (process exit without an outcome file).  A
+  mid-cell is noticed at once (process exit without an outcome).  A
   *wedged* worker is noticed by its lease deadline or by going silent: a
   running cell beats over the slot's pipe every
   :data:`~repro.campaign.executor.BEAT_RECORDS` processed records (see
@@ -48,21 +50,17 @@ assert them deterministically.
 from __future__ import annotations
 
 import gc
-import json
 import multiprocessing
 import multiprocessing.process
 import os
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.executor import CellOutcome, ProgressFn, execute_cell
 from repro.campaign.spec import CampaignCell
 from repro.obs.events import ObsSink
-from repro.sim.results import SimulationResults
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -80,7 +78,7 @@ class SupervisorConfig:
     ``cell_timeout`` is the per-*attempt* deadline in seconds; ``None``
     disables deadline revocation (death and staleness still apply).
     ``stale_after`` revokes a lease whose worker has sent nothing over its
-    pipe (no progress beat, no completion notice) in that many seconds;
+    pipe (no progress beat, no outcome) in that many seconds;
     ``None`` disables the staleness check.
     """
 
@@ -128,9 +126,10 @@ class _Lease:
     conn: "Connection"
     started: float
     deadline: Optional[float]
-    outcome_path: Path
     #: When anything last arrived on the worker's pipe (or the grant).
     beat_seen: float
+    #: The cell's outcome, once the worker has sent it.
+    outcome: Optional[CellOutcome] = None
 
 
 def _worker_main(
@@ -142,12 +141,12 @@ def _worker_main(
 ) -> None:
     """Worker slot body: run leased cells until told to stop.
 
-    Each lease arrives as ``(index, cell, outcome_path)``.  While the cell
-    runs, its progress beats go back over the same pipe.  The outcome
-    crosses back as JSON via an atomic rename *before* the completion
-    notice, so a crash at any point leaves either no file (the lease is
-    revoked and retried) or a complete one — never a half-written outcome.
-    ``None``, a hang-up or a vanished supervisor ends the loop.
+    Each lease arrives as ``(index, cell)``.  While the cell runs, its
+    progress beats (``None``) go back over the same pipe, and then its
+    outcome as one ``(key, result, error, wall_seconds)`` message: a crash
+    at any point leaves the supervisor either no outcome (the lease is
+    revoked and retried) or a whole one.  ``None``, a hang-up or a
+    vanished supervisor ends the loop.
     """
     # The supervisor owns shutdown: a terminal Ctrl-C reaches the whole
     # process group, and SIGTERM must not run the CLI's handler here.
@@ -169,28 +168,16 @@ def _worker_main(
             return
         if lease is None:
             return
-        index, cell, outcome_path = lease
+        index, cell = lease
         outcome = execute_cell(
             cell, obs=obs, worker=worker, cell_index=index,
             snapshot_dir=snapshot_dir, snapshot_every=snapshot_every, pipe=conn,
         )
-        payload = {
-            "key": outcome.key,
-            "result": outcome.result.to_dict() if outcome.result is not None else None,
-            "error": outcome.error,
-            "wall_seconds": outcome.wall_seconds,
-        }
-        tmp = outcome_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, outcome_path)
         try:
-            conn.send(index)
+            conn.send((outcome.key, outcome.result, outcome.error, outcome.wall_seconds))
         except OSError:
             return  # the supervisor is gone
-        del outcome, payload
+        del outcome
         # Cyclic garbage from this cell's System would otherwise pile
         # up across cells and inflate the worker's resident memory.
         gc.collect()
@@ -249,175 +236,193 @@ class SupervisedExecutor:
         target_workers = min(self.workers, total)
         done = 0
         drained = False
+        #: Outcomes received but not yet completed: each wake grants the
+        #: freed slots their next cells before it stores and reports these.
+        finished: List[Tuple[int, CellOutcome]] = []
 
-        with tempfile.TemporaryDirectory(prefix="repro-supervisor-") as spool:
-
-            def complete(index: int, outcome: CellOutcome) -> None:
-                nonlocal done
-                outcomes[index] = outcome
-                done += 1
-                if progress is not None:
-                    progress(done, total, outcome)
-
-            def start_worker(worker: str) -> Tuple["multiprocessing.process.BaseProcess",
-                                                   "Connection"]:
-                ours, theirs = context.Pipe()
-                process = context.Process(
-                    target=_worker_main,
-                    args=(worker, theirs, obs, snapshot_dir, snapshot_every),
-                    daemon=True,
-                )
-                process.start()
-                theirs.close()
-                return process, ours
-
-            def grant(entry: List[float]) -> None:
-                index, attempt = int(entry[0]), int(entry[1])
-                cell = cells[index]
-                key = cell.key()
-                worker = free_slots.pop()
-                if worker not in slots:
-                    slots[worker] = start_worker(worker)
-                process, conn = slots[worker]
-                outcome_path = Path(spool) / f"outcome-{index}-{attempt}.json"
-                try:
-                    conn.send((index, cell, str(outcome_path)))
-                except OSError:
-                    pass  # the idle worker died; its sentinel revokes the lease
-                now = time.monotonic()
-                deadline = now + cfg.cell_timeout if cfg.cell_timeout is not None else None
-                leases[worker] = _Lease(
-                    index=index, cell=cell, key=key, attempt=attempt,
-                    worker=worker, process=process, conn=conn, started=now,
-                    deadline=deadline, outcome_path=outcome_path, beat_seen=now,
-                )
-                if events is not None:
-                    events.emit("lease_granted", key=key, cell=cell.describe(),
-                                worker=worker, attempt=attempt,
-                                timeout=cfg.cell_timeout)
-
-            def retire(worker: str, grace: float = 0.0) -> None:
-                """Stop a slot's process, killing it after ``grace`` seconds."""
-                process, conn = slots.pop(worker)
-                process.join(timeout=grace)
-                if process.is_alive():
-                    process.kill()
-                process.join(timeout=10.0)
-                conn.close()
-
-            def read_outcome(lease: _Lease) -> Optional[CellOutcome]:
-                if not lease.outcome_path.exists():
-                    return None
-                with lease.outcome_path.open("r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                result = (SimulationResults.from_dict(payload["result"])
-                          if payload["result"] is not None else None)
-                return CellOutcome(
-                    lease.cell, payload["key"], result, error=payload["error"],
-                    wall_seconds=float(payload["wall_seconds"]),
-                    attempt=lease.attempt,
-                )
-
-            def revoke(lease: _Lease, reason: str) -> None:
-                nonlocal target_workers
-                retire(lease.worker)
-                # The worker may have spooled its outcome in the race window
-                # before the kill landed; a completed cell is never retried.
-                finished = read_outcome(lease)
-                del leases[lease.worker]
-                free_slots.insert(0, lease.worker)
-                if finished is not None:
-                    complete(lease.index, finished)
-                    return
-                count = failures.get(lease.index, 0) + 1
-                failures[lease.index] = count
-                # Involuntary deaths erode trust in parallelism: shrink the
-                # worker target toward serial instead of thrashing.
-                target_workers = max(1, target_workers - 1)
-                if events is not None:
-                    events.emit("lease_revoked", key=lease.key,
-                                cell=lease.cell.describe(), worker=lease.worker,
-                                attempt=lease.attempt, reason=reason,
-                                failures=count, workers=target_workers)
-                if count >= cfg.max_attempts:
-                    error = (f"poisoned: quarantined after {count} failed attempt(s); "
-                             f"last revocation: {reason}")
-                    if events is not None:
-                        events.emit("cell_quarantined", key=lease.key,
-                                    cell=lease.cell.describe(), attempts=count,
-                                    reason=reason)
-                    complete(lease.index, CellOutcome(
-                        lease.cell, lease.key, None, error=error,
-                        quarantined=True, attempt=lease.attempt,
-                    ))
-                    return
-                delay = cfg.backoff(count)
-                if events is not None:
-                    events.emit("cell_retry", key=lease.key,
-                                cell=lease.cell.describe(), attempt=count + 1,
-                                backoff_seconds=round(delay, 3), reason=reason)
-                queue.append([lease.index, count + 1, time.monotonic() + delay])
-
+        def complete() -> None:
+            """Record and report every received outcome, in arrival order."""
+            nonlocal done
             try:
-                while queue or leases:
-                    now = time.monotonic()
-                    # Dispatch every ready cell onto a free slot, up to the
-                    # (possibly degraded) concurrency target.
-                    queue.sort(key=lambda entry: entry[2])
-                    while queue and len(leases) < target_workers and queue[0][2] <= now:
-                        grant(queue.pop(0))
+                while finished:
+                    index, outcome = finished.pop(0)
+                    outcomes[index] = outcome
+                    done += 1
+                    if progress is not None:
+                        progress(done, total, outcome)
+            except BaseException:
+                # The progress callback (where the driver stores each
+                # outcome) raised: a caller that stops the run there
+                # gets no further outcome.
+                finished.clear()
+                raise
 
-                    # Sleep until a leased worker sends something or exits,
-                    # or the earliest deadline, staleness check or retry
-                    # backoff falls due; with none pending, block.
-                    due = [lease.deadline for lease in leases.values()
-                           if lease.deadline is not None]
-                    if cfg.stale_after is not None:
-                        due += [lease.beat_seen + cfg.stale_after for lease in leases.values()]
-                    if queue and len(leases) < target_workers:
-                        due.append(queue[0][2])
-                    wait([lease.conn for lease in leases.values()]
-                         + [lease.process.sentinel for lease in leases.values()],
-                         max(0.0, min(due) - now) if due else None)
-                    now = time.monotonic()
-                    for lease in list(leases.values()):
-                        try:
-                            if lease.conn.poll():
-                                # Progress beats and the completion notice
-                                # alike prove the worker alive; the spool
-                                # file holds the outcome.
-                                lease.beat_seen = now
-                                while lease.conn.poll():
-                                    lease.conn.recv()
-                        except EOFError:
-                            pass  # the worker is exiting: handled as a death below
-                        outcome = read_outcome(lease)
-                        if outcome is not None:
-                            del leases[lease.worker]
-                            free_slots.append(lease.worker)
-                            complete(lease.index, outcome)
-                        elif not lease.process.is_alive():
-                            revoke(lease,
-                                   reason=f"worker-died (exitcode {lease.process.exitcode})")
-                        elif lease.deadline is not None and now > lease.deadline:
-                            revoke(lease, reason="timeout")
-                        elif cfg.stale_after is not None and now - lease.beat_seen > cfg.stale_after:
-                            revoke(lease, reason="stale-heartbeat")
-                drained = True
-            except KeyboardInterrupt:
-                # Graceful stop: kill every worker, keep what finished.
-                raise CampaignInterrupted() from None
-            finally:
-                # After a normal finish every worker is idle and exits on
-                # request; otherwise all are killed.
-                if drained:
-                    for _process, conn in slots.values():
-                        try:
-                            conn.send(None)
-                        except OSError:
-                            pass
-                for worker in list(slots):
-                    retire(worker, grace=10.0 if drained else 0.0)
+        def start_worker(worker: str) -> Tuple["multiprocessing.process.BaseProcess",
+                                               "Connection"]:
+            ours, theirs = context.Pipe()
+            process = context.Process(
+                target=_worker_main,
+                args=(worker, theirs, obs, snapshot_dir, snapshot_every),
+                daemon=True,
+            )
+            process.start()
+            theirs.close()
+            return process, ours
+
+        def grant(entry: List[float]) -> None:
+            index, attempt = int(entry[0]), int(entry[1])
+            cell = cells[index]
+            key = cell.key()
+            worker = free_slots.pop()
+            if worker not in slots:
+                slots[worker] = start_worker(worker)
+            process, conn = slots[worker]
+            try:
+                conn.send((index, cell))
+            except OSError:
+                pass  # the idle worker died; its sentinel revokes the lease
+            now = time.monotonic()
+            deadline = now + cfg.cell_timeout if cfg.cell_timeout is not None else None
+            leases[worker] = _Lease(
+                index=index, cell=cell, key=key, attempt=attempt,
+                worker=worker, process=process, conn=conn, started=now,
+                deadline=deadline, beat_seen=now,
+            )
+            if events is not None:
+                events.emit("lease_granted", key=key, cell=cell.describe(),
+                            worker=worker, attempt=attempt,
+                            timeout=cfg.cell_timeout)
+
+        def drain(lease: _Lease) -> None:
+            """Read what a leased worker sent: ``None`` beats, then its outcome."""
+            try:
+                while lease.conn.poll():
+                    message = lease.conn.recv()
+                    # Beats and the outcome alike prove the worker alive.
+                    lease.beat_seen = time.monotonic()
+                    if message is not None:
+                        key, result, error, wall_seconds = message
+                        lease.outcome = CellOutcome(
+                            lease.cell, key, result, error=error,
+                            wall_seconds=wall_seconds, attempt=lease.attempt,
+                        )
+            except (EOFError, OSError):
+                # The worker is gone; the caller handles its death.  A
+                # worker that died with a lease unread resets the pipe
+                # (ConnectionResetError) instead of closing it.
+                pass
+
+        def retire(worker: str, grace: float = 0.0) -> None:
+            """Stop a slot's process, killing it after ``grace`` seconds.
+
+            A leased slot's pipe is drained once the process is gone, so a
+            lease revoked just after its worker sent the outcome keeps it.
+            """
+            process, conn = slots.pop(worker)
+            process.join(timeout=grace)
+            if process.is_alive():
+                process.kill()
+            process.join(timeout=10.0)
+            if worker in leases:
+                drain(leases[worker])
+            conn.close()
+
+        def revoke(lease: _Lease, reason: str) -> None:
+            nonlocal target_workers
+            retire(lease.worker)
+            del leases[lease.worker]
+            free_slots.insert(0, lease.worker)
+            # The worker may have sent its outcome in the race window
+            # before the kill landed; a completed cell is never retried.
+            if lease.outcome is not None:
+                finished.append((lease.index, lease.outcome))
+                return
+            count = failures.get(lease.index, 0) + 1
+            failures[lease.index] = count
+            # Involuntary deaths erode trust in parallelism: shrink the
+            # worker target toward serial instead of thrashing.
+            target_workers = max(1, target_workers - 1)
+            if events is not None:
+                events.emit("lease_revoked", key=lease.key,
+                            cell=lease.cell.describe(), worker=lease.worker,
+                            attempt=lease.attempt, reason=reason,
+                            failures=count, workers=target_workers)
+            if count >= cfg.max_attempts:
+                error = (f"poisoned: quarantined after {count} failed attempt(s); "
+                         f"last revocation: {reason}")
+                if events is not None:
+                    events.emit("cell_quarantined", key=lease.key,
+                                cell=lease.cell.describe(), attempts=count,
+                                reason=reason)
+                finished.append((lease.index, CellOutcome(
+                    lease.cell, lease.key, None, error=error,
+                    quarantined=True, attempt=lease.attempt,
+                )))
+                return
+            delay = cfg.backoff(count)
+            if events is not None:
+                events.emit("cell_retry", key=lease.key,
+                            cell=lease.cell.describe(), attempt=count + 1,
+                            backoff_seconds=round(delay, 3), reason=reason)
+            queue.append([lease.index, count + 1, time.monotonic() + delay])
+
+        try:
+            while True:
+                now = time.monotonic()
+                # Dispatch every ready cell onto a free slot, up to the
+                # (possibly degraded) concurrency target; only then store
+                # and report what the last wake received.
+                queue.sort(key=lambda entry: entry[2])
+                while queue and len(leases) < target_workers and queue[0][2] <= now:
+                    grant(queue.pop(0))
+                complete()
+                if not (queue or leases):
+                    break
+
+                # Sleep until a leased worker sends something or exits,
+                # or the earliest deadline, staleness check or retry
+                # backoff falls due; with none pending, block.
+                due = [lease.deadline for lease in leases.values()
+                       if lease.deadline is not None]
+                if cfg.stale_after is not None:
+                    due += [lease.beat_seen + cfg.stale_after for lease in leases.values()]
+                if queue and len(leases) < target_workers:
+                    due.append(queue[0][2])
+                wait([lease.conn for lease in leases.values()]
+                     + [lease.process.sentinel for lease in leases.values()],
+                     max(0.0, min(due) - now) if due else None)
+                now = time.monotonic()
+                for lease in list(leases.values()):
+                    drain(lease)
+                    if lease.outcome is not None:
+                        del leases[lease.worker]
+                        free_slots.append(lease.worker)
+                        finished.append((lease.index, lease.outcome))
+                    elif not lease.process.is_alive():
+                        revoke(lease,
+                               reason=f"worker-died (exitcode {lease.process.exitcode})")
+                    elif lease.deadline is not None and now > lease.deadline:
+                        revoke(lease, reason="timeout")
+                    elif cfg.stale_after is not None and now - lease.beat_seen > cfg.stale_after:
+                        revoke(lease, reason="stale-heartbeat")
+            drained = True
+        except KeyboardInterrupt:
+            # Graceful stop: kill every worker, keep what finished.
+            raise CampaignInterrupted() from None
+        finally:
+            # After a normal finish every worker is idle and exits on
+            # request; otherwise all are killed.
+            if drained:
+                for _process, conn in slots.values():
+                    try:
+                        conn.send(None)
+                    except OSError:
+                        pass
+            for worker in list(slots):
+                retire(worker, grace=10.0 if drained else 0.0)
+            # Outcomes received before an interrupt or error are still
+            # stored and reported before it propagates.
+            complete()
 
         return [outcomes[index] for index in sorted(outcomes)]
 

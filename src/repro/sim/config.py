@@ -372,11 +372,23 @@ class SystemConfig:
     def scaled_default(cls, scheme: str = "banshee", num_cores: int = 4, seed: int = 1) -> "SystemConfig":
         """Scaled-down configuration used by the benchmark harness.
 
-        Capacities are scaled so that the footprint : DRAM-cache : LLC ratios
-        of the paper are preserved, and channel bandwidth is scaled by
-        ``num_cores / 16`` so that the *bandwidth per core* matches the
-        paper's 16-core system (the paper itself uses the same argument to
-        relate its configuration to Knights Landing).
+        It keeps two things of :meth:`paper_default`.  Channel bandwidth is
+        scaled by ``num_cores / 16``, so the *bandwidth per core* matches
+        the paper's 16-core system (the paper itself uses the same argument
+        to relate its configuration to Knights Landing).  The TLB keeps its
+        absolute reach: 64 entries, 256 KB of 4 KB pages.
+
+        None of the capacity ratios to the DRAM cache holds.  Per core, at
+        the default 4 cores:
+
+        * in-package DRAM shrinks to 1/32 (2 MB) and the LLC share to 1/8
+          (64 KB), so LLC : DRAM cache is 1:32 instead of 1:128;
+        * L1 and L2 shrink to 1/2 (16 KB and 64 KB);
+        * the tag buffers (256 entries per controller) cover 50% of the
+          cache's pages instead of 1.6%.
+
+        The 8 MB in-package DRAM and the 256 KB LLC do not change with
+        ``num_cores``.
         """
         bandwidth_scale = max(0.0625, num_cores / 16.0)
         return cls(

@@ -1,15 +1,18 @@
 """Unit tests for the configuration dataclasses."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.sim.config import (
+    PAGE_SIZE_4K,
     CacheLevelConfig,
     DramCacheConfig,
     DramConfig,
     DramTimingConfig,
     SystemConfig,
 )
-from repro.util.units import MB
+from repro.util.units import KB, MB
 
 
 def test_paper_default_matches_table2():
@@ -27,6 +30,42 @@ def test_scaled_default_preserves_bandwidth_ratio():
     config = SystemConfig.scaled_default(num_cores=4)
     ratio = config.in_package_dram.peak_bandwidth_gb_per_s / config.off_package_dram.peak_bandwidth_gb_per_s
     assert ratio == pytest.approx(4.0)
+
+
+def test_scaled_default_keeps_bandwidth_per_core_not_capacity_ratios():
+    """Each factor the ``scaled_default`` docstring states, read from both
+    presets (per core, at the scaled preset's default 4 cores)."""
+    paper, scaled = SystemConfig.paper_default(), SystemConfig.scaled_default()
+
+    def in_package(config):
+        return Fraction(config.in_package_dram.capacity_bytes, config.num_cores)
+
+    def llc(config):
+        return Fraction(config.l3.size_bytes, config.num_cores)
+
+    def tag_buffer_coverage(config):
+        entries = config.num_mem_controllers * config.dram_cache.tag_buffer_entries
+        return Fraction(entries, config.dram_cache_pages)
+
+    assert in_package(scaled) / in_package(paper) == Fraction(1, 32)
+    assert llc(scaled) / llc(paper) == Fraction(1, 8)
+    assert llc(paper) / in_package(paper) == Fraction(1, 128)
+    assert llc(scaled) / in_package(scaled) == Fraction(1, 32)
+    assert Fraction(scaled.l1.size_bytes, paper.l1.size_bytes) == Fraction(1, 2)
+    assert Fraction(scaled.l2.size_bytes, paper.l2.size_bytes) == Fraction(1, 2)
+    assert paper.tlb.entries * PAGE_SIZE_4K == scaled.tlb.entries * PAGE_SIZE_4K == 256 * KB
+    assert tag_buffer_coverage(paper) == Fraction(1, 64)  # 1.6%
+    assert tag_buffer_coverage(scaled) == Fraction(1, 2)
+    for dram in ("in_package_dram", "off_package_dram"):
+        per_core = [getattr(config, dram).peak_bandwidth_gb_per_s / config.num_cores
+                    for config in (paper, scaled)]
+        assert per_core[1] == pytest.approx(per_core[0])
+    # Capacities stay put as the core count changes; bandwidth follows it.
+    eight = SystemConfig.scaled_default(num_cores=8)
+    assert eight.in_package_dram.capacity_bytes == scaled.in_package_dram.capacity_bytes
+    assert eight.l3.size_bytes == scaled.l3.size_bytes
+    assert (eight.in_package_dram.peak_bandwidth_gb_per_s
+            == pytest.approx(2 * scaled.in_package_dram.peak_bandwidth_gb_per_s))
 
 
 def test_peak_bandwidth_matches_paper():

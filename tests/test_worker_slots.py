@@ -3,10 +3,12 @@
 Each :class:`SupervisedExecutor` slot keeps one process that runs cell
 after cell; only a revoked lease replaces it.  These tests pin what that
 design must keep: results equal to the serial path, per-process progress
-beats, no process outliving a run (however it ends), leases immune to
-wall-clock steps, and a quiet process group on Ctrl-C.
+beats, no process outliving a run (however it ends), a worker death between
+cells costing one retry, leases immune to wall-clock steps, and a quiet
+process group on Ctrl-C.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -28,7 +30,7 @@ from repro.campaign import (
     SweepGrid,
     run_campaign,
 )
-from repro.campaign import executor
+from repro.campaign import executor, supervisor
 from repro.campaign.cli import pid_alive
 from repro.obs.events import EventLog, ObsSink, read_events
 
@@ -138,6 +140,51 @@ def test_revoked_slot_restarts_and_nothing_outlives_the_run(tmp_path, times):
     assert not [pid for pid in pids if pid_alive(pid)]
 
 
+class _DyingCollection:
+    """``gc`` as forked workers see it: the first post-cell collection
+    (claimed across workers through an ``O_EXCL`` marker file) sleeps, so
+    the supervisor's next lease reaches the worker unread, then exits 9."""
+
+    freeze = staticmethod(gc.freeze)
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def collect(self):
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return gc.collect()
+        time.sleep(0.3)
+        os._exit(9)
+
+
+def test_worker_death_between_cells_costs_one_retry(tmp_path, monkeypatch):
+    """A worker that dies after delivering an outcome, with its next lease
+    unread (say OOM-killed in its post-cell collection), leaves a reset
+    pipe: only that lease is revoked and retried, the campaign completes,
+    and the delivered cell is not run again."""
+    spec = CampaignSpec(
+        name="slots",
+        grids=[SweepGrid(schemes=["nocache", "banshee"], workloads=["gcc", "mcf"], seeds=[1])],
+        records_per_core=300, num_cores=2, preset="tiny",
+    )
+    cells = spec.cells()
+    monkeypatch.setattr(supervisor, "gc", _DyingCollection(tmp_path / "collected"))
+    obs = ObsSink.for_directory(tmp_path / "obs")
+    out = SupervisedExecutor(
+        workers=2, config=SupervisorConfig(mp_start_method="fork", **FAST)
+    ).run(cells, obs=obs)
+    revoked = events_of(obs.events_path, "lease_revoked")
+    assert [record["reason"] for record in revoked] == ["worker-died (exitcode 9)"]
+    assert len(events_of(obs.events_path, "cell_retry")) == 1
+    finished = Counter(record["key"] for record in events_of(obs.events_path, "cell_finish"))
+    assert finished == Counter(cell.key() for cell in cells)
+    assert identities(out) == identities(SerialExecutor().run(cells))
+    assert multiprocessing.active_children() == []
+    assert not [pid for pid in worker_pids(obs.events_path) if pid_alive(pid)]
+
+
 def test_interrupt_stops_every_worker(tmp_path):
     spec = tiny_spec(schemes=["banshee", "alloy"], seeds=[1, 2])
     obs = ObsSink.for_directory(tmp_path / "store" / "obs")
@@ -150,6 +197,34 @@ def test_interrupt_stops_every_worker(tmp_path):
     assert report.interrupted and len(report.outcomes) == 1
     assert multiprocessing.active_children() == []
     assert not [pid for pid in worker_pids(obs.events_path) if pid_alive(pid)]
+
+
+def test_interrupt_while_granting_still_stores_received_outcomes(tmp_path, monkeypatch):
+    """A freed slot gets its next cell before the outcome it delivered is
+    stored; an interrupt in between (here: the third grant, which follows
+    the first outcome) still stores that outcome before the run stops."""
+    spec = tiny_spec(schemes=["banshee", "alloy", "nocache"])
+    emit = EventLog.emit
+    grants = []
+
+    def emit_then_interrupt(self, event, **fields):
+        record = emit(self, event, **fields)
+        if event == "lease_granted":
+            grants.append(fields["key"])
+            if len(grants) == 3:
+                raise KeyboardInterrupt()
+        return record
+
+    monkeypatch.setattr(EventLog, "emit", emit_then_interrupt)
+    store_dir = tmp_path / "store"
+    report = run_campaign(spec, store=ResultStore(store_dir), workers=2,
+                          obs=ObsSink.for_directory(store_dir / "obs"),
+                          supervisor=SupervisorConfig(**FAST))
+    assert report.interrupted and len(grants) == 3 and report.outcomes
+    reopened = ResultStore(store_dir)
+    assert all(outcome.ok and reopened.get(outcome.key) is not None
+               for outcome in report.outcomes)
+    assert multiprocessing.active_children() == []
 
 
 def test_wall_clock_jump_revokes_no_lease(tmp_path, monkeypatch):
