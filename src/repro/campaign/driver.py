@@ -198,7 +198,8 @@ def run_campaign(
     interrupted = False
     try:
         executed = executor.run([cells[i] for i in pending], progress=on_progress, obs=obs,
-                                snapshot_dir=snapshot_dir, snapshot_every=snapshot_every)
+                                snapshot_dir=snapshot_dir, snapshot_every=snapshot_every,
+                                keys=[keys[i] for i in pending])
     except KeyboardInterrupt:
         # Completed cells were persisted and recorded by on_progress; the
         # in-flight ones resume from store (and mid-cell snapshots) next run.

@@ -96,6 +96,7 @@ class CellOutcome:
 
 def execute_cell(
     cell: CampaignCell,
+    key: str,
     obs: Optional[ObsSink] = None,
     worker: Optional[str] = None,
     cell_index: Optional[int] = None,
@@ -105,7 +106,9 @@ def execute_cell(
 ) -> CellOutcome:
     """Run one cell, capturing any exception as an error outcome.
 
-    ``obs`` routes structured events to the campaign's sink; cell
+    ``key`` is the cell's store key (``cell.key()``), which the campaign
+    computes once per cell before it runs any.  ``obs`` routes structured
+    events to the campaign's sink; cell
     start/finish/error and heartbeats are all emitted here, so the serial
     and supervised paths produce the same event stream shape.  ``pipe`` is
     a supervised worker slot's end of its pipe to the supervisor (the
@@ -121,7 +124,6 @@ def execute_cell(
     """
     start = time.perf_counter()
     faults.set_current_cell(cell_index)
-    key = cell.key()
     events = obs.event_log() if obs is not None else None
     worker = worker or f"pid-{os.getpid()}"
     describe = cell.describe()
@@ -184,11 +186,16 @@ class SerialExecutor:
         obs: Optional[ObsSink] = None,
         snapshot_dir: Optional[str] = None,
         snapshot_every: Optional[int] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> List[CellOutcome]:
+        """Run ``cells`` in order; ``keys`` are their ``cell.key()`` values if known."""
+        if keys is None:
+            keys = [cell.key() for cell in cells]
         outcomes: List[CellOutcome] = []
         for index, cell in enumerate(cells):
-            outcome = execute_cell(cell, obs=obs, worker="serial", cell_index=index,
-                                   snapshot_dir=snapshot_dir, snapshot_every=snapshot_every)
+            outcome = execute_cell(cell, keys[index], obs=obs, worker="serial",
+                                   cell_index=index, snapshot_dir=snapshot_dir,
+                                   snapshot_every=snapshot_every)
             outcomes.append(outcome)
             if progress is not None:
                 progress(index + 1, len(cells), outcome)

@@ -141,7 +141,7 @@ def _worker_main(
 ) -> None:
     """Worker slot body: run leased cells until told to stop.
 
-    Each lease arrives as ``(index, cell)``.  While the cell runs, its
+    Each lease arrives as ``(index, key, cell)``.  While the cell runs, its
     progress beats (``None``) go back over the same pipe, and then its
     outcome as one ``(key, result, error, wall_seconds)`` message: a crash
     at any point leaves the supervisor either no outcome (the lease is
@@ -168,9 +168,9 @@ def _worker_main(
             return
         if lease is None:
             return
-        index, cell = lease
+        index, key, cell = lease
         outcome = execute_cell(
-            cell, obs=obs, worker=worker, cell_index=index,
+            cell, key, obs=obs, worker=worker, cell_index=index,
             snapshot_dir=snapshot_dir, snapshot_every=snapshot_every, pipe=conn,
         )
         try:
@@ -209,9 +209,12 @@ class SupervisedExecutor:
         obs: Optional[ObsSink] = None,
         snapshot_dir: Optional[str] = None,
         snapshot_every: Optional[int] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> List[CellOutcome]:
+        """Run ``cells``; ``keys`` are their ``cell.key()`` values if known."""
         if not cells:
             return []
+        cell_keys = [cell.key() for cell in cells] if keys is None else keys
         # Imported here: at module level it lengthens every campaign import.
         from multiprocessing.connection import wait
 
@@ -271,14 +274,13 @@ class SupervisedExecutor:
 
         def grant(entry: List[float]) -> None:
             index, attempt = int(entry[0]), int(entry[1])
-            cell = cells[index]
-            key = cell.key()
+            cell, key = cells[index], cell_keys[index]
             worker = free_slots.pop()
             if worker not in slots:
                 slots[worker] = start_worker(worker)
             process, conn = slots[worker]
             try:
-                conn.send((index, cell))
+                conn.send((index, key, cell))
             except OSError:
                 pass  # the idle worker died; its sentinel revokes the lease
             now = time.monotonic()

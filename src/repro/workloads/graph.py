@@ -17,11 +17,22 @@ Memory layout per workload instance (all cores share it):
 * ``edges``    — 8 B per edge (CSR column indices),
 * ``vertex A`` — 8 B per vertex (e.g. current PageRank value),
 * ``vertex B`` — 8 B per vertex (e.g. next PageRank value / visited flags).
+
+Degree sequences are built once per process: :func:`_degree_sequence`
+keeps the last :data:`_DEGREE_SEQUENCES` of them, keyed by
+``(seed, num_vertices, avg_degree)``, as read-only arrays that every
+workload instance with that key shares (so pagerank and graph500, both
+``(2**18, 4)``, share one).  A sequence pins 16 B per vertex, so the cache
+holds at most 16 MB at scale 1.0 and 10 MB for one seed's Figure-4 graph
+set.  The sweep's prefix sums are computed per block of vertices
+(:meth:`GraphWorkload.trace_batches`), so a core pays for the part of its
+sweep it reads.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -29,6 +40,28 @@ from repro.cpu.trace import TraceRecord
 from repro.workloads.base import BATCH_RECORDS, TraceBatch, Workload
 
 _WORD = 8
+
+#: Degree sequences the process keeps: one seed's Figure-4 graph set
+#: (pagerank/graph500, tri_count, sgd, lsh) is four.
+_DEGREE_SEQUENCES = 4
+
+
+@functools.lru_cache(maxsize=_DEGREE_SEQUENCES)
+def _degree_sequence(seed: int, num_vertices: int,
+                     avg_degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(degrees, offsets)`` of the synthetic graph, read-only and shared.
+
+    A pure function of its arguments whose arrays no caller can write, so
+    sharing one result between workload instances cannot change any
+    instance's records.
+    """
+    rng = np.random.default_rng(seed)
+    raw = rng.pareto(2.0, size=num_vertices) + 1.0
+    degrees = np.maximum(1, (raw / raw.mean() * avg_degree)).astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    degrees.flags.writeable = False
+    offsets.flags.writeable = False
+    return degrees, offsets
 
 
 class GraphWorkload(Workload):
@@ -87,19 +120,19 @@ class GraphWorkload(Workload):
     # ------------------------------------------------------------------ graph construction
 
     def _build_graph(self) -> None:
-        """Build the degree sequence once; edge targets are drawn on the fly.
+        """Fetch the degree sequence; edge targets are drawn on the fly.
 
         A power-law-ish degree distribution concentrates edge-list traffic on
         a few hot vertices, giving the temporal locality structure real graph
-        workloads show.
+        workloads show.  ``_degrees`` and ``_offsets`` come read-only from
+        the process-wide :func:`_degree_sequence` cache (at most
+        :data:`_DEGREE_SEQUENCES` sequences of 16 B per vertex); the
+        neighbour CDF (at most 512 pages at scale 1.0) is this instance's.
         """
         if self._graph_built:
             return
-        rng = np.random.default_rng(self.seed)
-        raw = rng.pareto(2.0, size=self.num_vertices) + 1.0
-        degrees = np.maximum(1, (raw / raw.mean() * self.avg_degree)).astype(np.int64)
-        self._degrees = degrees
-        self._offsets = np.concatenate(([0], np.cumsum(degrees)))
+        self._degrees, self._offsets = _degree_sequence(
+            self.seed, self.num_vertices, self.avg_degree)
         # Neighbour popularity is skewed at page granularity: real graphs have
         # hub vertices, and vertex state arrays are laid out so that hot
         # vertices cluster on hot pages.  A Zipf distribution over vertex
@@ -184,6 +217,17 @@ class GraphWorkload(Workload):
         Chunks are cut at vertex boundaries (so they can run slightly past
         ``BATCH_RECORDS``), at pool-refill points and at sweep ends;
         consumers accept any chunk sizes.
+
+        Prefix sums cover a block of ``4 * BATCH_RECORDS`` vertices of the
+        sweep, not the whole sweep, and each block serves chunk after
+        chunk.  Searches run relative to the block's start.  A chunk holds
+        at most ``BATCH_RECORDS`` records plus the vertex that crosses that
+        mark, and every vertex emits at least two records, so a chunk spans
+        at most ``BATCH_RECORDS // 2 + 1`` vertices: while that many remain
+        in the block (or the block ends the sweep), the crossing vertex and
+        every pool fit the chunk can use lie inside it, and the searches
+        give the whole-sweep answer.  With fewer left, the block is rebuilt
+        from the current vertex.
         """
         self._build_graph()
         rng = self.rng_for_core(core_id).generator
@@ -197,47 +241,53 @@ class GraphWorkload(Workload):
         sweep_base = vertex_range[0]
         sweep_len = len(vertex_range)
         sequential = self.vertex_order == "sequential"
+        block_len = 4 * BATCH_RECORDS
+        reach = BATCH_RECORDS // 2 + 1
         # trace() draws the initial pool before the first vertex.
         pool = self._vertex_targets(rng, 4096)
         pool_index = 0
-        sequential_verts = np.arange(sweep_base, sweep_base + sweep_len, dtype=np.int64)
         while True:
             # One sweep over this core's vertex slice, mirroring _vertex_iter
             # (the permutation draw happens at the same point in the RNG
             # stream as the generator's).
-            if sequential:
-                verts_sweep = sequential_verts
-            else:
-                verts_sweep = sweep_base + rng.permutation(sweep_len).astype(np.int64)
-            d_sweep = degrees[verts_sweep]
-            needed_sweep = d_sweep * reads
-            records_sweep = 1 + d_sweep * rec_per_edge + writes_per_vertex
-            cum_needed = np.concatenate(([0], np.cumsum(needed_sweep)))
-            cum_records = np.concatenate(([0], np.cumsum(records_sweep)))
-            position = 0
+            order = None if sequential else rng.permutation(sweep_len)
+            position = block_start = block_end = 0
             while position < sweep_len:
+                if block_end < sweep_len and block_end - position < reach:
+                    block_start = position
+                    block_end = min(sweep_len, position + block_len)
+                    if order is None:
+                        verts_block = np.arange(sweep_base + block_start, sweep_base + block_end,
+                                                dtype=np.int64)
+                    else:
+                        verts_block = sweep_base + order[block_start:block_end].astype(np.int64)
+                    d_block = degrees[verts_block]
+                    cum_needed = np.concatenate(([0], np.cumsum(d_block * reads)))
+                    cum_records = np.concatenate(
+                        ([0], np.cumsum(1 + d_block * rec_per_edge + writes_per_vertex))
+                    )
+                at = position - block_start
                 # Vertices that fit the remaining pool (trace() refills when
                 # a vertex's draws would run past the pool end).
                 fit = int(np.searchsorted(
-                    cum_needed, cum_needed[position] + (len(pool) - pool_index), side="right"
-                )) - 1 - position
+                    cum_needed, cum_needed[at] + (len(pool) - pool_index), side="right"
+                )) - 1 - at
                 if fit <= 0:
-                    needed = int(needed_sweep[position])
-                    pool = self._vertex_targets(rng, max(4096, needed))
+                    pool = self._vertex_targets(rng, max(4096, int(d_block[at]) * reads))
                     pool_index = 0
                     continue
                 # Cap the chunk at the vertex that crosses BATCH_RECORDS.
                 count = int(np.searchsorted(
-                    cum_records, cum_records[position] + BATCH_RECORDS, side="left"
-                )) - position
+                    cum_records, cum_records[at] + BATCH_RECORDS, side="left"
+                )) - at
                 if count < 1:
                     count = 1
                 if count > fit:
                     count = fit
-                verts = verts_sweep[position:position + count]
-                d = d_sweep[position:position + count]
-                total = int(cum_records[position + count] - cum_records[position])
-                starts = cum_records[position:position + count] - cum_records[position]
+                verts = verts_block[at:at + count]
+                d = d_block[at:at + count]
+                total = int(cum_records[at + count] - cum_records[at])
+                starts = cum_records[at:at + count] - cum_records[at]
                 edge_cum = np.concatenate(([0], np.cumsum(d)))
                 num_edges = int(edge_cum[-1])
                 addr = np.empty(total, dtype=np.int64)

@@ -4,8 +4,9 @@ Each :class:`SupervisedExecutor` slot keeps one process that runs cell
 after cell; only a revoked lease replaces it.  These tests pin what that
 design must keep: results equal to the serial path, per-process progress
 beats, no process outliving a run (however it ends), a worker death between
-cells costing one retry, leases immune to wall-clock steps, and a quiet
-process group on Ctrl-C.
+cells costing one retry, one key computation per cell, graph cells served
+from a worker's cached degree sequences, leases immune to wall-clock steps,
+and a quiet process group on Ctrl-C.
 """
 
 import gc
@@ -22,6 +23,7 @@ import pytest
 
 from repro import faults
 from repro.campaign import (
+    CampaignCell,
     CampaignSpec,
     ResultStore,
     SerialExecutor,
@@ -183,6 +185,49 @@ def test_worker_death_between_cells_costs_one_retry(tmp_path, monkeypatch):
     assert identities(out) == identities(SerialExecutor().run(cells))
     assert multiprocessing.active_children() == []
     assert not [pid for pid in worker_pids(obs.events_path) if pid_alive(pid)]
+
+
+def test_campaign_computes_each_cell_key_once(tmp_path, monkeypatch):
+    """``run_campaign`` hashes each cell once; the supervisor's grants and
+    the workers reuse those keys (a lease carries its cell's key)."""
+    calls = tmp_path / "key-calls"
+    original = CampaignCell.key
+
+    def recorded_key(cell):
+        with open(calls, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {cell.describe()}\n")
+        return original(cell)
+
+    # Forked workers inherit the wrapper, so a call there would be recorded.
+    monkeypatch.setattr(CampaignCell, "key", recorded_key)
+    spec = tiny_spec(schemes=["banshee", "alloy"], workloads=["gcc", "mcf"])
+    report = run_campaign(spec, workers=2,
+                          supervisor=SupervisorConfig(mp_start_method="fork", **FAST))
+    assert [outcome.ok for outcome in report.outcomes] == [True] * 4
+    assert multiprocessing.active_children() == []
+    recorded = [line.split(" ", 1) for line in calls.read_text().splitlines()]
+    assert {pid for pid, _ in recorded} == {str(os.getpid())}
+    assert Counter(cell for _, cell in recorded) == Counter(
+        cell.describe() for cell in spec.cells())
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_graph_cells_sharing_cached_sequences_match_serial(method):
+    """Workers serving several graph cells from their process's cached
+    degree sequences (pagerank and graph500 share one) match the serial
+    path in both start methods."""
+    spec = CampaignSpec(
+        name="slots",
+        grids=[SweepGrid(schemes=["nocache", "banshee"],
+                         workloads=["pagerank", "graph500", "tri_count"], seeds=[1])],
+        records_per_core=300, num_cores=2, preset="tiny",
+    )
+    cells = spec.cells()
+    out = SupervisedExecutor(
+        workers=2, config=SupervisorConfig(mp_start_method=method, **FAST)
+    ).run(cells)
+    assert identities(out) == identities(SerialExecutor().run(cells))
+    assert multiprocessing.active_children() == []
 
 
 def test_interrupt_stops_every_worker(tmp_path):

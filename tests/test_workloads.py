@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from repro.cpu.trace import summarize
-from repro.workloads.graph import PageRankWorkload
+from repro.workloads import graph
+from repro.workloads.graph import Graph500Bfs, PageRankWorkload
 from repro.workloads.mixes import MIX_DEFINITIONS, MixWorkload
 from repro.workloads.registry import EVALUATION_WORKLOADS, available_workloads, get_workload
 from repro.workloads.spec import SPEC_PARAMS, SpecWorkload
@@ -275,3 +276,84 @@ def test_graph_batches_match_reference_across_sweeps(name):
             got = [(g, a, bool(w)) for g, a, w in batch_records(workload, core_id, count)]
             assert len(got) == count
             assert got == expected, f"{name} core {core_id} of {cores} diverged"
+
+
+def reference_chunk_lengths(workload, records, sweep_len, batch):
+    """Chunk lengths of the whole-sweep rule, replayed over ``records``.
+
+    A chunk ends at the vertex that takes it to ``batch`` records, before
+    a vertex whose neighbour draws overrun the pool (the refill), and at a
+    sweep end.  Vertices are read off the records: each starts with its
+    row-pointer read, and its edge reads give its degree.
+    """
+    lengths, chunk, pool = [], 0, 4096
+    starts = [i for i, (_, addr, _) in enumerate(records) if addr < workload.edges_base]
+    for vertex, (start, end) in enumerate(zip(starts, starts[1:])):
+        degree = sum(1 for _, addr, _ in records[start:end]
+                     if workload.edges_base <= addr < workload.vertex_a_base)
+        needed = degree * workload.neighbor_reads_per_edge
+        if chunk and (vertex % sweep_len == 0 or needed > pool):
+            lengths.append(chunk)
+            chunk = 0
+        if needed > pool:
+            pool = max(4096, needed)
+        pool -= needed
+        chunk += end - start
+        if chunk >= batch:
+            lengths.append(chunk)
+            chunk = 0
+    return lengths
+
+
+@pytest.mark.parametrize("name", ["pagerank", "tri_count", "graph500", "sgd", "lsh"])
+def test_graph_batches_match_reference_across_block_edges(name, monkeypatch):
+    """The per-block prefix sums give the whole-sweep stream and chunks.
+
+    At 64 records per chunk a block is 256 vertices and is rebuilt once
+    fewer than 33 remain, so every sweep of every core's slice (873 to
+    5,242 vertices at scale 0.02) crosses at least three block edges; pool
+    refills (every 4,096 neighbour draws) land inside blocks and sweeps.
+    Two sweeps plus 100 records also reach a sweep end inside a block.
+    Chunk boundaries must be the whole-sweep rule's too, which a block
+    rebuilt too late (a chunk search cut short at the block's end) breaks.
+    """
+    monkeypatch.setattr(graph, "BATCH_RECORDS", 64)
+    for cores in (1, 3):
+        workload = get_workload(name, cores, scale=0.02, seed=5)
+        workload._build_graph()
+        records_per_vertex = (
+            1
+            + workload._degrees * (1 + workload.neighbor_reads_per_edge)
+            + workload.writes_per_vertex
+        )
+        for core_id in range(cores):
+            vertices = workload._vertex_range(core_id)
+            assert len(vertices) > 3 * 256
+            sweep = int(records_per_vertex[vertices.start:vertices.stop].sum())
+            count = 2 * sweep + 100
+            expected = [(r.gap, r.addr, r.is_write) for r in take(workload, core_id, count)]
+            got = [(g, a, bool(w)) for g, a, w in batch_records(workload, core_id, count)]
+            assert len(got) == count
+            assert got == expected, f"{name} core {core_id} of {cores} diverged"
+            reference = reference_chunk_lengths(workload, expected, len(vertices), 64)
+            chunks = [len(gaps) for gaps, _, _ in
+                      itertools.islice(workload.trace_batches(core_id), len(reference))]
+            assert chunks == reference, f"{name} core {core_id} of {cores} chunked differently"
+
+
+def test_graph_degree_sequences_are_shared_and_read_only():
+    """pagerank and graph500 share one cached ``(2**18, 4)`` degree sequence,
+    and no instance can write to it."""
+    pagerank = PageRankWorkload(num_cores=2, scale=0.1, seed=3)
+    bfs = Graph500Bfs(num_cores=4, scale=0.1, seed=3)
+    pagerank._build_graph()
+    bfs._build_graph()
+    assert pagerank._degrees is bfs._degrees
+    assert pagerank._offsets is bfs._offsets
+    with pytest.raises(ValueError):
+        pagerank._degrees[0] = 1
+    with pytest.raises(ValueError):
+        bfs._offsets[0] = 1
+    other_seed = PageRankWorkload(num_cores=2, scale=0.1, seed=4)
+    other_seed._build_graph()
+    assert other_seed._degrees is not pagerank._degrees
