@@ -3,7 +3,9 @@
 
 Runs the graph workloads with regular 4 KB pages and with 2 MB pages on a
 Banshee configuration whose DRAM cache is large enough to hold whole 2 MB
-pages, using the paper's large-page sampling coefficient (0.001).
+pages, using the paper's large-page sampling coefficient (0.001).  The rows
+are those of :func:`repro.experiments.figures.extension_large_pages`, so the
+example and the figure run the same configurations.
 
 Usage::
 
@@ -12,40 +14,18 @@ Usage::
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
-from repro import SystemConfig, run_simulation
-from repro.experiments.report import format_table
-from repro.sim.config import MB, DramConfig
-from repro.workloads.registry import GRAPH_WORKLOADS
-
-
-def enlarged(config: SystemConfig) -> SystemConfig:
-    in_dram = DramConfig(name="in-package", capacity_bytes=64 * MB, num_channels=4,
-                         bandwidth_scale=config.in_package_dram.bandwidth_scale)
-    return dataclasses.replace(config, in_package_dram=in_dram)
+from repro.experiments.figures import extension_large_pages
+from repro.experiments.report import format_table, rows_from_dicts
 
 
 def main() -> None:
     records = int(sys.argv[1]) if len(sys.argv) > 1 else 5000
-    rows = []
-    for workload in GRAPH_WORKLOADS:
-        small = run_simulation(
-            enlarged(SystemConfig.scaled_default(scheme="banshee")),
-            workload_name=workload, records_per_core=records,
-        )
-        large_config = enlarged(
-            SystemConfig.scaled_default(scheme="banshee").with_scheme("banshee", large_page_fraction=1.0)
-        )
-        large = run_simulation(
-            large_config, workload_name=workload, records_per_core=records,
-            page_size=large_config.dram_cache.large_page_size,
-        )
-        rows.append([workload, round(small.ipc, 3), round(large.ipc, 3),
-                     round(100.0 * (small.cycles / large.cycles - 1.0), 2)])
-    print(format_table(["workload", "ipc_4k", "ipc_2m", "gain_pct"], rows,
+    result = extension_large_pages(records_per_core=records)
+    print(format_table(result["headers"], rows_from_dicts(result["rows"], result["headers"]),
                        title="Banshee with 2 MB pages vs 4 KB pages"))
+    print(f"average gain: {result['summary']['average_gain_pct']}%")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ a snapshot of their output next to the paper's numbers.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.defaults import (
@@ -462,17 +463,13 @@ def extension_large_pages(
     for workload in workloads:
         small_config = bench_config("banshee", num_cores=cores)
         small_config = small_config.with_overrides(
-            in_package_dram=small_config.in_package_dram.__class__(
-                name="in-package", capacity_bytes=capacity, num_channels=4
-            )
+            in_package_dram=dataclasses.replace(small_config.in_package_dram, capacity_bytes=capacity)
         )
         small = run_simulation(small_config, workload_name=workload, records_per_core=records, cache=cache)
 
         large_config = bench_config("banshee", num_cores=cores, large_page_fraction=1.0)
         large_config = large_config.with_overrides(
-            in_package_dram=large_config.in_package_dram.__class__(
-                name="in-package", capacity_bytes=capacity, num_channels=4
-            )
+            in_package_dram=dataclasses.replace(large_config.in_package_dram, capacity_bytes=capacity)
         )
         large = run_simulation(
             large_config,
