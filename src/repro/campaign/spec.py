@@ -27,7 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.sim.config import SystemConfig
 from repro.util.serde import dataclass_from_dict
-from repro.workloads.registry import TRACE_PREFIX, get_workload, trace_path, validate_workload_name
+from repro.workloads.registry import validate_workload_name
 
 #: Normalised scheme entry: (display label, scheme name, DramCacheConfig overrides).
 SchemeEntry = Tuple[str, str, Dict]
@@ -60,19 +60,14 @@ def normalize_scheme(entry: Union[str, Sequence[object]]) -> SchemeEntry:
 
 
 def normalize_workload(name: str) -> str:
-    """Validate a workload axis entry (generator name or ``trace:<path>``).
+    """Validate a workload axis entry.
 
-    Same up-front convention as schemes: a typo or a missing/corrupt trace
-    file fails at spec-construction time listing what is available, before
-    any worker process starts simulating.  ``trace:`` paths are resolved to
-    absolute paths so cells survive pickling into spawn-based workers
-    regardless of the worker's working directory.
+    Same up-front convention as schemes: a typo fails at spec-construction
+    time listing what is available, before any worker process starts
+    simulating.
     """
     name = str(name)
     validate_workload_name(name)
-    path = trace_path(name)
-    if path is not None:
-        return TRACE_PREFIX + path
     return name
 
 
@@ -239,13 +234,7 @@ class CampaignSpec:
         return SystemConfig.paper_default(scheme=scheme).with_overrides(seed=seed, **cores)
 
     def cells(self) -> List[CampaignCell]:
-        """Expand every grid into concrete cells (configs validated eagerly).
-
-        A ``trace:`` workload is checked against each cell it expands into:
-        a replay needs the core count and page size it was captured with and
-        at least ``records_per_core`` records on every core, so a mismatch
-        fails the spec here instead of every such cell mid-campaign.
-        """
+        """Expand every grid into concrete cells (configs validated eagerly)."""
         expanded: List[CampaignCell] = []
         for grid in self.grids:
             points = itertools.product(
@@ -274,8 +263,6 @@ class CampaignSpec:
                             config.in_package_dram, capacity_bytes=cache_size
                         )
                     )
-                if trace_path(workload) is not None:
-                    self._check_trace(workload, config)
                 expanded.append(
                     CampaignCell(
                         label=label,
@@ -292,17 +279,6 @@ class CampaignSpec:
                     )
                 )
         return expanded
-
-    def _check_trace(self, workload: str, config: SystemConfig) -> None:
-        # Opening the replay as the cell will raises on a core-count or
-        # page-size mismatch; the record budget is checked here.
-        replay = get_workload(workload, config.num_cores, page_size=config.dram_cache.page_size)
-        available = replay.max_records_per_core
-        if available is not None and self.records_per_core > available:
-            raise ValueError(
-                f"trace workload {workload!r} holds only {available} records per core, "
-                f"records_per_core={self.records_per_core} requested"
-            )
 
     @property
     def num_cells(self) -> int:

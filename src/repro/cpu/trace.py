@@ -10,14 +10,13 @@ Streams move as :data:`TraceBatch` column batches — parallel
 ``(gaps, addrs, writes)`` lists — which is the one form every workload
 produces and both engine modes read.  :class:`TraceRecord` (a NamedTuple,
 so plain tuples under the hood) is the per-record view of the same stream:
-:func:`flatten` turns batches into records for capture, transforms and
-tests.
+:func:`flatten` turns batches into records for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 #: One column batch: parallel ``(gaps, addrs, writes)`` lists of equal length.
 TraceBatch = Tuple[List[int], List[int], List[bool]]
@@ -92,11 +91,6 @@ class TraceStream:
             self.stats.max_addr = record.addr
         return record
 
-    @property
-    def pages(self) -> Set[int]:
-        """The set of page numbers touched so far (live view, do not mutate)."""
-        return self._pages
-
 
 def summarize(records: Iterable[TraceRecord], page_size: int = 4096) -> TraceStats:
     """Consume a record iterable and return its summary statistics."""
@@ -104,43 +98,3 @@ def summarize(records: Iterable[TraceRecord], page_size: int = 4096) -> TraceSta
     for _record in stream:
         pass
     return stream.stats
-
-
-def summarize_streams(
-    streams: Sequence[Iterable[TraceRecord]], page_size: int = 4096
-) -> Tuple[TraceStats, List[TraceStats]]:
-    """Summarise a multi-core trace: per-core stats plus a combined view.
-
-    Counters (records, instructions, reads, writes) sum across cores, but
-    ``unique_pages``/``footprint_bytes`` are computed over the *union* of the
-    per-core page sets — graph workloads share vertex state between cores, so
-    summing per-core footprints would double-count shared pages.  This is the
-    accounting the trace subsystem stores in every capture's metadata.
-    """
-    per_core: List[TraceStats] = []
-    union: Set[int] = set()
-    for records in streams:
-        stream = TraceStream(records, page_size=page_size)
-        for _record in stream:
-            pass
-        union |= stream.pages
-        per_core.append(stream.stats)
-    return combine_stats(per_core, union, page_size), per_core
-
-
-def combine_stats(per_core: Sequence[TraceStats], shared_pages: Set[int], page_size: int) -> TraceStats:
-    """Fold per-core stats into one multi-core summary.
-
-    ``shared_pages`` must be the union of the per-core page sets (per-core
-    ``unique_pages`` counts cannot be summed — cores share pages).  Used by
-    :func:`summarize_streams` and by the trace writer's stored metadata.
-    """
-    return TraceStats(
-        records=sum(stats.records for stats in per_core),
-        instructions=sum(stats.instructions for stats in per_core),
-        reads=sum(stats.reads for stats in per_core),
-        writes=sum(stats.writes for stats in per_core),
-        unique_pages=len(shared_pages),
-        footprint_bytes=len(shared_pages) * page_size,
-        max_addr=max((stats.max_addr for stats in per_core), default=0),
-    )

@@ -27,40 +27,11 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimulationResults
 from repro.sim.system import System
 from repro.workloads.base import Workload
-from repro.workloads.registry import TRACE_PREFIX, get_workload, trace_path
+from repro.workloads.registry import get_workload
 
 
 #: Fraction of each core's trace used to warm the caches before measurement.
 DEFAULT_WARMUP_FRACTION = 0.5
-
-#: (abspath, mtime_ns, size) -> trace content digest; cell keys are computed
-#: repeatedly (spec expansion, executor, store write-back) and re-parsing the
-#: trace footer every time would make big campaigns needlessly chatty on disk.
-_TRACE_DIGESTS: Dict[Tuple[str, int, int], str] = {}
-
-
-def _workload_identity(workload_name: str) -> str:
-    """The workload's contribution to a cell key.
-
-    Generator workloads are identified by name (their streams are a pure
-    function of name/scale/seed/page_size, which the key covers).  A
-    ``trace:`` workload is identified by the trace file's *content digest*
-    instead of its path: re-capturing different records at the same path
-    changes the key (no stale store hits), and moving a trace file keeps
-    its stored results reachable.
-    """
-    path = trace_path(workload_name)
-    if path is None:
-        return workload_name
-    from repro.trace.format import trace_digest
-
-    stat = os.stat(path)
-    cache_key = (path, stat.st_mtime_ns, stat.st_size)
-    digest = _TRACE_DIGESTS.get(cache_key)
-    if digest is None:
-        digest = trace_digest(path)
-        _TRACE_DIGESTS[cache_key] = digest
-    return TRACE_PREFIX + digest
 
 
 def simulation_cell_key(
@@ -92,7 +63,7 @@ def simulation_cell_key(
     effective_page_size = page_size if page_size is not None else config.dram_cache.page_size
     fields = {
         "config": config_hash(config),
-        "workload": _workload_identity(workload_name),
+        "workload": workload_name,
         "records_per_core": records_per_core,
         "scale": scale,
         "seed": seed,

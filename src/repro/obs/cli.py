@@ -338,7 +338,7 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
     from repro.sim.config import config_from_dict
     from repro.sim.engine import SimulationEngine
     from repro.sim.system import System
-    from repro.workloads.registry import TRACE_PREFIX, get_workload
+    from repro.workloads.registry import get_workload
 
     if args.timeline_output and not args.timeline:
         raise ValueError("--timeline-output requires --timeline N")
@@ -353,8 +353,6 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
         scale = args.scale
     elif "scale" in meta:
         scale = float(meta["scale"])
-    elif name.startswith(TRACE_PREFIX):
-        scale = 1.0  # a captured trace replays as recorded
     else:
         raise ValueError(f"snapshot {args.snapshot} records no workload scale; "
                          f"pass --scale with the scale of the original {name} run")

@@ -14,8 +14,7 @@ def measure_generation(workload: Workload, records_per_core: int) -> float:
 
     Drains each core's column batches for ``records_per_core`` records the
     way the batch engine pulls them, so the measurement covers generator
-    arithmetic (or trace-file decode) plus iteration overhead, and nothing
-    else.
+    arithmetic plus iteration overhead, and nothing else.
     """
     start = time.perf_counter()
     for core_id in range(workload.num_cores):

@@ -170,13 +170,6 @@ class SimulationEngine:
         start_time = time.perf_counter()
         system = self.system
         workload = system.workload
-        available = workload.max_records_per_core
-        if available is not None and max_records_per_core > available:
-            raise ValueError(
-                f"workload {workload.name!r} holds only {available} records per core, "
-                f"{max_records_per_core} requested; shorten the run or capture a "
-                "longer trace"
-            )
         num_cores = system.config.num_cores
         # Resume state loaded by restore(): the run continues from the
         # snapshot's processed counts (with the same run arguments as the

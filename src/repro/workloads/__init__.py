@@ -11,7 +11,6 @@ from repro.workloads.graph import (
 )
 from repro.workloads.mixes import MixWorkload
 from repro.workloads.registry import (
-    TRACE_PREFIX,
     available_workloads,
     get_workload,
     validate_workload_name,
@@ -28,7 +27,6 @@ __all__ = [
     "SgdWorkload",
     "TriangleCountWorkload",
     "MixWorkload",
-    "TRACE_PREFIX",
     "available_workloads",
     "get_workload",
     "validate_workload_name",

@@ -5,7 +5,7 @@ instruction runs ending in one memory access, produced as column batches
 (:data:`repro.cpu.trace.TraceBatch`) by :meth:`Workload.trace_batches` —
 the one stream method every workload implements and both engine modes
 read.  :meth:`Workload.trace` flattens it into
-:class:`repro.cpu.trace.TraceRecord` objects for trace capture and
+:class:`repro.cpu.trace.TraceRecord` objects for
 tests.  The same workload object always produces the same streams (seeded
 generation), so different DRAM-cache schemes are compared on identical
 instruction and access streams, which is what makes the speedup
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.cpu.trace import TraceBatch, TraceRecord, flatten
 from repro.util.rng import DeterministicRng
@@ -70,20 +70,9 @@ class Workload(ABC):
         """Yield ``core_id``'s records one :class:`TraceRecord` at a time.
 
         A flatten of :meth:`trace_batches`, for consumers that want records
-        (trace capture, tests); the engines read the batches.
+        (tests); the engines read the batches.
         """
         return flatten(self.trace_batches(core_id))
-
-    @property
-    def max_records_per_core(self) -> Optional[int]:
-        """Records available on every core, or ``None`` when unbounded.
-
-        Generators synthesise records forever; a replayed capture is finite.
-        The engine refuses a record budget above this bound — a core that
-        silently ran out of records mid-run would skew the warmup threshold
-        and make the results incomparable to a full-length cell.
-        """
-        return None
 
     def rng_for_core(self, core_id: int) -> DeterministicRng:
         """Deterministic RNG stream for one core of this workload.

@@ -20,7 +20,6 @@ from repro.sim.batch import RunController
 from repro.sim.config import SystemConfig, config_from_dict, config_hash
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
-from repro.trace.capture import record_named
 from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
@@ -116,19 +115,6 @@ def test_resume_matches_pre_refactor_goldens(cell):
         snap_at=cell["records_per_core"], mode="batch",
     )
     assert json.loads(json.dumps(got)) == cell["result"]
-
-
-def test_resume_trace_workload(tmp_path):
-    """Snapshot/restore works when the workload is a captured-trace replay."""
-    path = str(tmp_path / "gcc.rtrace")
-    record_named("gcc", path, records_per_core=400, num_cores=2, scale=0.05, seed=7)
-    name = f"trace:{path}"
-    config = SystemConfig.tiny(num_cores=2, seed=7)
-    expected = SimulationEngine(
-        System(config, get_workload(name, 2))
-    ).run(400, warmup_records_per_core=100).identity_dict()
-    got = run_resumed(config, get_workload(name, 2), 400, 100, snap_at=350, mode="batch")
-    assert got == expected
 
 
 def test_resume_before_warmup_edge_preserves_measurement():
