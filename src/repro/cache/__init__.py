@@ -1,16 +1,13 @@
 """SRAM cache substrate: replacement policies, set-associative caches, hierarchy."""
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyAccess
-from repro.cache.replacement import FifoPolicy, LruPolicy, RandomPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.cache.sram_cache import CacheAccessResult, Eviction, SramCache
 
 __all__ = [
     "CacheHierarchy",
     "HierarchyAccess",
-    "FifoPolicy",
     "LruPolicy",
-    "RandomPolicy",
-    "make_policy",
     "CacheAccessResult",
     "Eviction",
     "SramCache",

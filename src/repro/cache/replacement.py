@@ -1,8 +1,10 @@
-"""Replacement policies for set-associative structures.
+"""Way-index replacement policies for set-associative DRAM-cache stores.
 
-The policies operate on way indices within one set and are shared by the
-SRAM caches, the TLBs and (for LRU) the Unison DRAM-cache baseline.  Each
-policy keeps its own per-set ordering state, indexed by set number, so a
+:class:`LruPolicy` serves Banshee's LRU ablation (``banshee_policy="lru"``,
+Figure 7) and Unison's page store; :class:`ReplacementPolicy` is the
+interface :class:`~repro.dramcache.components.stores.SetAssociativePageStore`
+takes.  (The SRAM caches and the TLBs choose their victims themselves.)
+A policy keeps its own per-set ordering state, indexed by set number, so a
 single policy object serves a whole cache.
 """
 
@@ -10,8 +12,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import List, Optional
-
-from repro.util.rng import DeterministicRng
 
 
 class ReplacementPolicy(ABC):
@@ -67,66 +67,3 @@ class LruPolicy(ReplacementPolicy):
         if invalid is not None:
             return invalid
         return self._recency[set_index][-1]
-
-
-class FifoPolicy(ReplacementPolicy):
-    """First-in-first-out replacement (used by the TDC baseline)."""
-
-    def __init__(self, num_sets: int, num_ways: int) -> None:
-        super().__init__(num_sets, num_ways)
-        self._insert_order: List[List[int]] = [[] for _ in range(num_sets)]
-
-    def on_access(self, set_index: int, way: int) -> None:
-        # FIFO ignores hits.
-        return None
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        order = self._insert_order[set_index]
-        if way in order:
-            order.remove(way)
-        order.append(way)
-
-    def victim(self, set_index: int, valid_ways: List[bool]) -> int:
-        invalid = self._first_invalid(valid_ways)
-        if invalid is not None:
-            return invalid
-        order = self._insert_order[set_index]
-        if not order:
-            return 0
-        return order[0]
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Random replacement."""
-
-    def __init__(self, num_sets: int, num_ways: int, rng: Optional[DeterministicRng] = None) -> None:
-        super().__init__(num_sets, num_ways)
-        self._rng = rng if rng is not None else DeterministicRng(0)
-
-    def on_access(self, set_index: int, way: int) -> None:
-        return None
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        return None
-
-    def victim(self, set_index: int, valid_ways: List[bool]) -> int:
-        invalid = self._first_invalid(valid_ways)
-        if invalid is not None:
-            return invalid
-        return self._rng.randint(0, self.num_ways)
-
-
-def make_policy(
-    name: str,
-    num_sets: int,
-    num_ways: int,
-    rng: Optional[DeterministicRng] = None,
-) -> ReplacementPolicy:
-    """Instantiate a replacement policy by name ("lru", "fifo", "random")."""
-    if name == "lru":
-        return LruPolicy(num_sets, num_ways)
-    if name == "fifo":
-        return FifoPolicy(num_sets, num_ways)
-    if name == "random":
-        return RandomPolicy(num_sets, num_ways, rng=rng)
-    raise ValueError(f"unknown replacement policy {name!r}")

@@ -1,6 +1,6 @@
 """Cell execution: the per-cell runner and the serial reference executor.
 
-:func:`execute_cell` runs one :class:`~repro.campaign.spec.CampaignCell`;
+:func:`execute_cell` runs one :class:`~repro.experiments.runner.CampaignCell`;
 :class:`SerialExecutor` runs a list of them in this process and returns
 one :class:`CellOutcome` per cell, in input order (the parallel path is
 :class:`~repro.campaign.supervisor.SupervisedExecutor`, with the same
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro import faults
-from repro.campaign.spec import CampaignCell
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import CampaignCell
 from repro.obs.events import ObsSink
 from repro.sim.batch import EngineCursor, RunController
 from repro.sim.results import SimulationResults
@@ -120,7 +119,8 @@ def execute_cell(
     ``cell_index`` is the cell's position in the campaign's pending order —
     the coordinate fault plans (:mod:`repro.faults`) address cells by.
     ``snapshot_dir``/``snapshot_every`` enable mid-cell auto-snapshots (the
-    crash-resume mechanism; see :func:`run_simulation`).
+    crash-resume mechanism; see :func:`~repro.experiments.runner.run_simulation`)
+    in ``<snapshot_dir>/<key>.json``.
     """
     start = time.perf_counter()
     faults.set_current_cell(cell_index)
@@ -146,20 +146,11 @@ def execute_cell(
         controller = _ProgressBeat(beat, BEAT_RECORDS)
     try:
         faults.fire("cell", cell=cell_index)
-        result = run_simulation(
-            cell.config,
-            workload_name=cell.workload,
-            records_per_core=cell.records_per_core,
-            scale=cell.scale,
-            seed=cell.seed,
-            warmup_fraction=cell.warmup_fraction,
-            timeline_interval=cell.timeline_interval,
-            timeline_bounds=cell.timeline_bounds,
-            events=events,
-            snapshot_dir=snapshot_dir,
-            snapshot_every=snapshot_every,
-            controller=controller,
-        )
+        snapshot_path = None
+        if snapshot_dir is not None:
+            snapshot_path = os.path.join(snapshot_dir, f"{key}.json")
+        result = cell.run(events=events, snapshot_path=snapshot_path,
+                          snapshot_every=snapshot_every, controller=controller)
         wall = time.perf_counter() - start
         if events is not None:
             events.emit("cell_finish", key=key, cell=describe, worker=worker,

@@ -4,8 +4,8 @@ A campaign is a (scheme x workload x parameter x seed) matrix of simulation
 cells.  :class:`SweepGrid` describes one rectangular grid of axes;
 :class:`CampaignSpec` bundles one or more grids with the run parameters they
 share (trace length, core count, base preset) and expands them into concrete
-:class:`CampaignCell` objects, each carrying a fully validated
-:class:`~repro.sim.config.SystemConfig`.
+:class:`~repro.experiments.runner.CampaignCell` objects (re-exported here),
+each carrying a fully validated :class:`~repro.sim.config.SystemConfig`.
 
 Specs round-trip through plain dictionaries (:meth:`CampaignSpec.to_dict` /
 :meth:`CampaignSpec.from_dict`) so the ``python -m repro.campaign`` CLI can
@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dramcache.variants import resolve_scheme
-from repro.experiments.runner import (
-    DEFAULT_WARMUP_FRACTION,
-    simulation_cell_key,
-    simulation_cell_meta,
-)
+from repro.experiments.runner import DEFAULT_WARMUP_FRACTION, CampaignCell
 from repro.sim.config import SystemConfig
 from repro.util.serde import dataclass_from_dict
 from repro.workloads.registry import validate_workload_name
@@ -118,58 +114,6 @@ class SweepGrid:
     @classmethod
     def from_dict(cls, payload: Dict) -> "SweepGrid":
         return dataclass_from_dict(cls, payload)
-
-
-@dataclass
-class CampaignCell:
-    """One fully resolved simulation: everything a worker needs to run it."""
-
-    label: str
-    scheme: str
-    workload: str
-    seed: int
-    records_per_core: int
-    scale: float
-    warmup_fraction: float
-    config: SystemConfig
-    #: Snapshot interval (records) for the obs timeline; None disables it.
-    timeline_interval: Optional[int] = None
-    #: Latency-histogram bucket edges for the timeline; None keeps defaults.
-    timeline_bounds: Optional[Tuple[float, ...]] = None
-
-    def key(self) -> str:
-        """Content-hashed store key (see :func:`simulation_cell_key`)."""
-        return simulation_cell_key(
-            self.config,
-            self.workload,
-            self.records_per_core,
-            self.scale,
-            self.seed,
-            self.warmup_fraction,
-            timeline_interval=self.timeline_interval,
-            timeline_bounds=self.timeline_bounds,
-        )
-
-    def describe(self) -> str:
-        """Short human label for progress lines, e.g. ``banshee/gcc seed=1``."""
-        text = f"{self.label}/{self.workload} seed={self.seed}"
-        if self.label != self.scheme:
-            text = f"{self.label} ({self.scheme})/{self.workload} seed={self.seed}"
-        return text
-
-    def meta(self) -> Dict:
-        """Store metadata: the sweep coordinates this cell was expanded from."""
-        return simulation_cell_meta(
-            self.config,
-            self.workload,
-            self.records_per_core,
-            self.scale,
-            self.seed,
-            self.warmup_fraction,
-            label=self.label,
-            timeline_interval=self.timeline_interval,
-            timeline_bounds=self.timeline_bounds,
-        )
 
 
 @dataclass

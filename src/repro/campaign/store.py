@@ -10,7 +10,7 @@ or a failed-cell outcome::
     {"key": <sha256>, "meta": {...sweep coordinates...}, "error": "..."}
 
 Keys are content hashes produced by
-:func:`repro.experiments.runner.simulation_cell_key` — they cover the full
+:meth:`repro.experiments.runner.CampaignCell.key` — they cover the full
 system configuration plus workload identity, so two campaigns (or a campaign
 and a figure function) that describe the same simulation share the same key
 and the second one is served from disk.

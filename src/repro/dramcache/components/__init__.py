@@ -11,7 +11,7 @@ composition of a small number of recurring mechanisms:
   devices with the correct byte counts and traffic categories
   (:mod:`.traffic`);
 * a **replacement policy** deciding what to insert and what to evict
-  (:mod:`.replacement`, plus :mod:`repro.cache.replacement` for LRU/FIFO);
+  (:mod:`.replacement`, plus :mod:`repro.cache.replacement` for LRU);
 * **mapping coherence** for the PTE/TLB-tracked schemes
   (:mod:`.coherence`).
 

@@ -19,7 +19,7 @@ from repro.experiments.figures import (
     table6_associativity,
 )
 from repro.experiments.report import format_table
-from repro.experiments.runner import ResultCache, run_matrix, run_simulation
+from repro.experiments.runner import ResultCache, run_simulation
 
 __all__ = [
     "BENCH_RECORDS_PER_CORE",
@@ -38,6 +38,5 @@ __all__ = [
     "table6_associativity",
     "format_table",
     "ResultCache",
-    "run_matrix",
     "run_simulation",
 ]

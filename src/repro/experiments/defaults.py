@@ -1,9 +1,8 @@
 """Default parameters for the benchmark harness.
 
 The benchmark suite regenerates every table and figure of the paper on a
-scaled-down system that keeps the paper's footprint : DRAM-cache : LLC
-ratios and its bandwidth per core (see
-:meth:`repro.sim.config.SystemConfig.scaled_default`).  Runtime is
+scaled-down system; :meth:`repro.sim.config.SystemConfig.scaled_default`
+says what it keeps of the paper's system and what it does not.  Runtime is
 controlled by two knobs that can be overridden through environment
 variables without touching code:
 

@@ -1,8 +1,10 @@
 """Reproduction functions for every table and figure of the paper's evaluation.
 
-Each ``figureN_*`` / ``tableN_*`` function runs the simulations that figure
-needs (through the shared :data:`repro.experiments.runner.GLOBAL_CACHE`, so
-figures that share a matrix do not re-simulate) and returns a dictionary
+Each ``figureN_*`` / ``tableN_*`` function fetches the simulation cells that
+figure needs from a :class:`~repro.experiments.runner.ResultCache` (by
+default the shared :data:`repro.experiments.runner.GLOBAL_CACHE`, so figures
+that share a matrix do not re-simulate; ``cache=ResultCache(store=...)``
+reads from and writes through a campaign's store) and returns a dictionary
 with:
 
 * ``rows`` — a list of dict rows, one per data point of the figure,
@@ -27,7 +29,12 @@ from repro.experiments.defaults import (
     bench_records_per_core,
     scale_in_package,
 )
-from repro.experiments.runner import ResultCache, resolve_cache, run_simulation
+from repro.experiments.runner import (
+    DEFAULT_WARMUP_FRACTION,
+    GLOBAL_CACHE,
+    CampaignCell,
+    ResultCache,
+)
 from repro.sim.config import MB, SystemConfig
 from repro.sim.results import SimulationResults, geometric_mean
 from repro.workloads.registry import EVALUATION_WORKLOADS, GRAPH_WORKLOADS
@@ -40,19 +47,12 @@ def _defaults(
     cache: Optional[ResultCache],
     default_workloads: Sequence[str],
     records_fraction: float = 1.0,
-    store=None,
 ) -> Tuple[Sequence[str], int, int, ResultCache]:
-    """Resolve the shared figure-function arguments.
-
-    ``store`` is an optional persistent :class:`repro.campaign.store.ResultStore`;
-    when given (and no explicit ``cache``), simulations are read from and
-    written through it, so a figure whose matrix a campaign already ran is
-    rebuilt without re-simulating (see :func:`repro.experiments.runner.resolve_cache`).
-    """
+    """Resolve the shared figure-function arguments."""
     resolved_workloads = list(workloads) if workloads is not None else list(default_workloads)
     resolved_records = records_per_core if records_per_core is not None else bench_records_per_core(records_fraction)
     resolved_cores = num_cores if num_cores is not None else BENCH_NUM_CORES
-    resolved_cache = resolve_cache(cache, store)
+    resolved_cache = cache if cache is not None else GLOBAL_CACHE
     return resolved_workloads, resolved_records, resolved_cores, resolved_cache
 
 
@@ -63,10 +63,23 @@ def _run(
     cores: int,
     cache: ResultCache,
     config: Optional[SystemConfig] = None,
+    workload_page_size: Optional[int] = None,
     **overrides,
 ) -> SimulationResults:
+    """Fetch one figure cell from ``cache``: seed 1, scale 1, the default warmup.
+
+    The cell runs ``config``, by default ``bench_config(scheme, ...)`` with
+    the DRAM-cache ``overrides``; ``workload_page_size`` builds the workload
+    with other pages than the config's (see :attr:`CampaignCell.page_size`).
+    """
     cfg = config if config is not None else bench_config(scheme, num_cores=cores, **overrides)
-    return run_simulation(cfg, workload_name=workload, records_per_core=records, cache=cache)
+    scheme_name = cfg.dram_cache.scheme
+    cell = CampaignCell(
+        label=scheme_name, scheme=scheme_name, workload=workload, seed=1,
+        records_per_core=records, scale=1.0, warmup_fraction=DEFAULT_WARMUP_FRACTION,
+        config=cfg, page_size=workload_page_size,
+    )
+    return cache.result(cell)
 
 
 # --------------------------------------------------------------------------- Figure 4
@@ -78,10 +91,9 @@ def figure4_speedup(
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     schemes: Sequence[Tuple[str, str, Dict]] = tuple(FIGURE4_SCHEMES),
-    store=None,
 ) -> Dict:
     """Figure 4: speedup normalised to NoCache, plus MPKI, per workload."""
-    workloads, records, cores, cache = _defaults(workloads, records_per_core, num_cores, cache, EVALUATION_WORKLOADS, store=store)
+    workloads, records, cores, cache = _defaults(workloads, records_per_core, num_cores, cache, EVALUATION_WORKLOADS)
     rows: List[Dict] = []
     speedups: Dict[str, List[float]] = {label: [] for label, _scheme, _ov in schemes}
     for workload in workloads:
@@ -122,10 +134,9 @@ def figure5_in_package_traffic(
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     schemes: Sequence[Tuple[str, str, Dict]] = tuple(FIGURE4_SCHEMES),
-    store=None,
 ) -> Dict:
     """Figure 5: in-package DRAM traffic breakdown, bytes per instruction."""
-    workloads, records, cores, cache = _defaults(workloads, records_per_core, num_cores, cache, EVALUATION_WORKLOADS, store=store)
+    workloads, records, cores, cache = _defaults(workloads, records_per_core, num_cores, cache, EVALUATION_WORKLOADS)
     cache_schemes = [entry for entry in schemes if entry[1] not in ("cacheonly",)]
     rows: List[Dict] = []
     totals: Dict[str, List[float]] = {label: [] for label, _s, _o in cache_schemes}
@@ -164,10 +175,9 @@ def figure6_off_package_traffic(
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     schemes: Sequence[Tuple[str, str, Dict]] = tuple(FIGURE4_SCHEMES),
-    store=None,
 ) -> Dict:
     """Figure 6: off-package DRAM traffic, bytes per instruction."""
-    workloads, records, cores, cache = _defaults(workloads, records_per_core, num_cores, cache, EVALUATION_WORKLOADS, store=store)
+    workloads, records, cores, cache = _defaults(workloads, records_per_core, num_cores, cache, EVALUATION_WORKLOADS)
     cache_schemes = [entry for entry in schemes if entry[1] not in ("cacheonly",)]
     rows: List[Dict] = []
     totals: Dict[str, List[float]] = {label: [] for label, _s, _o in cache_schemes}
@@ -193,11 +203,10 @@ def figure7_replacement_policies(
     records_per_core: Optional[int] = None,
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    store=None,
 ) -> Dict:
     """Figure 7: Banshee replacement-policy ablation vs TDC."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7, store=store
+        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7
     )
     policies = [
         ("Banshee LRU", "banshee", {"banshee_policy": "lru"}),
@@ -237,11 +246,10 @@ def table5_pte_update_cost(
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     costs_us: Sequence[float] = (10.0, 20.0, 40.0),
-    store=None,
 ) -> Dict:
     """Table 5: performance loss vs free PTE updates for several update costs."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7, store=store
+        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7
     )
     free_results = {
         workload: _run("banshee", workload, records, cores, cache, tag_buffer_flush_cost_us=0.0,
@@ -278,11 +286,10 @@ def figure8_latency_bandwidth(
     records_per_core: Optional[int] = None,
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    store=None,
 ) -> Dict:
     """Figure 8: sweep in-package DRAM latency and bandwidth."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.5, store=store
+        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.5
     )
     schemes = [("Banshee", "banshee", {}), ("Alloy", "alloy", {}), ("TDC", "tdc", {}), ("Unison", "unison", {})]
     latency_points = [("100%", 1.0), ("66%", 0.66), ("50%", 0.5)]
@@ -299,7 +306,7 @@ def figure8_latency_bandwidth(
             speedups = []
             for workload in workloads:
                 baseline = _run("nocache", workload, records, cores, cache)
-                result = run_simulation(config, workload_name=workload, records_per_core=records, cache=cache)
+                result = _run(scheme, workload, records, cores, cache, config=config)
                 speedups.append(result.speedup_over(baseline))
             rows.append(
                 {
@@ -331,11 +338,10 @@ def figure9_sampling(
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     coefficients: Sequence[float] = (1.0, 0.1, 0.01),
-    store=None,
 ) -> Dict:
     """Figure 9: miss rate and DRAM-cache traffic vs sampling coefficient."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7, store=store
+        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7
     )
     rows: List[Dict] = []
     for coefficient in coefficients:
@@ -373,11 +379,10 @@ def table6_associativity(
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     ways: Sequence[int] = (1, 2, 4, 8),
-    store=None,
 ) -> Dict:
     """Table 6: DRAM-cache miss rate vs associativity for Banshee."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7, store=store
+        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.7
     )
     rows: List[Dict] = []
     for num_ways in ways:
@@ -401,7 +406,6 @@ def table1_behavior(
     records_per_core: Optional[int] = None,
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    store=None,
 ) -> Dict:
     """Table 1: qualitative per-scheme behaviour, measured on one workload.
 
@@ -409,7 +413,7 @@ def table1_behavior(
     and replacement traffic shares, and whether replacement happens on every
     miss — the quantities Table 1 of the paper describes symbolically.
     """
-    _w, records, cores, cache = _defaults(None, records_per_core, num_cores, cache, [workload], records_fraction=0.5, store=store)
+    _w, records, cores, cache = _defaults(None, records_per_core, num_cores, cache, [workload], records_fraction=0.5)
     schemes = [
         ("Unison", "unison", {}),
         ("Alloy", "alloy", {}),
@@ -451,11 +455,10 @@ def extension_large_pages(
     records_per_core: Optional[int] = None,
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    store=None,
 ) -> Dict:
     """Section 5.4.1: Banshee with 2 MB pages vs 4 KB pages on graph workloads."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, GRAPH_WORKLOADS, records_fraction=0.5, store=store
+        workloads, records_per_core, num_cores, cache, GRAPH_WORKLOADS, records_fraction=0.5
     )
     capacity = 64 * MB  # enlarge the cache so that whole 2 MB pages are cacheable
     rows: List[Dict] = []
@@ -465,19 +468,14 @@ def extension_large_pages(
         small_config = small_config.with_overrides(
             in_package_dram=dataclasses.replace(small_config.in_package_dram, capacity_bytes=capacity)
         )
-        small = run_simulation(small_config, workload_name=workload, records_per_core=records, cache=cache)
+        small = _run("banshee", workload, records, cores, cache, config=small_config)
 
         large_config = bench_config("banshee", num_cores=cores, large_page_fraction=1.0)
         large_config = large_config.with_overrides(
             in_package_dram=dataclasses.replace(large_config.in_package_dram, capacity_bytes=capacity)
         )
-        large = run_simulation(
-            large_config,
-            workload_name=workload,
-            records_per_core=records,
-            cache=cache,
-            page_size=large_config.dram_cache.large_page_size,
-        )
+        large = _run("banshee", workload, records, cores, cache, config=large_config,
+                     workload_page_size=large_config.dram_cache.large_page_size)
         gain = small.cycles / large.cycles - 1.0
         gains.append(gain)
         rows.append(
@@ -500,11 +498,10 @@ def extension_bandwidth_balance(
     records_per_core: Optional[int] = None,
     num_cores: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    store=None,
 ) -> Dict:
     """Section 5.4.2: BATMAN-style bandwidth balancing on Alloy and Banshee."""
     workloads, records, cores, cache = _defaults(
-        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.5, store=store
+        workloads, records_per_core, num_cores, cache, SWEEP_WORKLOADS, records_fraction=0.5
     )
     rows: List[Dict] = []
     summary: Dict[str, float] = {}

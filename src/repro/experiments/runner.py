@@ -1,16 +1,23 @@
-"""Simulation runner with result caching.
+"""Simulation cells: what one simulation is, how it runs, where its result lives.
+
+A :class:`CampaignCell` is one simulation: a configuration, a registered
+workload and its run parameters.  The cell owns its content-hashed store
+key (:meth:`CampaignCell.key`), the metadata stored next to its result
+(:meth:`CampaignCell.meta`) and how it runs (:meth:`CampaignCell.run`,
+which calls :func:`run_simulation`).  Campaigns expand cells from a spec
+(:mod:`repro.campaign.spec`); the figure functions build theirs directly.
 
 Several figures of the paper share the same underlying simulations (the
 speedup, in-package-traffic and off-package-traffic figures all come from one
-workload x scheme matrix).  :class:`ResultCache` memoises results within one
-process so that the benchmark modules can each rebuild their figure without
-re-running shared simulations.
+workload x scheme matrix).  :class:`ResultCache` memoises cell results within
+one process so that the benchmark modules can each rebuild their figure
+without re-running shared simulations.
 
 A cache can additionally be backed by a persistent
 :class:`repro.campaign.store.ResultStore` (any object supporting ``get(key)``,
 ``put(key, result)`` and ``in``), in which case results survive the process: lookups
 fall through to the store and fresh results are written through to it.  Both
-layers share the :func:`simulation_cell_key` keyspace, so figures can be
+layers share the :meth:`CampaignCell.key` keyspace, so figures can be
 rebuilt from a campaign's store without re-simulating anything.
 """
 
@@ -18,7 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.sim.config import SystemConfig, canonical_json, config_hash
@@ -26,7 +34,6 @@ from repro.sim.batch import ControllerChain, RunController
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimulationResults
 from repro.sim.system import System
-from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
 
@@ -34,95 +41,115 @@ from repro.workloads.registry import get_workload
 DEFAULT_WARMUP_FRACTION = 0.5
 
 
-def simulation_cell_key(
-    config: SystemConfig,
-    workload_name: str,
-    records_per_core: int,
-    scale: float,
-    seed: int,
-    warmup_fraction: float,
-    page_size: Optional[int] = None,
-    timeline_interval: Optional[int] = None,
-    timeline_bounds: Optional[Sequence[float]] = None,
-) -> str:
-    """Content-hashed identity of one simulation cell.
+@dataclass
+class CampaignCell:
+    """One fully resolved simulation: everything a worker needs to run it."""
 
-    The key covers everything that determines a simulation's outcome: the
-    full configuration (via :func:`repro.sim.config.config_hash`), the
-    workload name and its build parameters (``scale``, ``seed``,
-    ``page_size``), the trace length and the warmup fraction.  It is stable
-    across processes and interpreter runs, which is what makes the campaign
-    result store resumable.
+    label: str
+    scheme: str
+    workload: str
+    seed: int
+    records_per_core: int
+    scale: float
+    warmup_fraction: float
+    config: SystemConfig
+    #: Snapshot interval (records) for the obs timeline; None disables it.
+    timeline_interval: Optional[int] = None
+    #: Latency-histogram bucket edges for the timeline; None keeps defaults.
+    timeline_bounds: Optional[Tuple[float, ...]] = None
+    #: Page size the workload is built with; None means ``config.dram_cache.page_size``.
+    page_size: Optional[int] = None
 
-    ``timeline_interval`` (and ``timeline_bounds``, the latency histogram
-    bucket edges) does not change simulation outcomes, but it does change
-    the stored *payload* (a cell run with an observer carries its
-    timeline), so it participates in the key — only when set, keeping every
-    pre-existing store key valid.
-    """
-    effective_page_size = page_size if page_size is not None else config.dram_cache.page_size
-    fields = {
-        "config": config_hash(config),
-        "workload": workload_name,
-        "records_per_core": records_per_core,
-        "scale": scale,
-        "seed": seed,
-        "warmup_fraction": warmup_fraction,
-        "page_size": effective_page_size,
-    }
-    if timeline_interval is not None:
-        fields["timeline_interval"] = timeline_interval
-    if timeline_bounds is not None:
-        fields["timeline_bounds"] = [float(bound) for bound in timeline_bounds]
-    payload = canonical_json(fields)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    def _page_size(self) -> int:
+        return self.page_size if self.page_size is not None else self.config.dram_cache.page_size
 
+    def key(self) -> str:
+        """Content-hashed store key of this cell.
 
-def simulation_cell_meta(
-    config: SystemConfig,
-    workload_name: str,
-    records_per_core: int,
-    scale: float,
-    seed: int,
-    warmup_fraction: float,
-    page_size: Optional[int] = None,
-    label: Optional[str] = None,
-    timeline_interval: Optional[int] = None,
-    timeline_bounds: Optional[Sequence[float]] = None,
-) -> Dict[str, object]:
-    """The sweep coordinates stored next to a result (store ``meta`` field).
+        The key covers everything that determines a simulation's outcome: the
+        full configuration (via :func:`repro.sim.config.config_hash`), the
+        workload name and its build parameters (``scale``, ``seed``,
+        ``page_size``), the trace length and the warmup fraction.  It is stable
+        across processes and interpreter runs, which is what makes the campaign
+        result store resumable.
 
-    Keeps store records self-describing — ``status``/``export`` group and
-    label rows from this — whether the result was written by a campaign
-    (which supplies its display ``label``) or by a figure function's
-    write-through cache (which falls back to the scheme name).
-    """
-    dram_cache = config.dram_cache
-    meta: Dict[str, object] = {}
-    if timeline_interval is not None:
-        meta["timeline_interval"] = timeline_interval
-    if timeline_bounds is not None:
-        meta["timeline_bounds"] = [float(bound) for bound in timeline_bounds]
-    return {
-        **meta,
-        "label": label if label is not None else dram_cache.scheme,
-        "scheme": dram_cache.scheme,
-        "workload": workload_name,
-        "seed": seed,
-        "records_per_core": records_per_core,
-        "scale": scale,
-        "warmup_fraction": warmup_fraction,
-        "num_cores": config.num_cores,
-        "page_size": page_size if page_size is not None else dram_cache.page_size,
-        "cache_size": config.in_package_dram.capacity_bytes,
-        "replacement_policy": dram_cache.banshee_policy,
-        "sampling_coefficient": dram_cache.sampling_coefficient,
-        "config_hash": config_hash(config),
-    }
+        ``timeline_interval`` (and ``timeline_bounds``, the latency histogram
+        bucket edges) does not change simulation outcomes, but it does change
+        the stored *payload* (a cell run with an observer carries its
+        timeline), so it participates in the key — only when set, keeping every
+        pre-existing store key valid.
+        """
+        fields = {
+            "config": config_hash(self.config),
+            "workload": self.workload,
+            "records_per_core": self.records_per_core,
+            "scale": self.scale,
+            "seed": self.seed,
+            "warmup_fraction": self.warmup_fraction,
+            "page_size": self._page_size(),
+        }
+        if self.timeline_interval is not None:
+            fields["timeline_interval"] = self.timeline_interval
+        if self.timeline_bounds is not None:
+            fields["timeline_bounds"] = [float(bound) for bound in self.timeline_bounds]
+        payload = canonical_json(fields)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def describe(self) -> str:
+        """Short human label for progress lines, e.g. ``banshee/gcc seed=1``."""
+        text = f"{self.label}/{self.workload} seed={self.seed}"
+        if self.label != self.scheme:
+            text = f"{self.label} ({self.scheme})/{self.workload} seed={self.seed}"
+        return text
+
+    def meta(self) -> Dict[str, object]:
+        """Store metadata: the sweep coordinates stored next to the result.
+
+        Keeps store records self-describing — ``status``/``export`` group and
+        label rows from this — whether a campaign or a figure function's
+        write-through cache stored the result.
+        """
+        dram_cache = self.config.dram_cache
+        meta: Dict[str, object] = {}
+        if self.timeline_interval is not None:
+            meta["timeline_interval"] = self.timeline_interval
+        if self.timeline_bounds is not None:
+            meta["timeline_bounds"] = [float(bound) for bound in self.timeline_bounds]
+        return {
+            **meta,
+            "label": self.label,
+            "scheme": dram_cache.scheme,
+            "workload": self.workload,
+            "seed": self.seed,
+            "records_per_core": self.records_per_core,
+            "scale": self.scale,
+            "warmup_fraction": self.warmup_fraction,
+            "num_cores": self.config.num_cores,
+            "page_size": self._page_size(),
+            "cache_size": self.config.in_package_dram.capacity_bytes,
+            "replacement_policy": dram_cache.banshee_policy,
+            "sampling_coefficient": dram_cache.sampling_coefficient,
+            "config_hash": config_hash(self.config),
+        }
+
+    def run(self, **extras) -> SimulationResults:
+        """Simulate this cell; ``extras`` are further :func:`run_simulation` arguments."""
+        return run_simulation(
+            self.config,
+            workload_name=self.workload,
+            records_per_core=self.records_per_core,
+            scale=self.scale,
+            seed=self.seed,
+            page_size=self.page_size,
+            warmup_fraction=self.warmup_fraction,
+            timeline_interval=self.timeline_interval,
+            timeline_bounds=self.timeline_bounds,
+            **extras,
+        )
 
 
 class ResultCache:
-    """Memoises simulation results keyed by (config, workload, trace length).
+    """Memoises cell results under their :meth:`CampaignCell.key`.
 
     ``store`` is an optional persistent backing layer sharing the same
     keyspace: misses fall through to it and fresh results are written back.
@@ -135,22 +162,14 @@ class ResultCache:
         self.misses = 0
         self.store_hits = 0
 
-    def key(
-        self,
-        config: SystemConfig,
-        workload_name: str,
-        records_per_core: int,
-        scale: float,
-        seed: int,
-        warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-        page_size: Optional[int] = None,
-        timeline_interval: Optional[int] = None,
-        timeline_bounds: Optional[Sequence[float]] = None,
-    ) -> str:
-        return simulation_cell_key(
-            config, workload_name, records_per_core, scale, seed, warmup_fraction,
-            page_size, timeline_interval, timeline_bounds,
-        )
+    def result(self, cell: CampaignCell) -> SimulationResults:
+        """``cell``'s result: from memory, else the store, else simulated and put."""
+        key = cell.key()
+        result = self.get(key)
+        if result is None:
+            result = cell.run()
+            self.put(key, result, meta=cell.meta())
+        return result
 
     def get(self, key: str) -> Optional[SimulationResults]:
         result = self._results.get(key)
@@ -230,46 +249,42 @@ class _FaultEdges(RunController):
 
 def run_simulation(
     config: SystemConfig,
-    workload_name: Optional[str] = None,
-    workload: Optional[Workload] = None,
+    workload_name: str,
     records_per_core: int = 20_000,
     scale: float = 1.0,
     seed: int = 1,
-    cache: Optional[ResultCache] = None,
     page_size: Optional[int] = None,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     timeline_interval: Optional[int] = None,
     timeline_bounds: Optional[Sequence[float]] = None,
     events=None,
-    snapshot_dir: Optional[str] = None,
+    snapshot_path: Optional[str] = None,
     snapshot_every: Optional[int] = None,
     controller: Optional[RunController] = None,
     engine_mode: Optional[str] = None,
 ) -> SimulationResults:
-    """Run one simulation (optionally memoised through ``cache``).
+    """Run one simulation of the registered workload ``workload_name``.
 
-    Either ``workload_name`` (resolved through the registry) or a prebuilt
-    ``workload`` object must be given.  Prebuilt workloads are never cached,
-    because their identity cannot be captured in the cache key.
-
-    ``warmup_fraction`` of each core's records is executed before the
-    measurement window opens (statistics cover only the remainder).
+    The workload is built from (``workload_name``, ``scale``, ``seed``,
+    ``page_size``; default: the config's page size).  ``warmup_fraction`` of
+    each core's records is executed before the measurement window opens
+    (statistics cover only the remainder).
 
     ``timeline_interval`` attaches a
     :class:`~repro.obs.timeline.TimelineObserver` snapshotting windowed
     metric deltas every that many records (the timeline rides along on
-    ``result.timeline`` and in the cache); ``timeline_bounds`` overrides its
+    ``result.timeline``); ``timeline_bounds`` overrides its
     latency-histogram bucket edges.  ``events`` is an optional
     :class:`~repro.obs.events.EventLog` for the engine's run events.
 
-    ``snapshot_dir`` + ``snapshot_every`` enable **mid-cell auto-snapshots**
-    for named workloads: every ``snapshot_every`` processed records the full
-    engine state is saved (atomically, latest wins) to
-    ``<snapshot_dir>/<cell key>.json``.  If that file already exists when
-    the cell starts — a worker was killed mid-cell, or a whole campaign was
-    killed and re-run — the engine restores it and continues, producing
+    ``snapshot_path`` + ``snapshot_every`` enable **mid-cell auto-snapshots**:
+    every ``snapshot_every`` processed records the full engine state is
+    saved (atomically, latest wins) to ``snapshot_path`` (a campaign names
+    it ``<snapshot dir>/<cell key>.json``).  If that file already exists
+    when the run starts — a worker was killed mid-cell, or a whole campaign
+    was killed and re-run — the engine restores it and continues, producing
     results bit-identical to the uninterrupted run; the file is removed
-    once the cell completes.  Timeline cells bypass snapshotting (their
+    once the run completes.  Timeline runs bypass snapshotting (their
     timeline must cover every window from record zero).
 
     ``controller`` attaches an additional
@@ -279,54 +294,27 @@ def run_simulation(
     mode (default: the ``REPRO_ENGINE_MODE`` environment variable, else the
     engine's default) — results are bit-identical in every mode.
     """
-    if (workload_name is None) == (workload is None):
-        raise ValueError("provide exactly one of workload_name or workload")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
     if timeline_bounds is not None and timeline_interval is None:
         raise ValueError("timeline_bounds requires timeline_interval")
     if snapshot_every is not None and snapshot_every <= 0:
         raise ValueError("snapshot_every must be positive (or None to disable)")
-    if snapshot_every is not None and snapshot_dir is None:
-        raise ValueError("snapshot_every requires snapshot_dir")
+    if snapshot_every is not None and snapshot_path is None:
+        raise ValueError("snapshot_every requires snapshot_path")
     if engine_mode is None:
         engine_mode = os.environ.get("REPRO_ENGINE_MODE") or None
     warmup_records = int(records_per_core * warmup_fraction)
 
-    def observer():
-        if timeline_interval is None:
-            return None
+    observer = None
+    if timeline_interval is not None:
         from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS
         from repro.obs.timeline import TimelineObserver
 
         bounds = timeline_bounds if timeline_bounds is not None else DEFAULT_LATENCY_BOUNDS
-        return TimelineObserver(timeline_interval, latency_bounds=bounds)
-
-    if workload is not None:
-        system = System(config, workload)
-        return SimulationEngine(system, mode=engine_mode).run(
-            records_per_core, warmup_records_per_core=warmup_records,
-            observer=observer(), events=events, controller=controller,
-        )
+        observer = TimelineObserver(timeline_interval, latency_bounds=bounds)
 
     effective_page_size = page_size if page_size is not None else config.dram_cache.page_size
-    key = None
-    if cache is not None:
-        key = cache.key(
-            config,
-            workload_name,
-            records_per_core,
-            scale,
-            seed,
-            warmup_fraction=warmup_fraction,
-            page_size=effective_page_size,
-            timeline_interval=timeline_interval,
-            timeline_bounds=timeline_bounds,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
     built = get_workload(
         workload_name, config.num_cores, scale=scale, seed=seed, page_size=effective_page_size
     )
@@ -339,15 +327,9 @@ def run_simulation(
 
     # Mid-cell auto-snapshots: restore a leftover snapshot (a crashed
     # attempt's progress) and keep saving fresh ones as this run advances.
-    snapshot_path = None
-    resumed_mid_cell = False
     snapshotter: Optional[_AutoSnapshotter] = None
-    if snapshot_dir is not None and snapshot_every is not None and timeline_interval is None:
-        cell_key = simulation_cell_key(
-            config, workload_name, records_per_core, scale, seed, warmup_fraction,
-            effective_page_size,
-        )
-        snapshot_path = os.path.join(snapshot_dir, f"{cell_key}.json")
+    if snapshot_path is not None and snapshot_every is not None and timeline_interval is None:
+        resumed_mid_cell = False
         if os.path.exists(snapshot_path):
             from repro.obs.snapshot import EngineSnapshot
 
@@ -376,67 +358,14 @@ def run_simulation(
 
     result = engine.run(
         records_per_core, warmup_records_per_core=warmup_records,
-        observer=observer(), events=events,
+        observer=observer, events=events,
         controller=ControllerChain([controller, snapshotter, fault_edges]),
     )
-    if snapshot_path is not None:
-        # The cell completed; its resume point is spent.  Leaving it would
+    if snapshotter is not None:
+        # The run completed; its resume point is spent.  Leaving it would
         # make the *next* identical run resume at the end and skip the cell.
         try:
-            os.remove(snapshot_path)
+            os.remove(snapshotter.path)
         except OSError:
             pass
-    if cache is not None and key is not None:
-        meta = simulation_cell_meta(
-            config, workload_name, records_per_core, scale, seed, warmup_fraction,
-            effective_page_size, timeline_interval=timeline_interval,
-            timeline_bounds=timeline_bounds,
-        )
-        cache.put(key, result, meta=meta)
     return result
-
-
-def resolve_cache(cache: Optional[ResultCache], store=None) -> ResultCache:
-    """Pick the cache for a harness entry point.
-
-    An explicit ``cache`` wins.  Otherwise, a persistent ``store`` gets a
-    fresh read/write-through cache so results are served from and saved to
-    disk; with neither, the process-wide :data:`GLOBAL_CACHE` is used.
-    """
-    if cache is not None:
-        return cache
-    if store is not None:
-        return ResultCache(store=store)
-    return GLOBAL_CACHE
-
-
-def run_matrix(
-    schemes: Iterable[Tuple[str, SystemConfig]],
-    workload_names: Iterable[str],
-    records_per_core: int,
-    scale: float = 1.0,
-    seed: int = 1,
-    cache: Optional[ResultCache] = None,
-    store=None,
-) -> Dict[Tuple[str, str], SimulationResults]:
-    """Run a full (scheme x workload) matrix.
-
-    ``schemes`` is an iterable of (label, config) pairs; the label is used as
-    the result key so the same scheme can appear twice with different
-    parameters (Alloy 1 vs Alloy 0.1).  Passing a persistent ``store``
-    (see :class:`repro.campaign.store.ResultStore`) serves already-simulated
-    cells from disk and persists new ones.
-    """
-    cache = resolve_cache(cache, store)
-    results: Dict[Tuple[str, str], SimulationResults] = {}
-    for workload_name in workload_names:
-        for label, config in schemes:
-            results[(workload_name, label)] = run_simulation(
-                config,
-                workload_name=workload_name,
-                records_per_core=records_per_core,
-                scale=scale,
-                seed=seed,
-                cache=cache,
-            )
-    return results

@@ -6,10 +6,9 @@ Two presets are provided:
 * :meth:`SystemConfig.paper_default` — the parameters of Table 2 / Table 3
   (16 cores, 1 GB in-package DRAM, 8 MB LLC, ...).  Running at this scale in
   a pure-Python simulator is possible but slow; it is provided for fidelity.
-* :meth:`SystemConfig.scaled_default` — a proportionally scaled-down system
-  used by the test suite and the benchmark harness; its docstring gives the
-  scaling rule (the paper's footprint : DRAM-cache : LLC ratios, and its
-  bandwidth per core).
+* :meth:`SystemConfig.scaled_default` — a scaled-down system used by the
+  test suite and the benchmark harness; its docstring says what it keeps of
+  the paper's system and what it does not.
 
 Every dataclass validates itself in ``__post_init__`` so that a bad
 configuration fails loudly at construction time rather than mid-simulation.

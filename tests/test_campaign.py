@@ -1,6 +1,7 @@
 """Tests for the campaign subsystem (spec, store, executors, CLI) and the
 cache/store key identity guarantees."""
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.experiments.figures import figure4_speedup
-from repro.experiments.runner import ResultCache, run_simulation, simulation_cell_key
+from repro.experiments.runner import ResultCache, run_simulation
 from repro.sim.config import SystemConfig, config_hash
 from repro.sim.results import SimulationResults
 
@@ -39,19 +40,20 @@ def tiny_spec(name="t", schemes=("banshee",), workloads=("gcc",), seeds=(1,), **
 
 
 def test_cell_key_sensitive_to_every_run_parameter():
-    config = SystemConfig.tiny()
-    base = simulation_cell_key(config, "gcc", 500, 1.0, 1, 0.5, None)
-    assert simulation_cell_key(config, "gcc", 500, 1.0, 1, 0.5, None) == base
+    (cell,) = tiny_spec(records_per_core=500).cells()
+    base = cell.key()
+    assert dataclasses.replace(cell).key() == base
+    # The display label is not part of the simulation.
+    assert dataclasses.replace(cell, label="Banshee").key() == base
     # page_size, warmup_fraction, seed and scale must all change the key.
-    assert simulation_cell_key(config, "gcc", 500, 1.0, 1, 0.5, 8192) != base
-    assert simulation_cell_key(config, "gcc", 500, 1.0, 1, 0.25, None) != base
-    assert simulation_cell_key(config, "gcc", 500, 1.0, 2, 0.5, None) != base
-    assert simulation_cell_key(config, "gcc", 500, 0.5, 1, 0.5, None) != base
+    assert dataclasses.replace(cell, page_size=8192).key() != base
+    assert dataclasses.replace(cell, warmup_fraction=0.25).key() != base
+    assert dataclasses.replace(cell, seed=2).key() != base
+    assert dataclasses.replace(cell, scale=0.5).key() != base
     # ... as must the workload, the trace length and the configuration.
-    assert simulation_cell_key(config, "mcf", 500, 1.0, 1, 0.5, None) != base
-    assert simulation_cell_key(config, "gcc", 501, 1.0, 1, 0.5, None) != base
-    other = SystemConfig.tiny(scheme="alloy")
-    assert simulation_cell_key(other, "gcc", 500, 1.0, 1, 0.5, None) != base
+    assert dataclasses.replace(cell, workload="mcf").key() != base
+    assert dataclasses.replace(cell, records_per_core=501).key() != base
+    assert dataclasses.replace(cell, config=SystemConfig.tiny(scheme="alloy")).key() != base
 
 
 @pytest.mark.parametrize("spec, key, page_size", [
@@ -73,27 +75,33 @@ def test_cell_keys_are_pinned(spec, key, page_size):
     assert cell.meta()["page_size"] == page_size
 
 
+def test_large_page_cell_keys_are_pinned(tmp_path):
+    """The 2 MB arm of ``extension_large_pages`` is the one figure cell whose
+    workload pages differ from its config's: that page size is in its key."""
+    from repro.experiments.figures import extension_large_pages
+
+    store = ResultStore(tmp_path / "store")
+    extension_large_pages(workloads=["pagerank"], records_per_core=300, num_cores=1,
+                          cache=ResultCache(store=store))
+    assert {key: store.get_record(key)["meta"]["page_size"] for key in store.keys()} == {
+        "068c4a3341cfdce553bc04fb9c494d34879d1aee2b33a4e12a0058bd2e7cf473": 4096,
+        "5c5b4d7d54d906b23053ffa98b8a03826b81f16228d1612baa2938b3ac0fd8e8": 2097152,
+    }
+
+
 def test_config_hash_stable_and_content_addressed():
     assert config_hash(SystemConfig.tiny()) == config_hash(SystemConfig.tiny())
     assert config_hash(SystemConfig.tiny()) != config_hash(SystemConfig.tiny(scheme="nocache"))
-
-
-def test_prebuilt_workloads_bypass_cache():
-    from repro.workloads.registry import get_workload
-
-    cache = ResultCache()
-    workload = get_workload("gcc", 2, scale=0.05)
-    run_simulation(SystemConfig.tiny(), workload=workload, records_per_core=300, cache=cache)
-    assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
 
 def test_result_cache_counts_misses_on_lookup():
     cache = ResultCache()
     assert cache.get("absent") is None
     assert cache.misses == 1 and cache.hits == 0
-    run_simulation(SystemConfig.tiny(), workload_name="gcc", records_per_core=300, cache=cache)
-    assert cache.misses == 2  # the simulation's own lookup missed too
-    run_simulation(SystemConfig.tiny(), workload_name="gcc", records_per_core=300, cache=cache)
+    (cell,) = tiny_spec(records_per_core=300).cells()
+    cache.result(cell)
+    assert cache.misses == 2  # the cell's own lookup missed too
+    cache.result(cell)
     assert cache.hits == 1 and cache.misses == 2
 
 
@@ -228,9 +236,8 @@ def test_duplicate_key_cells_simulate_once():
 
 def test_figure_write_through_records_meta(tmp_path):
     store = ResultStore(tmp_path / "store")
-    cache = ResultCache(store=store)
-    run_simulation(SystemConfig.tiny(), workload_name="gcc", records_per_core=300,
-                   seed=3, cache=cache)
+    (cell,) = tiny_spec(records_per_core=300, seeds=[3]).cells()
+    ResultCache(store=store).result(cell)
     record = store.get_record(store.keys()[0])
     assert record["meta"]["workload"] == "gcc"
     assert record["meta"]["seed"] == 3
@@ -304,16 +311,15 @@ def test_executor_captures_per_cell_errors():
     assert "no-such-workload" in outcomes[0].error
 
 
-def test_run_matrix_reads_through_store(tmp_path):
-    from repro.experiments.runner import run_matrix
-
+def test_result_cache_reads_through_store(tmp_path):
     store = ResultStore(tmp_path / "store")
-    schemes = [("Banshee", SystemConfig.tiny("banshee"))]
-    first = run_matrix(schemes, ["gcc"], records_per_core=400, store=store)
+    (cell,) = tiny_spec(records_per_core=400).cells()
+    first = ResultCache(store=store).result(cell)
     assert len(store) == 1
-    reopened = ResultStore(tmp_path / "store")
-    second = run_matrix(schemes, ["gcc"], records_per_core=400, store=reopened)
-    assert first[("gcc", "Banshee")] == second[("gcc", "Banshee")]
+    cache = ResultCache(store=ResultStore(tmp_path / "store"))
+    second = cache.result(cell)
+    assert first == second
+    assert cache.store_hits == 1 and cache.misses == 0
 
 
 # ----------------------------------------------------------------- figures read the store

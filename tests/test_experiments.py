@@ -11,7 +11,7 @@ from repro.experiments.figures import (
     table6_associativity,
 )
 from repro.experiments.report import format_table, rows_from_dicts
-from repro.experiments.runner import ResultCache, run_matrix, run_simulation
+from repro.experiments.runner import CampaignCell, ResultCache
 from repro.sim.config import SystemConfig
 
 TINY_RUN = dict(records_per_core=1200, num_cores=2)
@@ -21,28 +21,15 @@ def tiny_cfg(scheme, **overrides):
     return SystemConfig.tiny(scheme=scheme).with_scheme(scheme, **overrides) if overrides else SystemConfig.tiny(scheme=scheme)
 
 
-def test_run_simulation_requires_exactly_one_workload_argument():
-    config = SystemConfig.tiny()
-    with pytest.raises(ValueError):
-        run_simulation(config, records_per_core=100)
-    with pytest.raises(ValueError):
-        run_simulation(config, workload_name="gcc", workload=object(), records_per_core=100)
-
-
 def test_result_cache_hits_on_identical_runs():
     cache = ResultCache()
-    config = SystemConfig.tiny()
-    first = run_simulation(config, workload_name="gcc", records_per_core=500, scale=0.05, cache=cache)
-    second = run_simulation(config, workload_name="gcc", records_per_core=500, scale=0.05, cache=cache)
+    cell = CampaignCell(label="banshee", scheme="banshee", workload="gcc", seed=1,
+                        records_per_core=500, scale=0.05, warmup_fraction=0.5,
+                        config=SystemConfig.tiny())
+    first = cache.result(cell)
+    second = cache.result(cell)
     assert first is second
     assert cache.hits == 1 and len(cache) == 1
-
-
-def test_run_matrix_produces_all_cells():
-    cache = ResultCache()
-    schemes = [("NoCache", SystemConfig.tiny("nocache")), ("Banshee", SystemConfig.tiny("banshee"))]
-    results = run_matrix(schemes, ["gcc"], records_per_core=500, scale=0.05, cache=cache)
-    assert set(results.keys()) == {("gcc", "NoCache"), ("gcc", "Banshee")}
 
 
 def test_bench_config_and_records_helpers():

@@ -208,12 +208,12 @@ def test_engine_emits_run_events(tmp_path):
 def test_store_persists_errors_and_retries(tmp_path, monkeypatch):
     spec = tiny_spec("errs", timeline_interval=None)
     store = ResultStore(tmp_path / "store")
-    import repro.campaign.executor as executor_module
+    import repro.experiments.runner as runner_module
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(executor_module, "run_simulation", boom)
+    monkeypatch.setattr(runner_module, "run_simulation", boom)
     report = run_campaign(spec, store=store)
     assert len(report.errors) == 1
     key = report.outcomes[0].key
@@ -330,14 +330,12 @@ def test_obs_cli_summarize_export(tmp_path):
     assert obs_main(["summarize", "--timeline", str(csv_path)], stream=out) == 0
     assert "windows" in out.getvalue()
 
-    # Export a store written through run_simulation's cache layer.
+    # Export a store written through a result cache.
     from repro.experiments.runner import ResultCache
 
     store = ResultStore(tmp_path / "store")
-    run_simulation(
-        SystemConfig.tiny(), workload_name="gcc", records_per_core=300,
-        timeline_interval=100, cache=ResultCache(store=store),
-    )
+    (cell,) = tiny_spec("export", timeline_interval=100).cells()
+    ResultCache(store=store).result(cell)
     out = io.StringIO()
     assert obs_main(
         ["export", "--store", str(tmp_path / "store"), "--all", "--format", "csv"],

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import run_simulation, simulation_cell_key
+from repro.experiments.runner import run_simulation
 from repro.obs.cli import main as obs_main
 from repro.obs.events import EventLog, read_events
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor, source_digest
@@ -123,17 +123,13 @@ def test_stale_autosnapshot_means_fresh_start(tmp_path, damage):
     expected = run_simulation(config, "gcc", records_per_core=records, scale=SCALE,
                               seed=SEED, warmup_fraction=warmup).identity_dict()
 
-    snap_dir = tmp_path / "snaps"
-    snap_dir.mkdir()
-    key = simulation_cell_key(config, "gcc", records, SCALE, SEED, warmup,
-                              config.dram_cache.page_size)
-    path = snap_dir / f"{key}.json"
+    path = tmp_path / "cell.json"
     path.write_text(_damaged(snapshot_at(300, records)[0], damage), encoding="utf-8")
 
     log = EventLog(str(tmp_path / "events.jsonl"))
     got = run_simulation(config, "gcc", records_per_core=records, scale=SCALE,
                          seed=SEED, warmup_fraction=warmup, events=log,
-                         snapshot_dir=str(snap_dir), snapshot_every=100)
+                         snapshot_path=str(path), snapshot_every=100)
     assert got.identity_dict() == expected
     names = [event["event"] for event in read_events(log.path)]
     assert "snapshot_restored" not in names

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.replacement import FifoPolicy, LruPolicy, RandomPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.cache.sram_cache import SramCache
 from repro.sim.config import CacheLevelConfig
 from repro.util.rng import DeterministicRng
@@ -160,21 +160,3 @@ def test_lru_policy_prefers_invalid_way():
     policy = LruPolicy(1, 4)
     assert policy.victim(0, [True, False, True, True]) == 1
 
-
-def test_fifo_policy_ignores_hits():
-    policy = FifoPolicy(1, 3)
-    for way in range(3):
-        policy.on_fill(0, way)
-    policy.on_access(0, 0)  # should not matter
-    assert policy.victim(0, [True] * 3) == 0
-
-
-def test_random_policy_returns_valid_way():
-    policy = RandomPolicy(1, 4)
-    for _ in range(20):
-        assert 0 <= policy.victim(0, [True] * 4) < 4
-
-
-def test_make_policy_rejects_unknown():
-    with pytest.raises(ValueError):
-        make_policy("plru", 1, 4)

@@ -300,7 +300,7 @@ def test_heartbeat_edges_do_not_trigger_auto_snapshots(tmp_path, engine_mode):
     run_simulation(
         SystemConfig.tiny(scheme="banshee", num_cores=2, seed=1), workload_name="gcc",
         records_per_core=300, scale=0.05, events=log, engine_mode=engine_mode,
-        snapshot_dir=str(tmp_path / "snaps"), snapshot_every=100,
+        snapshot_path=str(tmp_path / "cell.json"), snapshot_every=100,
         controller=_ProgressBeat(beats.append, 20),
     )
     saves = [e["records"] for e in read_events(log.path) if e["event"] == "snapshot_saved"]
