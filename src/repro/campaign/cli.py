@@ -106,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--timeline", type=int, metavar="N",
                             help="attach an interval timeline snapshotting every N records "
                                  "(stored with each result; see python -m repro.obs)")
-    run_parser.add_argument("--timeline-bounds", nargs="+", type=float, metavar="CYCLES",
-                            help="latency-histogram bucket edges for --timeline "
-                                 "(strictly increasing cycle counts)")
     run_parser.add_argument("--no-obs", action="store_true",
                             help="disable the event log under <store>/obs")
     run_parser.add_argument("--retries", type=int, default=None, metavar="N",
@@ -185,7 +182,6 @@ def spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         "scale": args.scale,
         "warmup_fraction": args.warmup,
         "timeline_interval": getattr(args, "timeline", None),
-        "timeline_bounds": getattr(args, "timeline_bounds", None),
         "cell_timeout_seconds": getattr(args, "cell_timeout", None),
     }
     for name, value in spec_fields.items():

@@ -130,8 +130,6 @@ class CampaignSpec:
     preset: str = "tiny"
     #: Attach a timeline observer snapshotting every N records (None = off).
     timeline_interval: Optional[int] = None
-    #: Timeline latency-histogram bucket edges (None keeps the defaults).
-    timeline_bounds: Optional[List[float]] = None
     #: Per-cell wall-clock budget for the supervised executor: a lease past
     #: this deadline is revoked and the cell retried (None = no deadline).
     cell_timeout_seconds: Optional[float] = None
@@ -147,13 +145,6 @@ class CampaignSpec:
             raise ValueError("scale must be positive")
         if self.timeline_interval is not None and self.timeline_interval <= 0:
             raise ValueError("timeline_interval must be positive (or None to disable)")
-        if self.timeline_bounds is not None:
-            if self.timeline_interval is None:
-                raise ValueError("timeline_bounds requires timeline_interval")
-            bounds = [float(bound) for bound in self.timeline_bounds]
-            if not bounds or bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-                raise ValueError("timeline_bounds must be strictly increasing and non-empty")
-            self.timeline_bounds = bounds
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.cell_timeout_seconds is not None:
@@ -218,8 +209,6 @@ class CampaignSpec:
                         warmup_fraction=self.warmup_fraction,
                         config=config,
                         timeline_interval=self.timeline_interval,
-                        timeline_bounds=(tuple(self.timeline_bounds)
-                                         if self.timeline_bounds is not None else None),
                     )
                 )
         return expanded
@@ -240,7 +229,6 @@ class CampaignSpec:
             "num_cores": self.num_cores,
             "preset": self.preset,
             "timeline_interval": self.timeline_interval,
-            "timeline_bounds": self.timeline_bounds,
             "cell_timeout_seconds": self.cell_timeout_seconds,
         }
 

@@ -12,8 +12,10 @@ with:
 * ``headers`` — a suggested column order for pretty-printing.
 
 The benchmark modules under ``benchmarks/`` wrap these functions, time them
-with pytest-benchmark, and print the resulting tables; EXPERIMENTS.md records
-a snapshot of their output next to the paper's numbers.
+with pytest-benchmark, and print the resulting tables.  EXPERIMENTS.md holds
+one small Figure-4 matrix (2 cores, 3,000 records per core, run through the
+campaign CLI) and shows how to rebuild these figures from a campaign's store;
+it does not yet set any of them beside the paper's numbers.
 """
 
 from __future__ import annotations

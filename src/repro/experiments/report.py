@@ -1,8 +1,8 @@
 """Plain-text table formatting for experiment output.
 
 The benchmark harness prints the reproduced tables and figure data as ASCII
-tables so that ``pytest benchmarks/ --benchmark-only -s`` output can be read
-side by side with the paper and copied into EXPERIMENTS.md.
+tables so that ``pytest benchmarks/bench_*.py --benchmark-only -s`` output can
+be read side by side with the paper and copied into EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro import faults
 from repro.sim.config import SystemConfig, canonical_json, config_hash
@@ -55,8 +55,6 @@ class CampaignCell:
     config: SystemConfig
     #: Snapshot interval (records) for the obs timeline; None disables it.
     timeline_interval: Optional[int] = None
-    #: Latency-histogram bucket edges for the timeline; None keeps defaults.
-    timeline_bounds: Optional[Tuple[float, ...]] = None
     #: Page size the workload is built with; None means ``config.dram_cache.page_size``.
     page_size: Optional[int] = None
 
@@ -73,9 +71,8 @@ class CampaignCell:
         across processes and interpreter runs, which is what makes the campaign
         result store resumable.
 
-        ``timeline_interval`` (and ``timeline_bounds``, the latency histogram
-        bucket edges) does not change simulation outcomes, but it does change
-        the stored *payload* (a cell run with an observer carries its
+        ``timeline_interval`` does not change simulation outcomes, but it does
+        change the stored *payload* (a cell run with an observer carries its
         timeline), so it participates in the key — only when set, keeping every
         pre-existing store key valid.
         """
@@ -90,8 +87,6 @@ class CampaignCell:
         }
         if self.timeline_interval is not None:
             fields["timeline_interval"] = self.timeline_interval
-        if self.timeline_bounds is not None:
-            fields["timeline_bounds"] = [float(bound) for bound in self.timeline_bounds]
         payload = canonical_json(fields)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -113,8 +108,6 @@ class CampaignCell:
         meta: Dict[str, object] = {}
         if self.timeline_interval is not None:
             meta["timeline_interval"] = self.timeline_interval
-        if self.timeline_bounds is not None:
-            meta["timeline_bounds"] = [float(bound) for bound in self.timeline_bounds]
         return {
             **meta,
             "label": self.label,
@@ -143,7 +136,6 @@ class CampaignCell:
             page_size=self.page_size,
             warmup_fraction=self.warmup_fraction,
             timeline_interval=self.timeline_interval,
-            timeline_bounds=self.timeline_bounds,
             **extras,
         )
 
@@ -256,7 +248,6 @@ def run_simulation(
     page_size: Optional[int] = None,
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     timeline_interval: Optional[int] = None,
-    timeline_bounds: Optional[Sequence[float]] = None,
     events=None,
     snapshot_path: Optional[str] = None,
     snapshot_every: Optional[int] = None,
@@ -273,8 +264,7 @@ def run_simulation(
     ``timeline_interval`` attaches a
     :class:`~repro.obs.timeline.TimelineObserver` snapshotting windowed
     metric deltas every that many records (the timeline rides along on
-    ``result.timeline``); ``timeline_bounds`` overrides its
-    latency-histogram bucket edges.  ``events`` is an optional
+    ``result.timeline``).  ``events`` is an optional
     :class:`~repro.obs.events.EventLog` for the engine's run events.
 
     ``snapshot_path`` + ``snapshot_every`` enable **mid-cell auto-snapshots**:
@@ -296,8 +286,6 @@ def run_simulation(
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    if timeline_bounds is not None and timeline_interval is None:
-        raise ValueError("timeline_bounds requires timeline_interval")
     if snapshot_every is not None and snapshot_every <= 0:
         raise ValueError("snapshot_every must be positive (or None to disable)")
     if snapshot_every is not None and snapshot_path is None:
@@ -308,11 +296,9 @@ def run_simulation(
 
     observer = None
     if timeline_interval is not None:
-        from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS
         from repro.obs.timeline import TimelineObserver
 
-        bounds = timeline_bounds if timeline_bounds is not None else DEFAULT_LATENCY_BOUNDS
-        observer = TimelineObserver(timeline_interval, latency_bounds=bounds)
+        observer = TimelineObserver(timeline_interval)
 
     effective_page_size = page_size if page_size is not None else config.dram_cache.page_size
     built = get_workload(

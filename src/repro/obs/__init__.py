@@ -2,11 +2,9 @@
 
 The layer every other subsystem reports through:
 
-* :mod:`repro.obs.metrics` — the fixed-bucket :class:`Histogram`, built so
-  detached instrumentation costs the hot loop a single ``is None`` check;
-* :mod:`repro.obs.timeline` — :class:`TimelineObserver` snapshots windowed
-  metric deltas during a run, yielding a :class:`Timeline` attached to
-  ``SimulationResults.timeline`` (exact CSV/JSONL round-trip);
+* :mod:`repro.obs.timeline` — :class:`TimelineObserver` reads windowed
+  metric deltas at engine edges during a run, yielding a :class:`Timeline`
+  attached to ``SimulationResults.timeline`` (exact CSV round-trip);
 * :mod:`repro.obs.events` — append-only JSONL event logs
   (:class:`EventLog`) with schema validation, plus
   :class:`ObsSink` naming a campaign's event log, which
@@ -31,7 +29,6 @@ from repro.obs.events import (
     write_events,
 )
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
-from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor
 from repro.obs.timeline import (
     DEFAULT_INTERVAL_RECORDS,
@@ -42,11 +39,9 @@ from repro.obs.timeline import (
 
 __all__ = [
     "DEFAULT_INTERVAL_RECORDS",
-    "DEFAULT_LATENCY_BOUNDS",
     "EVENT_TYPES",
     "EngineSnapshot",
     "EventLog",
-    "Histogram",
     "ObsSink",
     "Timeline",
     "TimelineObserver",

@@ -4,7 +4,7 @@ Subcommands::
 
     summarize      describe an event log, a timeline file, a store's timelines,
                    or an engine snapshot
-    export         export stored timelines as CSV or JSONL
+    export         export stored timelines as CSV
     export-chrome  render a timeline or an event log as Chrome trace JSON (Perfetto)
     replay         rebuild an engine from a snapshot and re-run the remainder
 
@@ -41,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
                                help="describe an event log, timeline, store, or snapshot")
     group = summarize.add_mutually_exclusive_group(required=True)
     group.add_argument("--events", help="JSONL event log path")
-    group.add_argument("--timeline", help="timeline file path (CSV or JSONL)")
+    group.add_argument("--timeline", help="timeline CSV path")
     group.add_argument("--store", help="result-store directory: summarize stored timelines")
     group.add_argument("--snapshot", help="engine snapshot JSON: its envelope "
                                           "(with --json, plus a diffable state view)")
     summarize.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
-    export = sub.add_parser("export", help="export stored timelines as CSV or JSONL")
+    export = sub.add_parser("export", help="export stored timelines as CSV")
     export.add_argument("--store", required=True, help="result-store directory")
     export.add_argument("--label", help="filter: scheme label")
     export.add_argument("--workload", help="filter: workload name")
@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--all", action="store_true",
                         help="export every matching cell as one long-format table "
                              "(default: filters must select exactly one cell)")
-    export.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     export.add_argument("--output", help="output file (default: stdout)")
 
     chrome = sub.add_parser(
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export telemetry as Chrome trace-event JSON (open in ui.perfetto.dev)",
     )
     source = chrome.add_mutually_exclusive_group(required=True)
-    source.add_argument("--timeline", help="timeline file (CSV or JSONL); record-count axis")
+    source.add_argument("--timeline", help="timeline CSV; record-count axis")
     source.add_argument("--store", help="result-store directory: pick one stored timeline")
     source.add_argument("--events", help="JSONL event log; wall-clock axis")
     chrome.add_argument("--label", help="filter: scheme label (with --store)")
@@ -95,11 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_timeline_file(path: str) -> Timeline:
-    text = Path(path).read_text(encoding="utf-8")
-    head = text.lstrip()[:1]
-    if head == "{":
-        return Timeline.from_jsonl(text)
-    return Timeline.from_csv(text)
+    return Timeline.from_csv(Path(path).read_text(encoding="utf-8"))
 
 
 def _summarize_events(path: str) -> Dict[str, object]:
@@ -126,7 +121,7 @@ def _summarize_events(path: str) -> Dict[str, object]:
 
 def _stored_timelines(store_dir: str, label: Optional[str] = None,
                       workload: Optional[str] = None, seed: Optional[int] = None) -> List[Dict]:
-    """(meta, key, Timeline) triples for store cells that captured one."""
+    """``{key, meta, timeline}`` entries for the store cells that captured a timeline."""
     from repro.campaign.store import ResultStore
     from repro.sim.results import SimulationResults
 
@@ -217,8 +212,7 @@ def cmd_summarize(args: argparse.Namespace, stream) -> int:
     for row in rows:
         print(f"  {row['label']}/{row['workload']} seed={row['seed']}: "
               f"{row['measured_windows']} windows, hit ratio "
-              f"{row['hit_ratio_min']:.3f}..{row['hit_ratio_max']:.3f}, "
-              f"p95 latency {row['latency_p95']:.0f} cyc", file=stream)
+              f"{row['hit_ratio_min']:.3f}..{row['hit_ratio_max']:.3f}", file=stream)
     return 0
 
 
@@ -244,43 +238,38 @@ def _long_format_csv(entries: List[Dict]) -> str:
                     meta.get("seed", ""), entry["key"]]
         for window in entry["timeline"].windows:
             row = window.to_dict()
-            row["latency_counts"] = "|".join(str(c) for c in row["latency_counts"])
             writer.writerow(identity + [row[column] for column in _CSV_COLUMNS])
     return buffer.getvalue()
 
 
-def _long_format_jsonl(entries: List[Dict]) -> str:
-    lines = []
-    for entry in entries:
-        meta = entry["meta"]
-        identity = {"label": meta.get("label"), "workload": meta.get("workload"),
-                    "seed": meta.get("seed"), "key": entry["key"]}
-        for window in entry["timeline"].windows:
-            lines.append(json.dumps(dict(identity, **window.to_dict()), sort_keys=True))
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def cmd_export(args: argparse.Namespace, stream) -> int:
+def _matching_timelines(args: argparse.Namespace) -> List[Dict]:
+    """The stored timelines ``args``' filters select; ValueError when none."""
     entries = _stored_timelines(args.store, label=args.label,
                                 workload=args.workload, seed=args.seed)
     if not entries:
         raise ValueError(f"no stored timelines match in {args.store} "
                          "(run cells with --timeline N to capture them)")
+    return entries
+
+
+def _single(entries: List[Dict], alternative: str = "") -> Dict:
+    """The only entry of ``entries``; ValueError naming every match otherwise."""
+    if len(entries) > 1:
+        matches = ", ".join(
+            f"{e['meta'].get('label', '?')}/{e['meta'].get('workload', '?')}"
+            f" seed={e['meta'].get('seed', '?')}" for e in entries
+        )
+        raise ValueError(f"{len(entries)} cells match ({matches}); narrow with "
+                         f"--label/--workload/--seed{alternative}")
+    return entries[0]
+
+
+def cmd_export(args: argparse.Namespace, stream) -> int:
+    entries = _matching_timelines(args)
     if args.all:
-        text = (_long_format_csv(entries) if args.format == "csv"
-                else _long_format_jsonl(entries))
+        text = _long_format_csv(entries)
     else:
-        if len(entries) > 1:
-            matches = ", ".join(
-                f"{e['meta'].get('label', '?')}/{e['meta'].get('workload', '?')}"
-                f" seed={e['meta'].get('seed', '?')}" for e in entries
-            )
-            raise ValueError(
-                f"{len(entries)} cells match ({matches}); narrow with "
-                "--label/--workload/--seed or pass --all for a combined table"
-            )
-        timeline = entries[0]["timeline"]
-        text = timeline.to_csv() if args.format == "csv" else timeline.to_jsonl()
+        text = _single(entries, " or pass --all for a combined table")["timeline"].to_csv()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}", file=stream)
@@ -314,20 +303,9 @@ def _chrome_timeline(args: argparse.Namespace) -> Tuple[Timeline, str]:
     """The (timeline, label) ``export-chrome --timeline/--store`` renders."""
     if args.timeline:
         return _load_timeline_file(args.timeline), "simulation"
-    entries = _stored_timelines(args.store, label=args.label,
-                                workload=args.workload, seed=args.seed)
-    if not entries:
-        raise ValueError(f"no stored timelines match in {args.store} "
-                         "(run cells with --timeline N to capture them)")
-    if len(entries) > 1:
-        matches = ", ".join(
-            f"{e['meta'].get('label', '?')}/{e['meta'].get('workload', '?')}"
-            f" seed={e['meta'].get('seed', '?')}" for e in entries
-        )
-        raise ValueError(f"{len(entries)} cells match ({matches}); narrow "
-                         "with --label/--workload/--seed")
-    meta = entries[0]["meta"]
-    return entries[0]["timeline"], f"{meta.get('label', '?')}/{meta.get('workload', '?')}"
+    entry = _single(_matching_timelines(args))
+    meta = entry["meta"]
+    return entry["timeline"], f"{meta.get('label', '?')}/{meta.get('workload', '?')}"
 
 
 # ------------------------------------------------------------------- replay

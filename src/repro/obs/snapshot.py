@@ -5,8 +5,8 @@ engine edge — every core, TLB, cache, DRAM channel and scheme component
 down to each RNG stream — plus the progress needed to resume: records
 processed, per-core consumed counts, and whether measurement has begun.
 No code here names a simulator class, so state a component gains is
-captured without a codec to extend.  ``System.__getstate__`` leaves the
-workload (its generators hold lambdas) and the obs hook behind;
+captured without a codec to extend.  ``System.__getstate__`` leaves only
+the workload (its generators hold lambdas) behind;
 :meth:`SimulationEngine.restore` swaps the unpickled system in with the
 live workload re-attached, and the next run continues **bit-identically**
 to the uninterrupted one in every engine mode (the engine fast-forwards

@@ -7,8 +7,9 @@ differently.  :class:`TimelineObserver` attaches to
 :meth:`repro.sim.engine.SimulationEngine.run` and snapshots windowed
 *deltas* of the system's cumulative counters every ``interval_records``
 processed records: per-window DRAM-cache hit ratio, in-package vs
-off-package bandwidth split, writeback traffic, TLB behaviour, and a
-memory-stall latency histogram.
+off-package bandwidth split, writeback traffic and TLB behaviour.  It
+reads those counters only at window boundaries, which are edges of the
+engine's run (:mod:`repro.sim.batch`), so it adds no per-record work.
 
 Alignment guarantees:
 
@@ -20,21 +21,22 @@ Alignment guarantees:
   timeline of a cell is bit-identical whether it ran serially or in a
   worker process.
 
-The resulting :class:`Timeline` is attached to
-``SimulationResults.timeline`` (as its :meth:`Timeline.to_dict` form) and
-round-trips exactly through dicts, CSV and JSONL.
+The resulting :class:`Timeline` is stored as ``SimulationResults.timeline``
+(its :meth:`Timeline.to_dict` form); its file form is CSV, and both
+round-trip exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 from repro.sim.batch import EngineCursor, RunController
+
+if TYPE_CHECKING:
+    from repro.sim.system import System
 
 #: Default snapshot interval in processed records (across all cores).
 DEFAULT_INTERVAL_RECORDS = 1000
@@ -65,7 +67,6 @@ class TimelineWindow:
     in_bytes: int
     off_bytes: int
     writeback_bytes: int
-    latency_counts: List[int] = field(default_factory=list)
 
     # -------------------------------------------------------------- derived
 
@@ -115,39 +116,34 @@ class TimelineWindow:
             "in_bytes": self.in_bytes,
             "off_bytes": self.off_bytes,
             "writeback_bytes": self.writeback_bytes,
-            "latency_counts": list(self.latency_counts),
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TimelineWindow":
+    def from_dict(cls, payload: Dict[str, object]) -> "TimelineWindow":  # repro: allow[serde-symmetry]
         data = dict(payload)
-        data["latency_counts"] = list(data.get("latency_counts", []))
+        # Timelines stored before the stall histogram was removed carry
+        # per-window bucket counts; nothing reads them any more.
+        data.pop("latency_counts", None)
         return cls(**data)
 
 
-#: CSV column order (latency_counts is pipe-joined into one column).
+#: CSV column order: every field of a window, in to_dict order.
 _CSV_COLUMNS = (
     "index", "phase", "start_record", "end_record", "instructions", "cycles",
     "dram_cache_hits", "dram_cache_misses", "llc_misses", "llc_writebacks",
     "tlb_hits", "tlb_misses", "in_bytes", "off_bytes", "writeback_bytes",
-    "latency_counts",
 )
-_INT_COLUMNS = frozenset(_CSV_COLUMNS) - {"phase", "cycles", "latency_counts"}
 
 
 class Timeline:
     """An ordered sequence of :class:`TimelineWindow` plus its parameters."""
 
     def __init__(
-        self,
-        interval_records: int,
-        latency_bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS,
-        windows: Optional[List[TimelineWindow]] = None,
+        self, interval_records: int, windows: Optional[List[TimelineWindow]] = None
     ) -> None:
         if interval_records <= 0:
             raise ValueError("interval_records must be positive")
         self.interval_records = interval_records
-        self.latency_bounds = [float(b) for b in latency_bounds]
         self.windows: List[TimelineWindow] = list(windows or [])
 
     def __len__(self) -> int:
@@ -183,11 +179,6 @@ class Timeline:
         measured = self.measured
         ratios = [w.hit_ratio for w in measured if w.dram_cache_accesses]
         offs = [w.off_fraction for w in measured if w.total_bytes]
-        histogram = Histogram("latency", self.latency_bounds)
-        merged = [0] * (len(self.latency_bounds) + 1)
-        for window in measured:
-            for index, count in enumerate(window.latency_counts):
-                merged[index] += count
         return {
             "windows": len(self.windows),
             "measured_windows": len(measured),
@@ -198,8 +189,6 @@ class Timeline:
             "hit_ratio_max": round(max(ratios), 4) if ratios else 0.0,
             "off_fraction_min": round(min(offs), 4) if offs else 0.0,
             "off_fraction_max": round(max(offs), 4) if offs else 0.0,
-            "latency_p50": histogram.quantile(0.5, merged),
-            "latency_p95": histogram.quantile(0.95, merged),
         }
 
     # ------------------------------------------------------------ dict form
@@ -207,7 +196,6 @@ class Timeline:
     def to_dict(self) -> Dict[str, object]:
         return {
             "interval_records": self.interval_records,
-            "latency_bounds": list(self.latency_bounds),
             "windows": [window.to_dict() for window in self.windows],
         }
 
@@ -215,7 +203,6 @@ class Timeline:
     def from_dict(cls, payload: Dict[str, object]) -> "Timeline":
         return cls(
             interval_records=payload["interval_records"],
-            latency_bounds=payload["latency_bounds"],
             windows=[TimelineWindow.from_dict(w) for w in payload.get("windows", [])],
         )
 
@@ -226,28 +213,27 @@ class Timeline:
 
         Floats are written with ``repr`` (shortest round-trip), so
         :meth:`from_csv` reconstructs the exact timeline.  The comment line
-        carries the interval and bucket bounds; CSV consumers that honour
-        ``comment='#'`` (pandas, gnuplot) skip it transparently.
+        carries the interval; CSV consumers that honour ``comment='#'``
+        (pandas, gnuplot) skip it transparently.
         """
         buffer = io.StringIO()
-        bounds = "|".join(repr(b) for b in self.latency_bounds)
-        buffer.write(f"{_CSV_MAGIC} interval_records={self.interval_records} "
-                     f"latency_bounds={bounds}\n")
+        buffer.write(f"{_CSV_MAGIC} interval_records={self.interval_records}\n")
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for window in self.windows:
             row = window.to_dict()
-            writer.writerow([
-                "|".join(str(c) for c in row["latency_counts"])
-                if column == "latency_counts"
-                else repr(row["cycles"]) if column == "cycles"
-                else row[column]
-                for column in _CSV_COLUMNS
-            ])
+            row["cycles"] = repr(row["cycles"])
+            writer.writerow([row[column] for column in _CSV_COLUMNS])
         return buffer.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "Timeline":
+        """Parse :meth:`to_csv` output; columns are read by name.
+
+        Columns it does not know (earlier versions wrote one more, of
+        stall-histogram counts) are ignored.  Anything else that is not a
+        timeline CSV raises ``ValueError`` naming what is missing.
+        """
         lines = text.splitlines()
         if not lines or not lines[0].startswith(_CSV_MAGIC):
             raise ValueError(f"not a timeline CSV (missing {_CSV_MAGIC!r} header)")
@@ -255,51 +241,27 @@ class Timeline:
         for token in lines[0][len(_CSV_MAGIC):].split():
             name, _, value = token.partition("=")
             meta[name] = value
-        interval = int(meta["interval_records"])
-        bounds = [float(b) for b in meta["latency_bounds"].split("|")]
+        if "interval_records" not in meta:
+            raise ValueError(f"timeline CSV {_CSV_MAGIC!r} header lacks interval_records=")
+        reader = csv.DictReader(lines[1:])
+        missing = [column for column in _CSV_COLUMNS if column not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"timeline CSV lacks column(s): {', '.join(missing)}")
         windows: List[TimelineWindow] = []
-        for row in csv.DictReader(lines[1:]):
+        for number, row in enumerate(reader, start=1):
             payload: Dict[str, object] = {}
             for column in _CSV_COLUMNS:
                 value = row[column]
-                if column == "latency_counts":
-                    payload[column] = [int(c) for c in value.split("|")] if value else []
-                elif column == "cycles":
+                if value is None:
+                    raise ValueError(f"timeline CSV row {number} has no {column} value")
+                if column == "cycles":
                     payload[column] = float(value)
-                elif column in _INT_COLUMNS:
-                    payload[column] = int(value)
-                else:
+                elif column == "phase":
                     payload[column] = value
+                else:
+                    payload[column] = int(value)
             windows.append(TimelineWindow.from_dict(payload))
-        return cls(interval_records=interval, latency_bounds=bounds, windows=windows)
-
-    # ----------------------------------------------------------- JSONL form
-
-    def to_jsonl(self) -> str:
-        """One metadata line followed by one JSON line per window."""
-        lines = [json.dumps({
-            "meta": {
-                "interval_records": self.interval_records,
-                "latency_bounds": self.latency_bounds,
-            }
-        }, sort_keys=True)]
-        lines.extend(json.dumps(w.to_dict(), sort_keys=True) for w in self.windows)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "Timeline":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ValueError("empty timeline JSONL")
-        header = json.loads(lines[0])
-        if "meta" not in header:
-            raise ValueError("timeline JSONL must start with a meta line")
-        meta = header["meta"]
-        return cls(
-            interval_records=meta["interval_records"],
-            latency_bounds=meta["latency_bounds"],
-            windows=[TimelineWindow.from_dict(json.loads(line)) for line in lines[1:]],
-        )
+        return cls(int(meta["interval_records"]), windows)
 
 
 class TimelineObserver(RunController):
@@ -308,25 +270,17 @@ class TimelineObserver(RunController):
     The engine calls :meth:`begin` before the first record; the observer is
     then a member of the run's edge chain (:mod:`repro.sim.batch`), placed
     right after the warmup edge.  Its stops are the window boundaries: every
-    ``interval`` records, plus one forced at the warmup edge.  Between
-    boundaries the only per-record work is the latency histogram's
-    ``observe`` — wired into :class:`~repro.sim.system.System` as an
-    optional hook that stays ``None`` (one check, zero cost) when no
-    observer is attached.
+    ``interval`` records, plus one forced at the warmup edge.  It reads the
+    system's cumulative counters only at those edges and never writes to
+    the system, so an observed run does no extra per-record work (the batch
+    engine keeps its inline hit path) and its results are unchanged.
     """
 
-    def __init__(
-        self,
-        interval_records: int = DEFAULT_INTERVAL_RECORDS,
-        latency_bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS,
-    ) -> None:
+    def __init__(self, interval_records: int = DEFAULT_INTERVAL_RECORDS) -> None:
         if interval_records <= 0:
             raise ValueError("interval_records must be positive")
         self.interval = interval_records
-        self.latency_bounds = [float(b) for b in latency_bounds]
-        self.timeline = Timeline(interval_records, self.latency_bounds)
-        self._system = None
-        self._histogram = Histogram("memory_stall_cycles", self.latency_bounds)
+        self.timeline = Timeline(interval_records)
         self._phase = PHASE_MEASURE
         self._warmup_end: Optional[int] = None
         self._window_start = 0
@@ -334,8 +288,9 @@ class TimelineObserver(RunController):
 
     # ----------------------------------------------------------- engine API
 
-    def begin(self, system, warmup_end: Optional[int] = None, start_record: int = 0) -> None:
-        """Attach to ``system`` and open the first window.
+    def begin(self, system: "System", warmup_end: Optional[int] = None,
+              start_record: int = 0) -> None:
+        """Record ``system``'s start counters and open the first window.
 
         ``warmup_end`` is the processed count of the warmup edge, or None
         when the run measures from its first record.  ``start_record`` is
@@ -343,14 +298,11 @@ class TimelineObserver(RunController):
         window then opens at the resume point instead of record 0 (earlier
         windows belong to the original run).
         """
-        self._system = system
-        self._histogram = Histogram("memory_stall_cycles", self.latency_bounds)
-        self.timeline = Timeline(self.interval, self.latency_bounds)
+        self.timeline = Timeline(self.interval)
         self._warmup_end = warmup_end
         self._phase = PHASE_WARMUP if warmup_end is not None else PHASE_MEASURE
         self._window_start = start_record
-        self._last = self._read()
-        system._obs_latency_hook = self._histogram.observe
+        self._last = self._read(system)
 
     def next_stop(self, processed: int) -> Optional[int]:
         stop = processed + self.interval
@@ -362,23 +314,20 @@ class TimelineObserver(RunController):
 
     def on_edge(self, cursor: EngineCursor) -> bool:
         """Close the current window; the warmup edge also ends the warmup phase."""
-        self._close_window(cursor.processed)
+        self._close_window(cursor)
         if cursor.measurement_started:
             self._phase = PHASE_MEASURE
         return False
 
     def on_finish(self, cursor: EngineCursor) -> None:
-        """Close any partial final window and detach from the system."""
-        self._close_window(cursor.processed)
-        if self._system is not None:
-            self._system._obs_latency_hook = None
-            self._system = None
+        """Close any partial final window."""
+        self._close_window(cursor)
 
     # ------------------------------------------------------------ internals
 
-    def _read(self) -> Dict[str, object]:
+    @staticmethod
+    def _read(system: "System") -> Dict[str, object]:
         """Cumulative counter snapshot (everything windows are deltas of)."""
-        system = self._system
         scheme_stats = system.scheme.stats
         return {
             "instructions": sum(core.stats.instructions for core in system.cores),
@@ -391,13 +340,13 @@ class TimelineObserver(RunController):
             "tlb_misses": sum(tlb.misses for tlb in system.tlbs),
             "in_traffic": dict(system.in_dram.traffic.breakdown()),
             "off_traffic": dict(system.off_dram.traffic.breakdown()),
-            "latency_counts": self._histogram.snapshot(),
         }
 
-    def _close_window(self, processed: int) -> None:
+    def _close_window(self, cursor: EngineCursor) -> None:
+        processed = cursor.processed
         if processed <= self._window_start:
             return
-        now = self._read()
+        now = self._read(cursor.system)
         last = self._last
         in_delta = {key: value - last["in_traffic"].get(key, 0)
                     for key, value in now["in_traffic"].items()}
@@ -420,8 +369,6 @@ class TimelineObserver(RunController):
             in_bytes=sum(in_delta.values()),
             off_bytes=sum(off_delta.values()),
             writeback_bytes=writeback,
-            latency_counts=[now_c - last_c for now_c, last_c
-                            in zip(now["latency_counts"], last["latency_counts"])],
         ))
         self._window_start = processed
         self._last = now

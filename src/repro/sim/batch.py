@@ -365,9 +365,9 @@ class BatchRunner:
         self._process_cols = system.process_record_cols
         # The inline hit path replicates process_record_cols's TLB-hit +
         # L1-hit branch, which is only reachable when no per-record hook is
-        # attached (HMA's cycle notifications, the observer's latency
-        # histogram).  With a hook attached every record takes the full path.
-        self._fast_ok = system._notify_cycle is None and system._obs_latency_hook is None
+        # attached.  HMA's cycle notification is the one such hook: with it
+        # every record takes the full path.
+        self._fast_ok = system._notify_cycle is None
 
     def run(
         self,

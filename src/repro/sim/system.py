@@ -124,24 +124,17 @@ class System:
             if type(self.scheme).notify_cycle is not DramCacheScheme.notify_cycle
             else None
         )
-        # Optional per-record latency observer (repro.obs timeline); None
-        # whenever no observer is attached, so the disabled cost is one
-        # ``is None`` check per record and the observer only ever *reads*
-        # state — results stay bit-identical either way.
-        self._obs_latency_hook = None
         # A run without warmup measures from its first record.
         self.begin_measurement()
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickled state (engine snapshots): everything but the workload and the hook.
+        """Pickled state (engine snapshots): everything but the workload.
 
         Workload generators hold lambdas, and the restoring engine
-        re-attaches its own live workload; the obs hook belongs to the
-        capturing run's observer.
+        re-attaches its own live workload.
         """
         state = dict(self.__dict__)
         state["workload"] = None
-        state["_obs_latency_hook"] = None
         return state
 
     # ------------------------------------------------------------------ per-record processing
@@ -208,8 +201,6 @@ class System:
                 stall = core._l3_stall
         core.clock += stall
         stats.memory_stall_cycles += stall
-        if self._obs_latency_hook is not None:
-            self._obs_latency_hook(stall)
 
         if outcome.writebacks:
             wb_request = self._wb_request

@@ -75,6 +75,16 @@ def test_cell_keys_are_pinned(spec, key, page_size):
     assert cell.meta()["page_size"] == page_size
 
 
+def test_timeline_cell_keys_are_pinned():
+    """A cell run with ``--timeline N`` keys on its interval alone: keys
+    stored by such cells stay valid as the observer changes."""
+    spec = tiny_spec(schemes=["banshee", "alloy"], timeline_interval=100)
+    assert {cell.label: cell.key() for cell in spec.cells()} == {
+        "banshee": "935f37309d9aa13e3443530e146e60ffb21c7f07262811f0bcd7a0a69aad8ae5",
+        "alloy": "cc89bbc8eb17bd1dc1c1bb8a9850c200a18e61275dcefca33289e947cfe94040",
+    }
+
+
 def test_large_page_cell_keys_are_pinned(tmp_path):
     """The 2 MB arm of ``extension_large_pages`` is the one figure cell whose
     workload pages differ from its config's: that page size is in its key."""

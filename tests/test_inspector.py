@@ -318,7 +318,7 @@ def test_obs_cli_export_chrome(tmp_path):
 # ------------------------------------------------ timeline cells, live status
 
 
-def _campaign_spec(name, records=600, timeline_interval=None, timeline_bounds=None):
+def _campaign_spec(name, records=600, timeline_interval=None):
     return CampaignSpec(
         name=name,
         grids=[SweepGrid(schemes=["banshee", "alloy"], workloads=["gcc"], seeds=[1])],
@@ -327,7 +327,6 @@ def _campaign_spec(name, records=600, timeline_interval=None, timeline_bounds=No
         preset="tiny",
         warmup_fraction=0.5,
         timeline_interval=timeline_interval,
-        timeline_bounds=timeline_bounds,
     )
 
 
@@ -336,7 +335,7 @@ def test_timeline_cells_bypass_checkpointing(tmp_path):
     the warmup windows too), so they never auto-snapshot."""
     store = ResultStore(str(tmp_path / "store"))
     report = run_campaign(
-        _campaign_spec("tl", timeline_interval=100, timeline_bounds=[50.0, 200.0]),
+        _campaign_spec("tl", timeline_interval=100),
         store=store, snapshot_every=100,
     )
     assert not (tmp_path / "store" / "obs" / "autosnapshots").exists()
@@ -344,19 +343,6 @@ def test_timeline_cells_bypass_checkpointing(tmp_path):
         assert outcome.ok
         phases = {w["phase"] for w in outcome.result.timeline["windows"]}
         assert phases == {"warmup", "measure"}
-
-
-def test_timeline_bounds_extend_cell_key_only_when_set():
-    plain = _campaign_spec("keys", timeline_interval=100)
-    bounded = _campaign_spec("keys", timeline_interval=100, timeline_bounds=[50.0, 200.0])
-    for cell_plain, cell_bounded in zip(plain.cells(), bounded.cells()):
-        assert cell_plain.key() != cell_bounded.key()
-        assert cell_bounded.meta()["timeline_bounds"] == [50.0, 200.0]
-        assert "timeline_bounds" not in cell_plain.meta()
-    with pytest.raises(ValueError, match="timeline_interval"):
-        _campaign_spec("bad", timeline_bounds=[50.0])
-    with pytest.raises(ValueError, match="strictly increasing"):
-        _campaign_spec("bad", timeline_interval=100, timeline_bounds=[200.0, 50.0])
 
 
 def test_campaign_cli_stale_after(tmp_path):

@@ -1,6 +1,7 @@
-"""Tests for the observability layer: metrics, interval timelines, run
-events, campaign telemetry wiring and the obs/perf CLIs."""
+"""Tests for the observability layer: interval timelines, run events,
+campaign telemetry wiring and the obs/perf CLIs."""
 
+import csv
 import io
 import json
 import multiprocessing
@@ -17,7 +18,6 @@ from repro.obs.events import (
     read_events,
     validate_event,
 )
-from repro.obs.metrics import Histogram
 from repro.obs.timeline import (
     PHASE_MEASURE,
     PHASE_WARMUP,
@@ -27,6 +27,7 @@ from repro.obs.timeline import (
 from repro.experiments.runner import run_simulation
 from repro.sim.config import SystemConfig
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
+from repro.sim.results import SimulationResults
 from repro.sim.system import System
 from repro.workloads.registry import get_workload
 
@@ -53,27 +54,20 @@ def tiny_spec(name, timeline_interval=None, schemes=("banshee",)):
     )
 
 
-# ------------------------------------------------------------------- metrics
+_TIMELINE_HEADER = "#repro-timeline interval_records=100"
+_TIMELINE_COLUMNS = ("index,phase,start_record,end_record,instructions,cycles,"
+                     "dram_cache_hits,dram_cache_misses,llc_misses,llc_writebacks,"
+                     "tlb_hits,tlb_misses,in_bytes,off_bytes,writeback_bytes")
+_TIMELINE_ROW = "0,measure,0,100,500,812.5,3,7,10,2,90,10,640,448,128"
 
-
-def test_histogram_counts_observations_per_bucket():
-    histogram = Histogram("lat", bounds=(10.0, 100.0))
-    for value in (5, 50, 500):
-        histogram.observe(value)
-    assert histogram.counts == [1, 1, 1]
-    assert histogram.total == 3
-    assert histogram.snapshot() == [1, 1, 1]
-
-
-def test_histogram_quantile_and_bounds_validation():
-    with pytest.raises(ValueError):
-        Histogram("bad", bounds=(10.0, 10.0))
-    histogram = Histogram("lat", bounds=(10.0, 20.0, 40.0))
-    for value in [5] * 50 + [15] * 40 + [100] * 10:
-        histogram.observe(value)
-    assert histogram.quantile(0.5) == 10.0     # within the first bucket
-    assert histogram.quantile(0.95) == 40.0    # overflow reports last finite bound
-    assert histogram.quantile(0.0) == 10.0
+#: (text, what the ValueError names) pairs Timeline.from_csv must reject.
+MALFORMED_TIMELINE_CSVS = (
+    ("index,phase\n0,measure\n", "#repro-timeline"),
+    (f"#repro-timeline\n{_TIMELINE_COLUMNS}\n{_TIMELINE_ROW}\n", "interval_records"),
+    (f"{_TIMELINE_HEADER}\n{_TIMELINE_COLUMNS.replace(',end_record', '')}\n"
+     f"{_TIMELINE_ROW.replace(',100,', ',', 1)}\n", "end_record"),
+    (f"{_TIMELINE_HEADER}\n{_TIMELINE_COLUMNS}\n0,measure,0,100\n", "row 1"),
+)
 
 
 # ------------------------------------------------------------------ timeline
@@ -119,14 +113,14 @@ def test_observer_does_not_change_simulation_outcomes():
     assert identity == plain.identity_dict()
 
 
-def test_timeline_round_trips_dict_csv_jsonl():
+def test_timeline_round_trips_dict_csv():
     timeline = tiny_run(timeline_interval=100, records=300).timeline_object()
     assert len(timeline.windows) > 2
     assert Timeline.from_dict(json.loads(json.dumps(timeline.to_dict()))) == timeline
     assert Timeline.from_csv(timeline.to_csv()) == timeline
-    assert Timeline.from_jsonl(timeline.to_jsonl()) == timeline
-    with pytest.raises(ValueError):
-        Timeline.from_csv("index,phase\n0,measure\n")
+    for malformed, names in MALFORMED_TIMELINE_CSVS:
+        with pytest.raises(ValueError, match=names):
+            Timeline.from_csv(malformed)
 
 
 def test_observer_rejects_nonpositive_interval():
@@ -140,9 +134,9 @@ def test_observer_rejects_nonpositive_interval():
     "scheme,num_cores", [("banshee", 1), ("banshee", 2), ("hma", 4), ("alloy", 4)]
 )
 def test_timeline_identical_across_engine_modes(scheme, num_cores):
-    """Every window, latency histogram included, matches between the scalar
-    and batch engines, and observing changes no result in either mode
-    (hma overrides ``notify_cycle``, the other per-record hook)."""
+    """Every window matches between the scalar and batch engines, and
+    observing changes no result in either mode (hma overrides
+    ``notify_cycle``, the one per-record hook)."""
     config = SystemConfig.tiny(scheme=scheme, num_cores=num_cores, seed=3)
     workload = get_workload("gcc", num_cores, scale=0.05, seed=3)
     timelines = {}
@@ -156,13 +150,6 @@ def test_timeline_identical_across_engine_modes(scheme, num_cores):
         assert observed == run().identity_dict()
     assert timelines["scalar"] == timelines["batch"]
     assert {w["phase"] for w in timelines["batch"]["windows"]} == {PHASE_WARMUP, PHASE_MEASURE}
-
-
-def test_engine_detaches_latency_hook_after_run():
-    config = SystemConfig.tiny()
-    system = System(config, get_workload("gcc", config.num_cores))
-    SimulationEngine(system).run(100, observer=TimelineObserver(50))
-    assert system._obs_latency_hook is None
 
 
 # -------------------------------------------------------------------- events
@@ -338,7 +325,7 @@ def test_obs_cli_summarize_export(tmp_path):
     ResultCache(store=store).result(cell)
     out = io.StringIO()
     assert obs_main(
-        ["export", "--store", str(tmp_path / "store"), "--all", "--format", "csv"],
+        ["export", "--store", str(tmp_path / "store"), "--all"],
         stream=out,
     ) == 0
     header = out.getvalue().splitlines()[0]
@@ -346,3 +333,58 @@ def test_obs_cli_summarize_export(tmp_path):
 
     assert obs_main(["summarize", "--events", str(tmp_path / "missing.jsonl")],
                     stream=io.StringIO()) == 2
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text(MALFORMED_TIMELINE_CSVS[-1][0], encoding="utf-8")
+    assert obs_main(["summarize", "--timeline", str(malformed)],
+                    stream=io.StringIO()) == 2
+
+
+def test_obs_cli_exports_one_stored_timeline(tmp_path, capsys):
+    from repro.experiments.runner import ResultCache
+
+    store = ResultStore(tmp_path / "store")
+    cache = ResultCache(store=store)
+    cells = tiny_spec("one", timeline_interval=100, schemes=["banshee", "alloy"]).cells()
+    results = {cell.label: cache.result(cell) for cell in cells}
+
+    out = io.StringIO()
+    assert obs_main(["export", "--store", str(tmp_path / "store"), "--label", "alloy"],
+                    stream=out) == 0
+    assert Timeline.from_csv(out.getvalue()) == results["alloy"].timeline_object()
+
+    capsys.readouterr()
+    assert obs_main(["export", "--store", str(tmp_path / "store"), "--workload", "gcc"],
+                    stream=io.StringIO()) == 2
+    error = capsys.readouterr().err
+    assert "2 cells match" in error
+    assert "banshee/gcc seed=1" in error and "alloy/gcc seed=1" in error
+
+
+def test_timeline_stored_with_stall_histogram_still_reads(tmp_path):
+    """A store written when timelines carried a memory-stall histogram
+    (``latency_bounds``, per-window ``latency_counts``) still summarizes and
+    exports, and its windows read back as the run's windows."""
+    fresh = tiny_run(timeline_interval=100, records=300)
+    legacy = SimulationResults.from_dict(fresh.to_dict())
+    legacy.timeline = dict(
+        fresh.timeline,
+        latency_bounds=[5.0, 80.0, 2560.0],
+        windows=[dict(window, latency_counts=[index, 1, 0, 2])
+                 for index, window in enumerate(fresh.timeline["windows"])],
+    )
+    store_dir = str(tmp_path / "store")
+    ResultStore(store_dir).put("legacy", legacy, meta={"label": "banshee", "seed": 1})
+
+    assert obs_main(["summarize", "--store", store_dir], stream=io.StringIO()) == 0
+    assert obs_main(["export-chrome", "--store", store_dir,
+                     "--output", str(tmp_path / "trace.json")], stream=io.StringIO()) == 0
+    out = io.StringIO()
+    assert obs_main(["export", "--store", store_dir, "--all"], stream=out) == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    expected = fresh.timeline_object().windows
+    assert len(rows) == len(expected)
+    for row, window in zip(rows, expected):
+        assert row["key"] == "legacy"
+        assert {name: row[name] for name in window.to_dict()} == {
+            name: str(value) for name, value in window.to_dict().items()
+        }
