@@ -2,8 +2,9 @@
 
 The hierarchy is functional: it answers "which level served this access" and
 produces the stream of dirty LLC writebacks that the memory controllers must
-handle.  Latency numbers for each level come from the core configuration and
-are applied by the core timing model.
+handle.  Every level is LRU.  Latency numbers for each level come from the
+core configuration (``CoreConfig.l{1,2,3}_hit_latency``) and are applied by
+:meth:`repro.sim.system.System.process_record_cols`.
 
 :meth:`CacheHierarchy.access_reused` is the per-record hot path: it walks
 all three levels in one frame, against the levels' sets directly.
@@ -23,7 +24,6 @@ from typing import Dict, List, Optional
 
 from repro.cache.sram_cache import Eviction, SramCache
 from repro.sim.config import SystemConfig
-from repro.util.rng import DeterministicRng
 
 
 class HierarchyAccess:
@@ -56,16 +56,11 @@ class HierarchyAccess:
 class CacheHierarchy:
     """Private L1/L2 per core plus a shared L3."""
 
-    def __init__(self, config: SystemConfig, rng: Optional[DeterministicRng] = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        rng = rng if rng is not None else DeterministicRng(config.seed)
-        self.l1: List[SramCache] = [
-            SramCache(f"l1-{core}", config.l1, rng=rng.fork(100 + core)) for core in range(config.num_cores)
-        ]
-        self.l2: List[SramCache] = [
-            SramCache(f"l2-{core}", config.l2, rng=rng.fork(200 + core)) for core in range(config.num_cores)
-        ]
-        self.l3 = SramCache("l3", config.l3, rng=rng.fork(300))
+        self.l1: List[SramCache] = [SramCache(f"l1-{core}", config.l1) for core in range(config.num_cores)]
+        self.l2: List[SramCache] = [SramCache(f"l2-{core}", config.l2) for core in range(config.num_cores)]
+        self.l3 = SramCache("l3", config.l3)
 
         # Reused outcome objects for the per-record fast path.  ``_l1_hit``
         # is returned for every L1 hit (by far the common case) without
@@ -105,20 +100,16 @@ class CacheHierarchy:
         does, in the same order: the L1 access, whose dirty victim fills the
         L2, whose dirty victim fills the L3, whose dirty victim becomes a
         writeback; then the L2 access, whose dirty victim goes down the same
-        way; then the L3 access.  A full set evicts its first key (LRU and
-        FIFO order), or under the random policy the key its draw picks; a
-        resident line that a dirty victim fills becomes dirty, and under LRU
-        also most recent.
+        way; then the L3 access.  A full set evicts its first key (its least
+        recent); a resident line that a dirty victim fills becomes dirty and
+        most recent.
         """
         l1 = self.l1[core_id]
         line = addr >> l1._line_bits
         bucket = l1._sets[line & l1._set_mask]
         if line in bucket:
             l1.hits += 1
-            if l1._lru:
-                bucket[line] = bucket.pop(line) or is_write
-            elif is_write:
-                bucket[line] = True
+            bucket[line] = bucket.pop(line) or is_write
             return self._l1_hit
 
         outcome = self._scratch
@@ -133,11 +124,8 @@ class CacheHierarchy:
         l1.misses += 1
         spill: Optional[int] = None
         if len(bucket) >= l1.num_ways:
-            if l1._random:
-                victim = l1._random_victim(bucket)
-            else:
-                for victim in bucket:
-                    break
+            for victim in bucket:
+                break
             if bucket.pop(victim):
                 l1.dirty_evictions += 1
                 spill = victim << l1._line_bits
@@ -149,14 +137,10 @@ class CacheHierarchy:
             bucket = l2._sets[line & l2._set_mask]
             spill = None
             if line in bucket:
-                if l2._lru:
-                    del bucket[line]
+                del bucket[line]
             elif len(bucket) >= l2.num_ways:
-                if l2._random:
-                    victim = l2._random_victim(bucket)
-                else:
-                    for victim in bucket:
-                        break
+                for victim in bucket:
+                    break
                 if bucket.pop(victim):
                     l2.dirty_evictions += 1
                     spill = victim << l2._line_bits
@@ -166,14 +150,10 @@ class CacheHierarchy:
                 line = spill >> l3._line_bits
                 bucket = l3._sets[line & l3._set_mask]
                 if line in bucket:
-                    if l3._lru:
-                        del bucket[line]
+                    del bucket[line]
                 elif len(bucket) >= l3.num_ways:
-                    if l3._random:
-                        victim = l3._random_victim(bucket)
-                    else:
-                        for victim in bucket:
-                            break
+                    for victim in bucket:
+                        break
                     if bucket.pop(victim):
                         l3.dirty_evictions += 1
                         eviction = wb_pool[len(writebacks)]
@@ -186,21 +166,15 @@ class CacheHierarchy:
         bucket = l2._sets[line & l2._set_mask]
         if line in bucket:
             l2.hits += 1
-            if l2._lru:
-                bucket[line] = bucket.pop(line) or is_write
-            elif is_write:
-                bucket[line] = True
+            bucket[line] = bucket.pop(line) or is_write
             outcome.level = "l2"
             outcome.llc_miss = False
             return outcome
         l2.misses += 1
         spill = None
         if len(bucket) >= l2.num_ways:
-            if l2._random:
-                victim = l2._random_victim(bucket)
-            else:
-                for victim in bucket:
-                    break
+            for victim in bucket:
+                break
             if bucket.pop(victim):
                 l2.dirty_evictions += 1
                 spill = victim << l2._line_bits
@@ -211,14 +185,10 @@ class CacheHierarchy:
             line = spill >> l3._line_bits
             bucket = l3._sets[line & l3._set_mask]
             if line in bucket:
-                if l3._lru:
-                    del bucket[line]
+                del bucket[line]
             elif len(bucket) >= l3.num_ways:
-                if l3._random:
-                    victim = l3._random_victim(bucket)
-                else:
-                    for victim in bucket:
-                        break
+                for victim in bucket:
+                    break
                 if bucket.pop(victim):
                     l3.dirty_evictions += 1
                     eviction = wb_pool[len(writebacks)]
@@ -231,20 +201,14 @@ class CacheHierarchy:
         bucket = l3._sets[line & l3._set_mask]
         if line in bucket:
             l3.hits += 1
-            if l3._lru:
-                bucket[line] = bucket.pop(line) or is_write
-            elif is_write:
-                bucket[line] = True
+            bucket[line] = bucket.pop(line) or is_write
             outcome.level = "l3"
             outcome.llc_miss = False
             return outcome
         l3.misses += 1
         if len(bucket) >= l3.num_ways:
-            if l3._random:
-                victim = l3._random_victim(bucket)
-            else:
-                for victim in bucket:
-                    break
+            for victim in bucket:
+                break
             if bucket.pop(victim):
                 l3.dirty_evictions += 1
                 eviction = wb_pool[len(writebacks)]

@@ -7,16 +7,14 @@ to the memory controllers (which matters a great deal for the DRAM-cache
 schemes: Banshee's tag-probe path and Alloy's BEAR writeback probe both exist
 to serve exactly these requests).
 
-Each set is a plain ``dict`` mapping line tag -> dirty bit, whose
-iteration order is insertion order.  For the LRU policy that order is
-recency order (MRU at the end): a hit pops its line and inserts it again.
-For FIFO it is insertion order, and a hit leaves it alone.  A full set
-evicts its first key under both; the random policy evicts the key its draw
-picks, in place.  Plain dicts rather than ``collections``' ordered mapping:
-an eviction then allocates and frees no linked-list node, and CPython
-specialises item loads and stores only for exact dicts.  That makes every
-miss cheaper, and on the miss-bound workloads nearly every record misses
-every level.  An LRU hit costs more (a pop and an insert instead of one
+Replacement is LRU.  Each set is a plain ``dict`` mapping line tag ->
+dirty bit, whose iteration order is insertion order and so recency order
+(MRU at the end): a hit pops its line and inserts it again, and a full set
+evicts its first key.  Plain dicts rather than ``collections``' ordered
+mapping: an eviction then allocates and frees no linked-list node, and
+CPython specialises item loads and stores only for exact dicts.  That makes
+every miss cheaper, and on the miss-bound workloads nearly every record
+misses every level.  A hit costs more (a pop and an insert instead of one
 move), which is why the TLB, where hits are the common case, keeps its
 ordered mapping.
 
@@ -34,7 +32,6 @@ from typing import Dict, List, Optional
 
 from repro.sim.config import CacheLevelConfig
 from repro.util.bits import log2_exact
-from repro.util.rng import DeterministicRng
 
 
 @dataclass
@@ -58,24 +55,17 @@ class CacheAccessResult:
 
 
 class SramCache:
-    """Set-associative write-back, write-allocate SRAM cache."""
+    """Set-associative write-back, write-allocate LRU SRAM cache."""
 
-    def __init__(self, name: str, config: CacheLevelConfig, rng: Optional[DeterministicRng] = None) -> None:
+    def __init__(self, name: str, config: CacheLevelConfig) -> None:
         self.name = name
         self.config = config
         self.num_sets = config.num_sets
         self.num_ways = config.ways
         self.line_size = config.line_size
-        self.policy = config.replacement
         self._line_bits = log2_exact(config.line_size)
         self._set_mask = self.num_sets - 1
         self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
-        self._rng = rng if rng is not None else DeterministicRng(0)
-        # Policy flags hoisted out of the per-access path (string comparisons
-        # in ``access``/``fill`` and the hierarchy walk show up in profiles at
-        # trace scale).
-        self._lru = self.policy == "lru"
-        self._random = self.policy == "random"
 
         self.hits = 0
         self.misses = 0
@@ -100,10 +90,7 @@ class SramCache:
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
             self.hits += 1
-            if self._lru:
-                bucket[line] = bucket.pop(line) or is_write
-            elif is_write:
-                bucket[line] = True
+            bucket[line] = bucket.pop(line) or is_write
             return CacheAccessResult(hit=True, eviction=None)
         self.misses += 1
         return CacheAccessResult(hit=False, eviction=self._insert(bucket, line, is_write))
@@ -113,10 +100,7 @@ class SramCache:
         line = addr >> self._line_bits
         bucket = self._sets[line & self._set_mask]
         if line in bucket:
-            if self._lru:
-                bucket[line] = bucket.pop(line) or dirty
-            elif dirty:
-                bucket[line] = True
+            bucket[line] = bucket.pop(line) or dirty
             return None
         return self._insert(bucket, line, dirty)
 
@@ -124,32 +108,14 @@ class SramCache:
         """Allocate ``line`` in ``bucket``, evicting a victim when the set is full."""
         eviction: Optional[Eviction] = None
         if len(bucket) >= self.num_ways:
-            if self._random:
-                victim = self._random_victim(bucket)
-            else:
-                for victim in bucket:
-                    break
+            for victim in bucket:
+                break
             victim_dirty = bucket.pop(victim)
             if victim_dirty:
                 self.dirty_evictions += 1
             eviction = Eviction(addr=victim << self._line_bits, dirty=victim_dirty)
         bucket[line] = dirty
         return eviction
-
-    def _random_victim(self, bucket: Dict[int, bool]) -> int:
-        """Draw the random policy's victim from the non-empty ``bucket``.
-
-        LRU and FIFO evict the first key; the random policy evicts the key
-        at a drawn position, and the caller pops it in place, so the rest
-        of the set keeps its order.  One ``randint`` per eviction, and an
-        iterator advance instead of materialising the key list (dict
-        iteration order is the order ``list(bucket)`` would have).
-        """
-        index = self._rng.randint(0, len(bucket))
-        iterator = iter(bucket)
-        for _ in range(index):
-            next(iterator)
-        return next(iterator)
 
     def invalidate(self, addr: int) -> Optional[Eviction]:
         """Remove ``addr`` if present, returning it as an eviction if dirty."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,6 +30,18 @@ from repro.workloads.registry import validate_workload_name
 SchemeEntry = Tuple[str, str, Dict]
 
 PRESETS = ("tiny", "scaled", "paper")
+
+#: Fields that earlier versions of :meth:`CampaignSpec.to_dict` wrote and the
+#: spec no longer has: name -> (the field's default, why it went).  Spec
+#: files keep them, so :meth:`CampaignSpec.from_dict` drops one that still
+#: holds its default and rejects any other value.
+_RETIRED_FIELDS: Dict[str, Tuple[object, str]] = {
+    "timeline_bounds": (
+        None,
+        "it bounded the per-record latency histogram of timelines, which was "
+        "removed (timelines read the system at engine edges only)",
+    ),
+}
 
 
 def normalize_scheme(entry: Union[str, Sequence[object]]) -> SchemeEntry:
@@ -234,4 +247,11 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CampaignSpec":
+        payload = dict(payload)
+        for name, (old_default, reason) in _RETIRED_FIELDS.items():
+            if name in payload and payload.pop(name) != old_default:
+                raise ValueError(
+                    f"CampaignSpec field {name!r} was retired: {reason}; delete it "
+                    f"from the spec (it is ignored only at its old default, {json.dumps(old_default)})"
+                )
         return dataclass_from_dict(cls, payload)

@@ -1,6 +1,6 @@
-"""CPU substrate: trace records and the analytic core timing model."""
+"""CPU substrate: trace records and the per-core clock and accounting."""
 
 from repro.cpu.core import CoreModel
-from repro.cpu.trace import TraceRecord, TraceStats, TraceStream
+from repro.cpu.trace import TraceRecord
 
-__all__ = ["CoreModel", "TraceRecord", "TraceStats", "TraceStream"]
+__all__ = ["CoreModel", "TraceRecord"]

@@ -1,9 +1,11 @@
-"""Analytic core timing model.
+"""Per-core clock and accounting for the analytic core timing model.
 
 ZSim models detailed out-of-order cores; at the scale of this reproduction
 the relevant first-order behaviour is (a) how many non-memory instructions a
 core retires per cycle and (b) how much of a long-latency memory access it
-can overlap with other work.  :class:`CoreModel` captures both:
+can overlap with other work.  The timing rules that capture both live in
+one place, :meth:`repro.sim.system.System.process_record_cols` (the batch
+engine's inline TLB+L1 hit in :mod:`repro.sim.batch` repeats its hit case):
 
 * non-memory instructions advance the core clock by ``gap / issue_width``;
 * a memory access adds its hierarchy latency, with LLC-miss latency divided
@@ -13,12 +15,15 @@ can overlap with other work.  :class:`CoreModel` captures both:
 This keeps memory-bound workloads bandwidth-limited (their performance is
 dominated by DRAM latency under contention, exactly the regime the paper
 studies) while compute-bound workloads stay core-limited.
+
+:class:`CoreModel` holds what those rules read and write: the clock, the
+stats, the level latencies and MLP hoisted out of the per-record path, and
+the queue of OS-induced stalls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim.config import CoreConfig
 
@@ -35,57 +40,25 @@ class CoreStats:
 
 
 class CoreModel:
-    """One core's clock and timing rules."""
+    """One core's clock, stats and pending OS stalls."""
 
-    def __init__(self, core_id: int, config: CoreConfig, mlp: Optional[float] = None) -> None:
+    def __init__(self, core_id: int, config: CoreConfig, mlp: float) -> None:
         self.core_id = core_id
         self.config = config
-        self.mlp = float(mlp) if mlp is not None else float(config.mlp)
+        self.mlp = float(mlp)
         if self.mlp < 1.0:
             raise ValueError("MLP must be >= 1")
         self.clock: float = 0.0
         self.stats = CoreStats()
         self._pending_stall: float = 0.0
-        # Level latencies hoisted out of the per-access path.  The float
-        # conversions and config attribute chains are invariant, and
-        # ``advance_memory`` runs once per trace record.
+        # Level latencies hoisted out of the per-record path: the float
+        # conversions and config attribute chains are invariant.
         self._l1_stall = float(config.l1_hit_latency)
         self._l2_stall = float(config.l2_hit_latency)
         self._l3_stall = float(config.l3_hit_latency)
-        self._l3_hit_latency = config.l3_hit_latency
         self._issue_width = config.issue_width
 
-    # ------------------------------------------------------------------ timing
-
-    def advance_compute(self, instructions: int) -> None:
-        """Retire ``instructions`` non-memory instructions."""
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        cycles = instructions / self._issue_width
-        self.clock += cycles
-        self.stats.instructions += instructions
-        self.stats.compute_cycles += cycles
-
-    def advance_memory(self, level: str, dram_latency: int = 0) -> None:
-        """Account one memory access served by ``level``.
-
-        ``dram_latency`` is only meaningful when ``level == "memory"``; it is
-        divided by the MLP factor because an out-of-order core overlaps
-        independent misses.
-        """
-        self.stats.memory_accesses += 1
-        if level == "l1":
-            stall = self._l1_stall
-        elif level == "l2":
-            stall = self._l2_stall
-        elif level == "l3":
-            stall = self._l3_stall
-        elif level == "memory":
-            stall = self._l3_hit_latency + dram_latency / self.mlp
-        else:
-            raise ValueError(f"unknown level {level!r}")
-        self.clock += stall
-        self.stats.memory_stall_cycles += stall
+    # ------------------------------------------------------------------ OS stalls
 
     def add_stall(self, cycles: float) -> None:
         """Queue an OS-induced stall (PTE update, shootdown, HMA freeze)."""
@@ -94,17 +67,8 @@ class CoreModel:
         self._pending_stall += cycles
 
     def apply_pending_stalls(self) -> None:
-        """Fold queued OS stalls into the clock (called by the engine)."""
+        """Fold queued OS stalls into the clock (before the core's next record)."""
         if self._pending_stall > 0:
             self.clock += self._pending_stall
             self.stats.os_stall_cycles += self._pending_stall
             self._pending_stall = 0.0
-
-    # ------------------------------------------------------------------ results
-
-    @property
-    def ipc(self) -> float:
-        """Instructions per cycle retired so far."""
-        if self.clock <= 0:
-            return 0.0
-        return self.stats.instructions / self.clock

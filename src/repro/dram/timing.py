@@ -8,6 +8,10 @@ dominated by *bandwidth* (channel occupancy) rather than detailed bank-level
 timing.  Row-buffer behaviour comes from each channel tracking its open
 8 KB row (:class:`repro.dram.channel.DramChannel`): a row hit pays CAS only,
 a row miss pays precharge + activate + CAS.
+
+tRAS (the minimum time a row stays open before it may be precharged) is
+not modelled, a deviation from DDR timing: a row miss never waits for the
+open row's activation to age, however soon it follows that activation.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ shared mechanisms the schemes are composed from live in
 from repro.dramcache.alloy import AlloyCache
 from repro.dramcache.base import DramCacheScheme, OsServices
 from repro.dramcache.cache_only import CacheOnly
-from repro.dramcache.factory import available_schemes, create_scheme
+from repro.dramcache.factory import create_scheme
 from repro.dramcache.footprint import FootprintPredictor
 from repro.dramcache.hma import HmaCache
 from repro.dramcache.no_cache import NoCache
@@ -20,7 +20,6 @@ from repro.dramcache.tdc import TaglessDramCache
 from repro.dramcache.unison import UnisonCache
 from repro.dramcache.variants import (
     SchemeVariant,
-    all_variants,
     available_scheme_names,
     register_variant,
     resolve_scheme,
@@ -32,9 +31,7 @@ __all__ = [
     "OsServices",
     "CacheOnly",
     "SchemeVariant",
-    "all_variants",
     "available_scheme_names",
-    "available_schemes",
     "create_scheme",
     "register_variant",
     "resolve_scheme",

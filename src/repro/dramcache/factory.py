@@ -11,7 +11,7 @@ serves every declared point of its sensitivity axes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, Optional, Type
 
 from repro.dram.device import DramDevice
 from repro.dramcache.alloy import AlloyCache
@@ -21,7 +21,7 @@ from repro.dramcache.hma import HmaCache
 from repro.dramcache.no_cache import NoCache
 from repro.dramcache.tdc import TaglessDramCache
 from repro.dramcache.unison import UnisonCache
-from repro.dramcache.variants import available_scheme_names, resolve_scheme
+from repro.dramcache.variants import resolve_scheme
 from repro.sim.config import SystemConfig
 from repro.util.rng import DeterministicRng
 
@@ -40,11 +40,6 @@ def _registry() -> Dict[str, Type[DramCacheScheme]]:
         "hma": HmaCache,
         "banshee": BansheeCache,
     }
-
-
-def available_schemes() -> List[str]:
-    """Names of everything the factory can build: base schemes and variants."""
-    return available_scheme_names()
 
 
 def create_scheme(

@@ -108,29 +108,14 @@ def register_variant(variant: SchemeVariant, replace: bool = False) -> SchemeVar
     return variant
 
 
-def unregister_variant(name: str) -> None:
-    """Remove a runtime-registered variant (used by tests)."""
-    _VARIANTS.pop(name, None)
-
-
 def get_variant(name: str) -> Optional[SchemeVariant]:
     """The registered variant called ``name``, if any."""
     return _VARIANTS.get(name)
 
 
-def all_variants() -> Dict[str, SchemeVariant]:
-    """Snapshot of the variant registry (name → variant)."""
-    return dict(_VARIANTS)
-
-
 def available_scheme_names() -> List[str]:
     """Every name ``resolve_scheme`` accepts: base schemes plus variants."""
     return sorted(BASE_SCHEMES) + sorted(_VARIANTS)
-
-
-def is_known_scheme(name: str) -> bool:
-    """True when ``name`` is a base scheme or a registered variant."""
-    return name in BASE_SCHEMES or name in _VARIANTS
 
 
 def resolve_scheme(name: str) -> Tuple[str, Dict[str, object]]:

@@ -26,7 +26,6 @@ from repro.obs.events import (
     make_event,
     read_events,
     validate_event,
-    write_events,
 )
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
 from repro.obs.snapshot import EngineSnapshot, capture, capture_cursor
@@ -53,6 +52,5 @@ __all__ = [
     "read_events",
     "timeline_to_trace",
     "validate_event",
-    "write_events",
     "write_trace",
 ]

@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: Known event types (the schema CI validates against).
 EVENT_TYPES = frozenset({
@@ -118,18 +118,6 @@ def read_events(path, validate: bool = False) -> List[Dict[str, object]]:
                 validate_event(record)
             records.append(record)
     return records
-
-
-def write_events(records: Iterable[Dict[str, object]], path) -> int:
-    """Write events as JSONL; returns the number of lines written."""
-    count = 0
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            count += 1
-    return count
 
 
 @dataclass

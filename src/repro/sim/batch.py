@@ -404,8 +404,8 @@ class BatchRunner:
             fast_ok = False
         # Per-core invariant state, resolved once: what probes a run's first
         # record (core, tlb entries, l1 sets, set mask, line bits), and the
-        # rest of what a run needs (tlb, l1, tlb move_to_end, lru flag,
-        # issue width, l1 stall, stats).
+        # rest of what a run needs (tlb, l1, tlb move_to_end, issue width,
+        # l1 stall, stats).
         probes: List[Any] = []
         contexts: List[Any] = []
         for core_id in range(num_cores):
@@ -414,7 +414,7 @@ class BatchRunner:
             l1 = system.hierarchy.l1[core_id]
             probes.append((core, tlb._entries, l1._sets, l1._set_mask, l1._line_bits))
             contexts.append((
-                tlb, l1, tlb._entries.move_to_end, l1._lru,
+                tlb, l1, tlb._entries.move_to_end,
                 core._issue_width, core._l1_stall, core.stats,
             ))
         sources, consumed, heap, processed = _init_schedule(system, max_records_per_core, resume)
@@ -477,7 +477,7 @@ class BatchRunner:
             left = next_stop - processed
             if left < cap:
                 cap = left
-            tlb, l1, tlb_move, l1_lru, issue_width, l1_stall, stats = contexts[best]
+            tlb, l1, tlb_move, issue_width, l1_stall, stats = contexts[best]
             gaps = source.gaps
             addrs = source.addrs
             writes = source.writes
@@ -506,11 +506,10 @@ class BatchRunner:
                             # Inline TLB-hit + L1-hit path: identical
                             # operations in identical order to
                             # process_record_cols, so bit-identical.  The
-                            # L1 hit is the hierarchy walk's own: under
-                            # LRU the line is popped and inserted again
-                            # (the set's end is its MRU), and the
-                            # ``writes`` columns hold bools, so stored
-                            # dirty bits keep their type.
+                            # L1 hit is the hierarchy walk's own: the line
+                            # is popped and inserted again (the set's end
+                            # is its MRU), and the ``writes`` columns hold
+                            # bools, so stored dirty bits keep their type.
                             if const_gap is None:
                                 gap = gaps[pos]
                                 cycles = gap / issue_width
@@ -518,10 +517,7 @@ class BatchRunner:
                                 gap = const_gap
                                 cycles = cycles_const
                             tlb_move(vpn)
-                            if l1_lru:
-                                bucket[line] = bucket.pop(line) or writes[pos]
-                            elif writes[pos]:
-                                bucket[line] = True
+                            bucket[line] = bucket.pop(line) or writes[pos]
                             clock += cycles
                             cc += cycles
                             clock += l1_stall

@@ -37,7 +37,9 @@ class DramTimingConfig:
     Attributes:
         bus_mhz: I/O bus frequency in MHz (data is transferred on both edges).
         bus_width_bits: channel width in bits.
-        tcas, trcd, trp, tras: timing parameters in DRAM bus cycles.
+        tcas, trcd, trp: timing parameters in DRAM bus cycles.  A row hit
+            costs tCAS and a row miss tRP + tRCD + tCAS
+            (:class:`repro.dram.timing.DramTiming`); tRAS is not modelled.
         min_transfer_bytes: minimum data transfer granularity (32 B for HBM).
     """
 
@@ -46,7 +48,6 @@ class DramTimingConfig:
     tcas: int = 10
     trcd: int = 10
     trp: int = 10
-    tras: int = 24
     min_transfer_bytes: int = 32
 
     def __post_init__(self) -> None:
@@ -54,7 +55,7 @@ class DramTimingConfig:
             raise ValueError(f"bus_mhz must be positive, got {self.bus_mhz}")
         if self.bus_width_bits % 8 != 0 or self.bus_width_bits <= 0:
             raise ValueError(f"bus_width_bits must be a positive multiple of 8, got {self.bus_width_bits}")
-        for name in ("tcas", "trcd", "trp", "tras"):
+        for name in ("tcas", "trcd", "trp"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.min_transfer_bytes <= 0:
@@ -96,13 +97,11 @@ class DramConfig:
 
 @dataclass
 class CacheLevelConfig:
-    """One SRAM cache level."""
+    """One SRAM cache level (LRU; its hit latency is in :class:`CoreConfig`)."""
 
     size_bytes: int
     ways: int
     line_size: int = CACHELINE_SIZE
-    hit_latency: int = 4
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -118,8 +117,6 @@ class CacheLevelConfig:
         num_sets = self.size_bytes // (self.ways * self.line_size)
         if not is_power_of_two(num_sets):
             raise ValueError(f"number of sets must be a power of two, got {num_sets}")
-        if self.replacement not in ("lru", "fifo", "random"):
-            raise ValueError(f"unknown replacement policy {self.replacement!r}")
 
     @property
     def num_sets(self) -> int:
@@ -143,11 +140,14 @@ class TlbConfig:
 
 @dataclass
 class CoreConfig:
-    """Analytic core timing model parameters."""
+    """Analytic core timing model parameters.
+
+    The memory-level parallelism that divides LLC-miss latency is the
+    running workload's (``Workload.mlp``), not a core parameter.
+    """
 
     freq_ghz: float = 2.7
     issue_width: int = 4
-    mlp: float = 4.0
     l1_hit_latency: int = 1
     l2_hit_latency: int = 10
     l3_hit_latency: int = 30
@@ -157,8 +157,6 @@ class CoreConfig:
             raise ValueError("core frequency must be positive")
         if self.issue_width <= 0:
             raise ValueError("issue_width must be positive")
-        if self.mlp < 1.0:
-            raise ValueError("mlp must be >= 1")
 
 
 @dataclass
@@ -319,9 +317,9 @@ class SystemConfig:
     num_mem_controllers: int = 4
     cacheline_size: int = CACHELINE_SIZE
     core: CoreConfig = field(default_factory=CoreConfig)
-    l1: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(size_bytes=16 * KB, ways=8, hit_latency=1))
-    l2: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(size_bytes=64 * KB, ways=8, hit_latency=10))
-    l3: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(size_bytes=512 * KB, ways=16, hit_latency=30))
+    l1: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(size_bytes=16 * KB, ways=8))
+    l2: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(size_bytes=64 * KB, ways=8))
+    l3: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(size_bytes=512 * KB, ways=16))
     tlb: TlbConfig = field(default_factory=TlbConfig)
     dram_cache: DramCacheConfig = field(default_factory=DramCacheConfig)
     in_package_dram: DramConfig = field(
@@ -357,10 +355,10 @@ class SystemConfig:
         return cls(
             num_cores=16,
             num_mem_controllers=4,
-            core=CoreConfig(freq_ghz=2.7, issue_width=4, mlp=8.0),
-            l1=CacheLevelConfig(size_bytes=32 * KB, ways=8, hit_latency=1),
-            l2=CacheLevelConfig(size_bytes=128 * KB, ways=8, hit_latency=10),
-            l3=CacheLevelConfig(size_bytes=8 * MB, ways=16, hit_latency=30),
+            core=CoreConfig(freq_ghz=2.7, issue_width=4),
+            l1=CacheLevelConfig(size_bytes=32 * KB, ways=8),
+            l2=CacheLevelConfig(size_bytes=128 * KB, ways=8),
+            l3=CacheLevelConfig(size_bytes=8 * MB, ways=16),
             tlb=TlbConfig(entries=64),
             dram_cache=preset_dram_cache(scheme),
             in_package_dram=DramConfig(name="in-package", capacity_bytes=1 * GB, num_channels=4),
@@ -393,10 +391,10 @@ class SystemConfig:
         return cls(
             num_cores=num_cores,
             num_mem_controllers=4,
-            core=CoreConfig(freq_ghz=2.7, issue_width=4, mlp=6.0),
-            l1=CacheLevelConfig(size_bytes=16 * KB, ways=8, hit_latency=1),
-            l2=CacheLevelConfig(size_bytes=64 * KB, ways=8, hit_latency=10),
-            l3=CacheLevelConfig(size_bytes=256 * KB, ways=16, hit_latency=30),
+            core=CoreConfig(freq_ghz=2.7, issue_width=4),
+            l1=CacheLevelConfig(size_bytes=16 * KB, ways=8),
+            l2=CacheLevelConfig(size_bytes=64 * KB, ways=8),
+            l3=CacheLevelConfig(size_bytes=256 * KB, ways=16),
             tlb=TlbConfig(entries=64),
             dram_cache=preset_dram_cache(scheme, tag_buffer_entries=256),
             in_package_dram=DramConfig(
@@ -414,10 +412,10 @@ class SystemConfig:
         return cls(
             num_cores=num_cores,
             num_mem_controllers=2,
-            core=CoreConfig(freq_ghz=2.7, issue_width=4, mlp=4.0),
-            l1=CacheLevelConfig(size_bytes=4 * KB, ways=4, hit_latency=1),
-            l2=CacheLevelConfig(size_bytes=8 * KB, ways=4, hit_latency=10),
-            l3=CacheLevelConfig(size_bytes=32 * KB, ways=8, hit_latency=30),
+            core=CoreConfig(freq_ghz=2.7, issue_width=4),
+            l1=CacheLevelConfig(size_bytes=4 * KB, ways=4),
+            l2=CacheLevelConfig(size_bytes=8 * KB, ways=4),
+            l3=CacheLevelConfig(size_bytes=32 * KB, ways=8),
             tlb=TlbConfig(entries=16),
             dram_cache=preset_dram_cache(scheme, tag_buffer_entries=64, tag_buffer_ways=4),
             in_package_dram=DramConfig(name="in-package", capacity_bytes=1 * MB, num_channels=2),

@@ -76,7 +76,7 @@ class System:
         self.rng = DeterministicRng(config.seed)
         self.page_size = workload.page_size
 
-        self.hierarchy = CacheHierarchy(config, rng=self.rng.fork(1))
+        self.hierarchy = CacheHierarchy(config)
         self.page_table = PageTable(page_size=self.page_size)
         self.tlbs = [Tlb(core_id, config.tlb) for core_id in range(config.num_cores)]
         self.cores = [CoreModel(core_id, config.core, mlp=workload.mlp) for core_id in range(config.num_cores)]
@@ -144,19 +144,26 @@ class System:
 
         This is the simulator's innermost loop — one call per trace record
         (per record in the scalar engine, for every record off the inline
-        TLB+L1-hit path in the batch engine) — so the translate /
-        hierarchy-walk / timing steps are inlined against preallocated
-        objects rather than composed from the public per-call APIs (which
-        remain for tests and non-hot callers).  The arithmetic is identical
-        to the composed path, so results stay bit-identical.  Above the
-        memory controllers, a TLB hit calls only the hierarchy walk; a TLB
-        miss adds :meth:`Tlb.fill` and :meth:`PageTable.translate`.
+        TLB+L1-hit path in the batch engine) — so the translate and
+        hierarchy-walk steps are inlined against preallocated objects rather
+        than composed from the public per-call APIs (which remain for tests
+        and non-hot callers), with identical results.  Above the memory
+        controllers, a TLB hit calls only the hierarchy walk; a TLB miss
+        adds :meth:`Tlb.fill` and :meth:`PageTable.translate`.
+
+        This is the one copy of the core timing rules (the batch engine's
+        inline TLB+L1 hit repeats its hit case, with the same float
+        operations in the same order): the compute phase adds
+        ``gap / issue_width``; a TLB miss adds ``page_walk_cycles``; an L1,
+        L2 or L3 hit adds that level's ``CoreConfig`` hit latency; an LLC
+        miss adds the L3 hit latency plus the memory latency divided by the
+        workload's MLP.
         """
         core = self.cores[core_id]
         if core._pending_stall > 0.0:
             core.apply_pending_stalls()
 
-        # Compute phase (CoreModel.advance_compute, inlined).
+        # Compute phase.
         stats = core.stats
         cycles = gap / core._issue_width
         core.clock += cycles
@@ -177,7 +184,7 @@ class System:
             tlb_entries.move_to_end(vpn)
             tlb.hits += 1
 
-        # Hierarchy walk + timing (CoreModel.advance_memory, inlined).
+        # Hierarchy walk + memory stall.
         outcome = self._hierarchy_access(core_id, addr, is_write)
         stats.memory_accesses += 1
         if outcome.llc_miss:
@@ -190,7 +197,7 @@ class System:
             request.is_write = is_write
             request.core_id = core_id
             result = self._controllers_access(int(core.clock), request)
-            stall = core._l3_hit_latency + result.latency / core.mlp
+            stall = core._l3_stall + result.latency / core.mlp
         else:
             level = outcome.level
             if level == "l1":

@@ -1,12 +1,10 @@
 """Small shared utilities: bit math, unit helpers, deterministic RNG."""
 
-from repro.util.bits import align_down, align_up, is_power_of_two, log2_exact
+from repro.util.bits import is_power_of_two, log2_exact
 from repro.util.rng import DeterministicRng
-from repro.util.units import GB, GHZ_TO_HZ, KB, MB, cycles_from_ns, ns_from_us
+from repro.util.units import GB, GHZ_TO_HZ, KB, MB, cycles_from_ns
 
 __all__ = [
-    "align_down",
-    "align_up",
     "is_power_of_two",
     "log2_exact",
     "DeterministicRng",
@@ -15,5 +13,4 @@ __all__ = [
     "GB",
     "GHZ_TO_HZ",
     "cycles_from_ns",
-    "ns_from_us",
 ]

@@ -23,16 +23,3 @@ def log2_exact(value: int) -> int:
         raise ValueError(f"expected a positive power of two, got {value}")
     return value.bit_length() - 1
 
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment`` (a power of two)."""
-    if not is_power_of_two(alignment):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return value & ~(alignment - 1)
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to a multiple of ``alignment`` (a power of two)."""
-    if not is_power_of_two(alignment):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return (value + alignment - 1) & ~(alignment - 1)

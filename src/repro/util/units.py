@@ -30,14 +30,3 @@ def cycles_from_ms(milliseconds: float, freq_ghz: float) -> int:
     """Convert a latency in milliseconds to CPU cycles at ``freq_ghz``."""
     return cycles_from_ns(milliseconds * 1_000_000.0, freq_ghz)
 
-
-def ns_from_us(microseconds: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return microseconds * 1000.0
-
-
-def bytes_per_cycle(bandwidth_gb_per_s: float, freq_ghz: float) -> float:
-    """Convert a bandwidth in GB/s into bytes per CPU cycle."""
-    if freq_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_ghz}")
-    return bandwidth_gb_per_s / freq_ghz

@@ -4,11 +4,12 @@ import pytest
 
 from repro.dramcache.alloy import AlloyCache
 from repro.dramcache.cache_only import CacheOnly
-from repro.dramcache.factory import available_schemes, create_scheme
+from repro.dramcache.factory import create_scheme
 from repro.dramcache.hma import HmaCache
 from repro.dramcache.no_cache import NoCache
 from repro.dramcache.tdc import TaglessDramCache
 from repro.dramcache.unison import UnisonCache
+from repro.dramcache.variants import available_scheme_names
 from repro.memctrl.request import MemRequest
 from repro.sim.stats import TrafficCategory
 
@@ -199,7 +200,7 @@ def test_hma_resident_capacity_bounded(scheme_env):
 
 
 def test_factory_builds_every_scheme(scheme_env):
-    for name in available_schemes():
+    for name in available_scheme_names():
         config, in_dram, off_dram, rng = scheme_env(name)
         scheme = create_scheme(config, in_dram, off_dram, rng=rng)
         assert scheme.name == name

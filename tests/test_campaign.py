@@ -58,14 +58,14 @@ def test_cell_key_sensitive_to_every_run_parameter():
 
 @pytest.mark.parametrize("spec, key, page_size", [
     (tiny_spec(),
-     "e82ac36dc7108a7fe864d4153f34ad199116f5722eb20203d7a0508fbcffd3b0", 4096),
+     "ed8e9751a4db99f2708ff9efdaf859d2758d4f9f27224c9315382af9882fa6c5", 4096),
     (tiny_spec(schemes=["unison-2kpage"], workloads=["mcf"], seeds=[2], records_per_core=30_000,
                num_cores=None, preset="scaled", warmup_fraction=0.8),
-     "ff3ac8fc41d63e5c7afdb472165dca377a56b0f4c36b53b26bc76ea1ff764660", 2048),
+     "0aba150542f4ce124f01cc709e189d6be7e4c2d169157a832e284f450975c270", 2048),
     (CampaignSpec(name="t", grids=[SweepGrid(schemes=["banshee"], workloads=["lbm"], seeds=[1],
                                              page_sizes=[8192])],
                   records_per_core=2000, num_cores=4, preset="tiny", scale=0.5),
-     "8385d17801cbcefbfad5107f1bfb864fb7a18fe027a954a3749f085f7f22efc8", 8192),
+     "d8ea2456d127758524ea9681ef4773ddf50d224de92036c62e525833fb377ef5", 8192),
 ], ids=["tiny-banshee-gcc", "scaled-unison-2kpage-mcf", "page-size-8192"])
 def test_cell_keys_are_pinned(spec, key, page_size):
     """Stored results are found by key: a key that moves silently orphans
@@ -80,8 +80,8 @@ def test_timeline_cell_keys_are_pinned():
     stored by such cells stay valid as the observer changes."""
     spec = tiny_spec(schemes=["banshee", "alloy"], timeline_interval=100)
     assert {cell.label: cell.key() for cell in spec.cells()} == {
-        "banshee": "935f37309d9aa13e3443530e146e60ffb21c7f07262811f0bcd7a0a69aad8ae5",
-        "alloy": "cc89bbc8eb17bd1dc1c1bb8a9850c200a18e61275dcefca33289e947cfe94040",
+        "banshee": "d350fcfa0f455d89d184bb96db3cd0646c18910467ed68257b19c6f767bba4e5",
+        "alloy": "68ce21da31f32c9c145ae4c3437745b4b5086b31b2b07fc2e3fb0a7fcc15e372",
     }
 
 
@@ -94,8 +94,8 @@ def test_large_page_cell_keys_are_pinned(tmp_path):
     extension_large_pages(workloads=["pagerank"], records_per_core=300, num_cores=1,
                           cache=ResultCache(store=store))
     assert {key: store.get_record(key)["meta"]["page_size"] for key in store.keys()} == {
-        "068c4a3341cfdce553bc04fb9c494d34879d1aee2b33a4e12a0058bd2e7cf473": 4096,
-        "5c5b4d7d54d906b23053ffa98b8a03826b81f16228d1612baa2938b3ac0fd8e8": 2097152,
+        "bee59e2e78106816101b4c06cdf64a28b138a74cd3722a5df0046ca583fc0ef9": 4096,
+        "678f9472867e4c36d13954006dba7b15846814714fe39d15ca13f0ebf38ccc44": 2097152,
     }
 
 
@@ -423,6 +423,41 @@ def test_cli_spec_file_and_status_pending(tmp_path):
 
     code, out = run_cli("status", "--store", store_dir, "--spec", str(spec_path))
     assert code == 0 and "2 cells, 0 pending" in out
+
+
+def spec_dict_with_timeline_bounds(spec, bounds=None):
+    """``spec.to_dict()`` laid out as specs were written while the spec had a
+    ``timeline_bounds`` field: the key sits after ``timeline_interval``."""
+    payload = {}
+    for name, value in spec.to_dict().items():
+        payload[name] = value
+        if name == "timeline_interval":
+            payload["timeline_bounds"] = bounds
+    return payload
+
+
+def test_spec_from_dict_drops_a_retired_field_only_at_its_old_default():
+    spec = tiny_spec(schemes=["banshee", "nocache"], timeline_interval=100)
+    payload = spec_dict_with_timeline_bounds(spec)
+    assert list(payload)[-3:] == ["timeline_interval", "timeline_bounds", "cell_timeout_seconds"]
+    assert CampaignSpec.from_dict(payload).to_dict() == spec.to_dict()
+    assert payload["timeline_bounds"] is None  # the caller's dict is left alone
+    with pytest.raises(ValueError, match="'timeline_bounds' was retired: .*latency histogram"):
+        CampaignSpec.from_dict(spec_dict_with_timeline_bounds(spec, bounds=[10.0, 100.0]))
+
+
+def test_cli_runs_a_spec_file_that_names_a_retired_field(tmp_path, capsys):
+    spec = tiny_spec(name="old-file", records_per_core=300)
+    old_path = tmp_path / "old-spec.json"
+    old_path.write_text(json.dumps(spec_dict_with_timeline_bounds(spec)))
+    code, out = run_cli("run", "--store", str(tmp_path / "store"), "--spec", str(old_path), "--quiet")
+    assert code == 0 and "campaign 'old-file': 1 cells" in out
+    bad_path = tmp_path / "bounds-spec.json"
+    bad = tiny_spec(name="old-file", records_per_core=300, timeline_interval=100)
+    bad_path.write_text(json.dumps(spec_dict_with_timeline_bounds(bad, bounds=[10.0, 100.0])))
+    code, out = run_cli("run", "--store", str(tmp_path / "store"), "--spec", str(bad_path), "--quiet")
+    assert code == 2, out
+    assert "latency histogram" in capsys.readouterr().err
 
 
 def test_export_helpers_return_text(tmp_path):

@@ -81,8 +81,6 @@ def test_cache_level_validation():
         CacheLevelConfig(size_bytes=0, ways=4)
     with pytest.raises(ValueError):
         CacheLevelConfig(size_bytes=48 * 1024, ways=5)  # non power-of-two sets
-    with pytest.raises(ValueError):
-        CacheLevelConfig(size_bytes=64 * 1024, ways=4, replacement="mru")
 
 
 def test_dram_cache_config_validation():

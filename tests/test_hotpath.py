@@ -9,7 +9,6 @@ Covers the three guarantees of the allocation-free record pipeline:
   (golden results captured from the original composed-API pipeline).
 """
 
-import dataclasses
 import json
 import os
 
@@ -133,12 +132,6 @@ def _reference_walk(hierarchy, core_id, addr, is_write):
     return "memory", True, writebacks
 
 
-def _with_policy(config, policy):
-    return config.with_overrides(
-        **{level: dataclasses.replace(getattr(config, level), replacement=policy) for level in ("l1", "l2", "l3")}
-    )
-
-
 def _levels(hierarchy):
     return hierarchy.l1 + hierarchy.l2 + [hierarchy.l3]
 
@@ -161,8 +154,8 @@ def _replay(config, stream):
     core's L1 and L2, and the L3) at the end; returns how many accesses
     produced 0, 1, 2 and 3 writebacks.
     """
-    reference = CacheHierarchy(config, rng=DeterministicRng(3))
-    walk = CacheHierarchy(config, rng=DeterministicRng(3))
+    reference = CacheHierarchy(config)
+    walk = CacheHierarchy(config)
     writeback_counts = [0, 0, 0, 0]
     for core_id, addr, is_write in stream:
         expected = _reference_walk(reference, core_id, addr, is_write)
@@ -185,22 +178,20 @@ def _stream(count, span, write_chance, seed):
 def test_hierarchy_fast_path_matches_public_api():
     """The one-frame walk equals the per-level ``access``/``fill`` reference.
 
-    Two streams per policy: a mixed one on the tiny geometry, and a
-    write-heavy one on a cramped geometry (L1 with more ways than L2 and L3,
-    and a coarser L3 line), where dirty victims keep missing the levels
-    below them, so single, double and triple writebacks all occur.
+    Two streams: a mixed one on the tiny geometry, and a write-heavy one on
+    a cramped geometry (L1 with more ways than L2 and L3, and a coarser L3
+    line), where dirty victims keep missing the levels below them, so
+    single, double and triple writebacks all occur.
     """
     cramped = {
         "l1": CacheLevelConfig(size_bytes=1024, ways=4),
         "l2": CacheLevelConfig(size_bytes=512, ways=2),
         "l3": CacheLevelConfig(size_bytes=2048, ways=2, line_size=128),
     }
-    for policy in ("lru", "fifo", "random"):
-        tiny = _with_policy(SystemConfig.tiny(num_cores=2), policy)
-        _replay(tiny, _stream(4000, 1 << 18, 0.3, seed=11))
-        small = _with_policy(SystemConfig.tiny(num_cores=2).with_overrides(**cramped), policy)
-        writeback_counts = _replay(small, _stream(4000, 1 << 10, 0.9, seed=13))
-        assert all(count > 0 for count in writeback_counts), (policy, writeback_counts)
+    _replay(SystemConfig.tiny(num_cores=2), _stream(4000, 1 << 18, 0.3, seed=11))
+    small = SystemConfig.tiny(num_cores=2).with_overrides(**cramped)
+    writeback_counts = _replay(small, _stream(4000, 1 << 10, 0.9, seed=13))
+    assert all(count > 0 for count in writeback_counts), writeback_counts
 
 
 # ------------------------------------------------------------ golden determinism

@@ -1,4 +1,4 @@
-"""Unit tests for the SRAM cache model and replacement policies."""
+"""Unit tests for the SRAM cache model and the DRAM-cache stores' LRU policy."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.sim.config import CacheLevelConfig
 from repro.util.rng import DeterministicRng
 
 
-def make_cache(size=4096, ways=4, replacement="lru"):
-    return SramCache("test", CacheLevelConfig(size_bytes=size, ways=ways, replacement=replacement))
+def make_cache(size=4096, ways=4):
+    return SramCache("test", CacheLevelConfig(size_bytes=size, ways=ways))
 
 
 def test_miss_then_hit():
@@ -84,19 +84,16 @@ def test_flush_page_removes_all_lines():
         assert not cache.lookup(offset)
 
 
-@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-def test_victims_and_counters_match_a_reference_model(policy):
-    """``access``/``fill`` against a list-per-set model of each policy.
+def test_victims_and_counters_match_a_reference_model():
+    """``access``/``fill`` against a list-per-set LRU model.
 
     Checks every hit flag and reported victim (address and dirty bit), the
     three counters and the ordered set contents.  The model keeps each set
-    oldest first: LRU moves a hit to the back, FIFO leaves it, and every
-    policy evicts the front except random, which evicts the entry its draw
-    picks (the same seeded stream the cache draws from).
+    least recent first: a hit or a fill of a resident line moves it to the
+    back, and a full set evicts the front.
     """
-    config = CacheLevelConfig(size_bytes=4096, ways=4, replacement=policy)
-    cache = SramCache("test", config, rng=DeterministicRng(5))
-    draws = DeterministicRng(5)
+    config = CacheLevelConfig(size_bytes=4096, ways=4)
+    cache = SramCache("test", config)
     sets = [[] for _ in range(config.num_sets)]
     hits = misses = evictions = dirty_evictions = 0
     rng = DeterministicRng(9)
@@ -111,12 +108,11 @@ def test_victims_and_counters_match_a_reference_model(policy):
         if position is not None:
             hits += demand
             entries[position][1] = entries[position][1] or is_write
-            if policy == "lru":
-                entries.append(entries.pop(position))
+            entries.append(entries.pop(position))
         else:
             misses += demand
             if len(entries) == config.ways:
-                victim = entries.pop(draws.randint(0, len(entries)) if policy == "random" else 0)
+                victim = entries.pop(0)
                 evictions += 1
                 dirty_evictions += victim[1]
             entries.append([line, is_write])

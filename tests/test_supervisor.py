@@ -40,7 +40,7 @@ from repro.campaign.supervisor import (
 )
 from repro.faults import FaultInjected, FaultInjector, FaultPlan, FaultSpec
 from repro.experiments.runner import run_simulation
-from repro.obs.events import EventLog, ObsSink, make_event, read_events, write_events
+from repro.obs.events import EventLog, ObsSink, make_event, read_events
 from repro.sim.config import SystemConfig
 
 RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
@@ -87,6 +87,13 @@ def read_event_counts(obs):
 def read_event_records(obs, event):
     lines = Path(obs.events_path).read_text().splitlines()
     return [json.loads(line) for line in lines if json.loads(line)["event"] == event]
+
+
+def write_events(records, path):
+    """Write ``records`` as a JSONL event log, one sorted-key object per line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in records),
+                    encoding="utf-8")
 
 
 def identity(outcome):

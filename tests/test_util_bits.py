@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.bits import align_down, align_up, is_power_of_two, log2_exact
+from repro.util.bits import is_power_of_two, log2_exact
 
 
 def test_is_power_of_two_accepts_powers():
@@ -29,16 +29,3 @@ def test_log2_exact_rejects_non_power():
     with pytest.raises(ValueError):
         log2_exact(96)
 
-
-def test_align_down_and_up():
-    assert align_down(4100, 4096) == 4096
-    assert align_up(4100, 4096) == 8192
-    assert align_down(4096, 4096) == 4096
-    assert align_up(4096, 4096) == 4096
-
-
-def test_align_rejects_bad_alignment():
-    with pytest.raises(ValueError):
-        align_down(100, 3)
-    with pytest.raises(ValueError):
-        align_up(100, 0)

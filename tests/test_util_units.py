@@ -6,7 +6,6 @@ from repro.util.units import (
     GB,
     KB,
     MB,
-    bytes_per_cycle,
     cycles_from_ms,
     cycles_from_ns,
     cycles_from_us,
@@ -33,8 +32,3 @@ def test_cycles_rejects_bad_frequency():
     with pytest.raises(ValueError):
         cycles_from_ns(10, 0)
 
-
-def test_bytes_per_cycle():
-    assert bytes_per_cycle(21.6, 2.7) == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        bytes_per_cycle(10, 0)

@@ -16,21 +16,29 @@ import pytest
 
 from repro.campaign.spec import CampaignSpec, SweepGrid, normalize_scheme
 from repro.dram.device import DramDevice
-from repro.dramcache.factory import available_schemes, create_scheme
+from repro.dramcache import variants
+from repro.dramcache.factory import create_scheme
 from repro.dramcache.variants import (
     BASE_SCHEMES,
     SchemeVariant,
-    all_variants,
     available_scheme_names,
     get_variant,
-    is_known_scheme,
     register_variant,
     resolve_scheme,
-    unregister_variant,
 )
 from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.util.rng import DeterministicRng
+
+
+def all_variants():
+    """Every registered variant (name -> variant)."""
+    return dict(variants._VARIANTS)
+
+
+def unregister_variant(name):
+    """Remove a variant a test registered at runtime."""
+    variants._VARIANTS.pop(name, None)
 
 
 def build_scheme(name):
@@ -70,8 +78,7 @@ def test_resolve_unknown_name_lists_available():
 def test_available_names_cover_bases_and_variants():
     names = available_scheme_names()
     assert set(BASE_SCHEMES) <= set(names)
-    assert set(all_variants()) <= set(names)
-    assert available_schemes() == names
+    assert names == sorted(BASE_SCHEMES) + sorted(all_variants())
 
 
 def test_register_variant_runtime_extension():
@@ -81,13 +88,13 @@ def test_register_variant_runtime_extension():
     )
     register_variant(variant)
     try:
-        assert is_known_scheme("banshee-tb32-test")
+        assert "banshee-tb32-test" in available_scheme_names()
         assert get_variant("banshee-tb32-test") is variant
         scheme, _in, _off = build_scheme("banshee-tb32-test")
         assert scheme.tag_buffers[0].num_entries == 32
     finally:
         unregister_variant("banshee-tb32-test")
-    assert not is_known_scheme("banshee-tb32-test")
+    assert "banshee-tb32-test" not in available_scheme_names()
 
 
 def test_register_variant_rejects_bad_declarations():
@@ -251,7 +258,7 @@ def test_factory_builds_foreign_variant_from_base_scheme():
 # --------------------------------------------------------------------------- scheme isolation
 
 
-@pytest.mark.parametrize("name", available_schemes())
+@pytest.mark.parametrize("name", available_scheme_names())
 def test_every_scheme_and_variant_runs_in_isolation(name):
     """Exercise each scheme against the default no-op OsServices (no System).
 

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from repro.cpu.trace import summarize
 from repro.workloads import graph
 from repro.workloads.graph import Graph500Bfs, PageRankWorkload
 from repro.workloads.mixes import MIX_DEFINITIONS, MixWorkload
@@ -82,16 +81,15 @@ def test_spec_cores_use_disjoint_regions():
 
 
 def test_spec_write_fraction_approximates_parameter():
-    workload = SpecWorkload("lbm", num_cores=1, scale=0.2)
-    stats = summarize(itertools.islice(workload.trace(0), 4000))
-    assert stats.write_fraction == pytest.approx(SPEC_PARAMS["lbm"]["write_fraction"], abs=0.08)
+    records = take(SpecWorkload("lbm", num_cores=1, scale=0.2), 0, 4000)
+    write_fraction = sum(record.is_write for record in records) / len(records)
+    assert write_fraction == pytest.approx(SPEC_PARAMS["lbm"]["write_fraction"], abs=0.08)
 
 
 def test_spec_streaming_benchmark_has_more_spatial_locality_than_pointer_chasing():
     def unique_page_ratio(name):
-        workload = SpecWorkload(name, num_cores=1, scale=0.2)
-        stats = summarize(itertools.islice(workload.trace(0), 4000))
-        return stats.unique_pages / stats.records
+        records = take(SpecWorkload(name, num_cores=1, scale=0.2), 0, 4000)
+        return len({record.addr // 4096 for record in records}) / len(records)
 
     assert unique_page_ratio("lbm") < unique_page_ratio("omnetpp")
 
