@@ -9,7 +9,9 @@ shootdown, and finally tells the tag buffers to clear their remap bits.
 :class:`PteUpdateBatcher` encapsulates that routine.  The actual PTE writes,
 shootdown cost accounting and TLB invalidation are performed by the system
 through the :class:`repro.dramcache.base.OsServices` callback, keeping the
-hardware model and the OS model decoupled, as in the real design.
+hardware model and the OS model decoupled, as in the real design.  The
+simulated OS never aliases a page, so its reverse-map walk is one lookup
+(:meth:`repro.vm.page_table.PageTable.apply_mapping`).
 """
 
 from __future__ import annotations

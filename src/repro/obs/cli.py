@@ -321,6 +321,7 @@ def cmd_replay(args: argparse.Namespace, stream) -> int:
     if args.timeline_output and not args.timeline:
         raise ValueError("--timeline-output requires --timeline N")
     snapshot = EngineSnapshot.load(args.snapshot)
+    snapshot.check_restorable()
     meta = snapshot.workload or {}
     if "name" not in meta:
         raise ValueError(f"snapshot {args.snapshot} carries no workload name; "

@@ -165,15 +165,30 @@ class EngineSnapshot:
 
     # ------------------------------------------------------------------ restore
 
+    def check_restorable(self) -> None:
+        """Raise ``ValueError`` unless this code can restore the snapshot.
+
+        Checks the kind, the version and the source digest.  Call it before
+        reading anything else the snapshot carries: a snapshot written by
+        other sources may embed a config this code no longer parses.
+        """
+        _check_format(self.kind, self.version)
+        live_source = source_digest()
+        if self.source_digest != live_source:
+            raise ValueError(
+                "snapshot was captured by different simulator code "
+                f"(source {self.source_digest[:12]}, live {live_source[:12]}); "
+                "pickled state only restores under the code that wrote it"
+            )
+
     def load_system(self, config: Optional[SystemConfig] = None) -> "System":
         """Unpickle the captured system (workload detached).
 
-        The kind, the version, the source digest and — given the live
-        ``config`` — the config digest are checked before anything is
-        unpickled; every rejection, a corrupt payload included, is a
-        ``ValueError``.
+        :meth:`check_restorable` and — given the live ``config`` — the
+        config digest are checked before anything is unpickled; every
+        rejection, a corrupt payload included, is a ``ValueError``.
         """
-        _check_format(self.kind, self.version)
+        self.check_restorable()
         if config is not None:
             live_digest = config_hash(config)
             if live_digest != self.config_digest:
@@ -182,13 +197,6 @@ class EngineSnapshot:
                     f"(snapshot {self.config_digest[:12]}, live {live_digest[:12]}); "
                     "rebuild the system from the snapshot's embedded config"
                 )
-        live_source = source_digest()
-        if self.source_digest != live_source:
-            raise ValueError(
-                "snapshot was captured by different simulator code "
-                f"(source {self.source_digest[:12]}, live {live_source[:12]}); "
-                "pickled state only restores under the code that wrote it"
-            )
         try:
             system: "System" = pickle.loads(base64.b64decode(self.system, validate=True))
         except Exception as exc:  # a corrupt payload can fail in any way

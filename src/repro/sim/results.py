@@ -41,7 +41,7 @@ class SimulationResults:
     hierarchy_stats: Dict[str, int] = field(default_factory=dict)
     os_stall_cycles: float = 0.0
     wall_time_seconds: float = 0.0
-    #: Interval timeline captured by a :class:`repro.obs.TimelineObserver`
+    #: Interval timeline captured by a :class:`repro.obs.timeline.TimelineObserver`
     #: (its ``Timeline.to_dict()`` form), or ``None`` when no observer was
     #: attached.  Deterministic — built from simulated state only — so it
     #: participates in :meth:`identity_dict` comparisons.
@@ -157,7 +157,7 @@ class SimulationResults:
         return payload
 
     def timeline_object(self) -> Optional["Timeline"]:
-        """The attached timeline as a :class:`repro.obs.Timeline` (or None)."""
+        """The attached timeline as a :class:`repro.obs.timeline.Timeline` (or None)."""
         if self.timeline is None:
             return None
         from repro.obs.timeline import Timeline

@@ -43,7 +43,6 @@ class _SystemOsServices(OsServices):
         system = self.system
         for page, cached, way in updates:
             system.page_table.apply_mapping(page, cached, way)
-        system.page_table.record_update_batch()
         self.pte_update_batches += 1
         self.pte_updates += len(updates)
 

@@ -178,12 +178,12 @@ def test_tlb_lru_matches_reference_model(operations, entries):
                 hits += 1
                 order.remove(vpn)
                 order.append(vpn)
-                assert entry is table.entry_for_vpn(vpn)
+                assert entry is table.translate(vpn * 4096)
             else:
                 misses += 1
                 assert entry is None
         elif op == "fill":
-            pte = table.entry_for_vpn(vpn)
+            pte = table.translate(vpn * 4096)
             assert tlb.fill(pte) is pte
             if vpn in order:
                 order.remove(vpn)

@@ -1,7 +1,7 @@
 """Tests for pickled engine snapshots: what a hand-written codec could miss,
 rejected resume points falling back to a fresh start, the read-only state
 view behind ``summarize --snapshot``, and ``replay`` refusing to guess a
-workload scale."""
+workload scale or to read a snapshot written by other code."""
 
 import io
 import json
@@ -188,3 +188,22 @@ def test_replay_refuses_to_guess_the_workload_scale(tmp_path, capsys):
     assert payload["resumed_at_record"] == 600
     assert payload["summary"] == json.loads(json.dumps(straight.summary()))
     assert os.path.exists(path)
+
+
+def test_replay_reports_a_snapshot_from_other_code_as_stale(tmp_path, capsys):
+    """The source digest is checked before the embedded config is parsed, so
+    a snapshot whose config names a field this code retired is reported as
+    written by different code, not as a bad config."""
+    snapshot, _ = snapshot_at(300)
+    payload = snapshot.to_dict()
+    payload["source_digest"] = "f" * 64
+    payload["config"]["core"]["mlp"] = 2.0  # a CoreConfig field that was deleted
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    code = obs_main(["replay", str(path), "--records", "500", "--scale", str(SCALE)],
+                    stream=io.StringIO())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "different simulator code" in err
+    assert "CoreConfig" not in err

@@ -100,7 +100,7 @@ def test_banshee_pte_updates_reach_page_table():
     """
     results, system, carried = _banshee_mid_run_flushes("batch")
     # The end-of-run finalize flush accounts for at most one batch.
-    assert system.page_table.update_batches >= 2
+    assert system.os_services.pte_update_batches >= 2
     assert all(tlb.invalidations >= 2 for tlb in system.tlbs)
     assert carried > 0
     assert system.scheme.stats.get("mapping_stale") == 0
