@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import sys
 
-from repro import SystemConfig, geometric_mean, run_simulation
 from repro.experiments.report import format_table
+from repro.experiments.runner import run_simulation
+from repro.sim.config import SystemConfig
+from repro.sim.results import geometric_mean
 from repro.workloads.registry import GRAPH_WORKLOADS
 
 SCHEMES = [

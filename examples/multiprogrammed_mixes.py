@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import SystemConfig, run_simulation
 from repro.experiments.report import format_table
+from repro.experiments.runner import run_simulation
+from repro.sim.config import SystemConfig
 from repro.workloads.mixes import MIX_DEFINITIONS
 
 SCHEMES = [("NoCache", "nocache"), ("Alloy 0.1", "alloy"), ("Banshee", "banshee")]

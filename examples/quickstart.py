@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import sys
 
-from repro import SystemConfig, run_simulation
+from repro.experiments.runner import run_simulation
+from repro.sim.config import SystemConfig
 
 
 def main() -> None:

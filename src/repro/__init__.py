@@ -13,47 +13,13 @@ The package provides:
 * and a parallel, resumable campaign subsystem with a persistent result
   store and a ``python -m repro.campaign`` CLI (:mod:`repro.campaign`).
 
-Quickstart::
+This module imports nothing, so ``import repro.<anything>`` loads only what
+that module needs.  Quickstart::
 
-    from repro import SystemConfig, run_simulation
+    from repro.experiments.runner import run_simulation
+    from repro.sim.config import SystemConfig
 
     config = SystemConfig.scaled_default(scheme="banshee")
     result = run_simulation(config, workload_name="pagerank", records_per_core=20_000)
     print(result.summary())
 """
-
-from repro.experiments.runner import run_simulation
-from repro.sim.config import (
-    CacheLevelConfig,
-    CoreConfig,
-    DramCacheConfig,
-    DramConfig,
-    DramTimingConfig,
-    SystemConfig,
-    TlbConfig,
-)
-from repro.sim.engine import SimulationEngine
-from repro.sim.results import SimulationResults, geometric_mean
-from repro.sim.system import System
-from repro.workloads.registry import EVALUATION_WORKLOADS, available_workloads, get_workload
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "run_simulation",
-    "CacheLevelConfig",
-    "CoreConfig",
-    "DramCacheConfig",
-    "DramConfig",
-    "DramTimingConfig",
-    "SystemConfig",
-    "TlbConfig",
-    "SimulationEngine",
-    "SimulationResults",
-    "geometric_mean",
-    "System",
-    "EVALUATION_WORKLOADS",
-    "available_workloads",
-    "get_workload",
-    "__version__",
-]

@@ -2,9 +2,8 @@
 
 AST-level proofs of the repo's structural guarantees — an allocation-free
 per-record hot path, deterministic simulation packages, symmetric
-``to_dict``/``from_dict`` pairs, schema-conformant event emission, and
-variant overrides that name real configuration fields — run on every PR via
-``python -m repro.analyze src/repro`` (see the CI ``analyze`` job).
+``to_dict``/``from_dict`` pairs and schema-conformant event emission — run
+by ``python -m repro.analyze src/repro`` (see the CI ``analyze`` job).
 
 Public surface:
 

@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
         description="Static analysis enforcing the repo's structural invariants "
-        "(hot-path purity, determinism, serde symmetry, variant conformance).",
+        "(hot-path purity, determinism, serde symmetry, event schema).",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="rules:\n"
         + "\n".join(

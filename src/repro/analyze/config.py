@@ -70,11 +70,6 @@ class AnalyzerConfig:
     #: Method-name pairs treated as a serde couple on one class.
     serde_pairs: Tuple[Tuple[str, str], ...] = (("to_dict", "from_dict"),)
 
-    #: Class whose fields variant overrides must name, and the helper/class
-    #: call sites in the variants module that carry overrides.
-    variant_config_class: str = "DramCacheConfig"
-    variant_module_suffix: str = ".variants"
-
     #: Extra dotted call names treated as wall-clock reads (beyond time.*).
     wall_clock_calls: Tuple[str, ...] = (
         "time.time",

@@ -7,9 +7,7 @@ guarantees the goldens and A/B benchmarks only check *dynamically*:
 * simulation packages never read wall clocks or unseeded RNGs
   (:mod:`repro.analyze.rules.determinism`);
 * every ``to_dict`` key has a consuming ``from_dict`` and every emitted event
-  matches the schema (:mod:`repro.analyze.rules.serde`);
-* declared variants name real configuration fields
-  (:mod:`repro.analyze.rules.variants`).
+  matches the schema (:mod:`repro.analyze.rules.serde`).
 
 Rules are plain functions registered with :func:`register_rule`; each
 receives an :class:`AnalysisContext` (every parsed module plus the analyzer

@@ -1,3 +1,3 @@
 """Rule registry population: importing this package registers every rule."""
 
-from repro.analyze.rules import determinism, hotpath, serde, variants  # noqa: F401
+from repro.analyze.rules import determinism, hotpath, serde  # noqa: F401

@@ -36,9 +36,9 @@ from repro.campaign.supervisor import (
     install_signal_handlers,
     restore_signal_handlers,
 )
-from repro.dramcache.variants import available_scheme_names, describe_variants
 from repro.experiments.report import format_table
 from repro.obs.events import ObsSink, read_events
+from repro.sim.config import SCHEMES
 
 #: Default mid-cell auto-snapshot interval (processed records).  Small
 #: enough that a killed overnight campaign rarely loses more than a couple
@@ -66,23 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser(
-        "run",
-        help="run (or resume) a campaign",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "available schemes and variants:\n  "
-            + "\n  ".join(available_scheme_names())
-            + "\n\nvariant details:\n"
-            + describe_variants()
-        ),
-    )
+    run_parser = sub.add_parser("run", help="run (or resume) a campaign")
     run_parser.add_argument("--store", required=True, help="result store directory")
     run_parser.add_argument("--spec", help="JSON campaign spec file")
     run_parser.add_argument("--name", help="campaign name (default: spec file's name, or 'campaign')")
     run_parser.add_argument("--schemes", nargs="+",
-                            help="scheme or variant names, e.g. banshee banshee-tb4k alloy "
-                                 "(see the list below; validated before any cell runs)")
+                            help="scheme names, validated before any cell runs: "
+                                 + " ".join(SCHEMES) + ". A scheme with DramCacheConfig "
+                                 "overrides is a (label, scheme, overrides) entry in a --spec file")
     run_parser.add_argument("--workloads", nargs="+", help="workload names, e.g. gcc mcf pagerank")
     run_parser.add_argument("--seeds", nargs="+", type=int, help="RNG seeds")
     run_parser.add_argument("--cache-sizes", nargs="+", type=_optional_int,
@@ -261,6 +252,9 @@ def _supervisor_config(args: argparse.Namespace) -> Optional[SupervisorConfig]:
 
 def cmd_run(args: argparse.Namespace, stream: TextIO) -> int:
     spec = spec_from_args(args)
+    # Expanding builds every cell's configuration, so an invalid one fails
+    # here, before the store and its obs directory are created.
+    cells = spec.cells()
     store = ResultStore(args.store)
     obs = None if args.no_obs else ObsSink.for_directory(Path(args.store) / "obs")
     if args.inject:
@@ -275,7 +269,7 @@ def cmd_run(args: argparse.Namespace, stream: TextIO) -> int:
     print(f"campaign '{spec.name}': {spec.num_cells} cells -> {store.path}", file=stream)
     errored = set(store.error_keys())
     if errored:
-        retrying = sum(1 for cell in spec.cells() if cell.key() in errored)
+        retrying = sum(1 for cell in cells if cell.key() in errored)
         if retrying:
             print(f"retrying {retrying} previously errored cell(s)", file=stream)
     if obs is not None:

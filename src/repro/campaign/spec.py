@@ -20,14 +20,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.dramcache.variants import resolve_scheme
 from repro.experiments.runner import DEFAULT_WARMUP_FRACTION, CampaignCell
-from repro.sim.config import SystemConfig
+from repro.sim.config import DramCacheConfig, SystemConfig, check_scheme
 from repro.util.serde import dataclass_from_dict
 from repro.workloads.registry import validate_workload_name
 
 #: Normalised scheme entry: (display label, scheme name, DramCacheConfig overrides).
 SchemeEntry = Tuple[str, str, Dict]
+
+#: Fields a scheme entry's overrides may set (the scheme is the entry's own).
+_OVERRIDABLE = frozenset(f.name for f in dataclasses.fields(DramCacheConfig)) - {"scheme"}
 
 PRESETS = ("tiny", "scaled", "paper")
 
@@ -47,9 +49,10 @@ _RETIRED_FIELDS: Dict[str, Tuple[object, str]] = {
 def normalize_scheme(entry: Union[str, Sequence[object]]) -> SchemeEntry:
     """Accept ``"banshee"``, ``("label", "scheme")`` or ``("label", "scheme", overrides)``.
 
-    The scheme name (base scheme or registered variant) is validated here,
-    at spec-construction time, so a typo fails with the list of available
-    names before any worker process starts simulating.
+    The scheme must be one of :data:`~repro.sim.config.SCHEMES` and every
+    override key a ``DramCacheConfig`` field.  Both are checked here, at
+    spec-construction time, so a typo fails before a store is created or a
+    worker process starts simulating.
     """
     if isinstance(entry, str):
         normalized = (entry, entry, {})
@@ -63,8 +66,13 @@ def normalize_scheme(entry: Union[str, Sequence[object]]) -> SchemeEntry:
             normalized = (str(label), str(scheme), dict(overrides))
         else:
             raise ValueError(f"scheme entry must be a name or a 2/3-tuple, got {entry!r}")
-    # Raises ValueError listing every base scheme and variant on a miss.
-    resolve_scheme(normalized[1])
+    check_scheme(normalized[1])
+    unknown = sorted(set(normalized[2]) - _OVERRIDABLE)
+    if unknown:
+        raise ValueError(
+            f"scheme entry {normalized[0]!r}: overrides {', '.join(map(repr, unknown))} "
+            "are not DramCacheConfig fields"
+        )
     return normalized
 
 

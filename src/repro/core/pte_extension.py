@@ -16,10 +16,14 @@ simulated OS never aliases a page, so its reverse-map walk is one lookup
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.core.tag_buffer import TagBuffer
-from repro.dramcache.base import OsServices
+
+if TYPE_CHECKING:
+    # Annotation only: importing repro.dramcache here would close the loop
+    # repro.dramcache.components.coherence -> repro.core -> repro.dramcache.
+    from repro.dramcache.base import OsServices
 
 
 class PteUpdateBatcher:

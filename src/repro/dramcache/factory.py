@@ -1,12 +1,9 @@
-"""Factory for DRAM-cache schemes and their declared variants.
+"""Factory for DRAM-cache schemes.
 
 Keeps the mapping from configuration names ("banshee", "alloy", ...) to
 classes in one place so the simulator, the experiment harness and the
-examples never hard-code scheme construction.  Variant names
-("banshee-tb4k", "unison-2kpage", ...) resolve through
-:mod:`repro.dramcache.variants`: the variant's ``DramCacheConfig`` overrides
-are applied before the base class is constructed, so one scheme class
-serves every declared point of its sensitivity axes.
+examples never hard-code scheme construction.  The names are
+:data:`repro.sim.config.SCHEMES`, which ``DramCacheConfig`` checks.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from repro.dramcache.hma import HmaCache
 from repro.dramcache.no_cache import NoCache
 from repro.dramcache.tdc import TaglessDramCache
 from repro.dramcache.unison import UnisonCache
-from repro.dramcache.variants import resolve_scheme
 from repro.sim.config import SystemConfig
 from repro.util.rng import DeterministicRng
 
@@ -49,28 +45,6 @@ def create_scheme(
     rng: Optional[DeterministicRng] = None,
     os_services: Optional[OsServices] = None,
 ) -> DramCacheScheme:
-    """Build the scheme (or variant) named by ``config.dram_cache.scheme``.
-
-    A variant's overrides were already folded into the configuration when it
-    was constructed (``DramCacheConfig.__post_init__``), so the whole system
-    — workloads, page tables, cell keys — simulated with the same values the
-    scheme sees; this factory only has to pick the base class.  The
-    constructed scheme reports the variant name (``scheme.name``) so
-    campaign tables and results stay self-describing.
-    """
-    requested = config.dram_cache.scheme
-    registry = _registry()
-    if requested in registry:
-        base = requested
-    elif config.dram_cache.base_scheme in registry:
-        # Variant (possibly registered in another process; the config
-        # carries its resolution — see DramCacheConfig.base_scheme).
-        base = config.dram_cache.base_scheme
-    else:
-        # Unresolvable: raise the registry's ValueError listing the names.
-        base, _overrides = resolve_scheme(requested)
-    scheme = registry[base](config, in_dram, off_dram, rng=rng, os_services=os_services)
-    if requested != base:
-        scheme.name = requested
-        scheme.stats.name = requested
-    return scheme
+    """Build the scheme named by ``config.dram_cache.scheme``."""
+    scheme_class = _registry()[config.dram_cache.scheme]
+    return scheme_class(config, in_dram, off_dram, rng=rng, os_services=os_services)

@@ -20,7 +20,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.util.bits import is_power_of_two
 from repro.util.units import GB, KB, MB
@@ -159,29 +159,33 @@ class CoreConfig:
             raise ValueError("issue_width must be positive")
 
 
+#: The DRAM-cache schemes :func:`repro.dramcache.factory.create_scheme`
+#: builds.  A sensitivity point of the paper (Alloy at fill probability 0.1,
+#: a larger tag buffer, ...) is one of these plus ``DramCacheConfig``
+#: overrides, never a scheme of its own.
+SCHEMES: Tuple[str, ...] = ("nocache", "cacheonly", "alloy", "unison", "tdc", "hma", "banshee")
+
+
+def check_scheme(name: str) -> None:
+    """Raise ``ValueError`` listing :data:`SCHEMES` unless ``name`` is one of them."""
+    if name not in SCHEMES:
+        raise ValueError(
+            f"unknown DRAM cache scheme {name!r}; available: {', '.join(SCHEMES)}. "
+            "Give other parameters as DramCacheConfig overrides: in a campaign spec, "
+            "a (label, scheme, overrides) entry such as "
+            '["banshee-tb4k", "banshee", {"tag_buffer_entries": 4096}]'
+        )
+
+
 @dataclass
 class DramCacheConfig:
     """DRAM-cache scheme selection and parameters (Table 3).
 
-    ``scheme`` may name a base scheme or a registered variant
-    (:mod:`repro.dramcache.variants`).  Variant resolution happens *here*,
-    at construction time: the variant's field overrides are folded into
-    this dataclass and the resolved base is recorded in ``base_scheme``,
-    so every consumer of the configuration — workload builders, page
-    tables, cell keys, result metadata — sees the values the scheme will
-    actually simulate with.  ``base_scheme`` also makes a resolved config
-    self-contained: a worker process (or a later session) can build the
-    scheme without the registering process's runtime registry.
+    ``scheme`` is one of :data:`SCHEMES`; every other parameter is a field
+    of its own, so a configuration says everything it simulates with.
     """
 
     scheme: str = "banshee"
-    #: Resolved by __post_init__; leave at the default when constructing.
-    base_scheme: str = ""
-    #: Field values a preset supplied (see :func:`preset_dram_cache`).  A
-    #: variant may fold over these silently (they are baselines, not user
-    #: intent), and ``with_scheme`` restores them when a variant's delta is
-    #: reverted.  Leave at the default when constructing directly.
-    preset_defaults: Dict[str, object] = field(default_factory=dict)
     ways: int = 4
     page_size: int = PAGE_SIZE_4K
 
@@ -222,40 +226,7 @@ class DramCacheConfig:
     bandwidth_balance_target: float = 0.8
 
     def __post_init__(self) -> None:
-        # Imported here, not at module level: the variant registry lives in
-        # repro.dramcache (which imports this module).  Resolving against
-        # the registry is what lets a declared variant name ("banshee-tb4k")
-        # flow through every layer that carries a SystemConfig.
-        from repro.dramcache.variants import BASE_SCHEMES, resolve_scheme
-
-        try:
-            base, overrides = resolve_scheme(self.scheme)
-        except ValueError:
-            # A runtime-registered variant resolved in another process
-            # (campaign worker, store resume) is acceptable: the overrides
-            # were folded into the field values when the config was first
-            # built, and base_scheme says what to construct.
-            if self.base_scheme not in BASE_SCHEMES:
-                raise
-        else:
-            defaults = {f.name: f.default for f in dataclasses.fields(self)}
-            for key, value in overrides.items():
-                current = getattr(self, key)
-                if (
-                    current != value
-                    and current != defaults[key]
-                    and current != self.preset_defaults.get(key, defaults[key])
-                ):
-                    # The caller explicitly set a field the variant also
-                    # sets (it is neither the dataclass default nor a preset
-                    # baseline): reject rather than silently resolve.
-                    raise ValueError(
-                        f"{key}={current!r} conflicts with variant {self.scheme!r} "
-                        f"(it sets {key}={value!r}); use base scheme {base!r} "
-                        f"with explicit overrides instead"
-                    )
-                setattr(self, key, value)
-            self.base_scheme = base
+        check_scheme(self.scheme)
         if self.ways <= 0:
             raise ValueError("DRAM cache ways must be positive")
         if not is_power_of_two(self.page_size):
@@ -294,19 +265,6 @@ class DramCacheConfig:
         lines = page_size // CACHELINE_SIZE
         threshold = max(1, int(lines * sampling_coefficient / 2.0))
         return min(threshold, max(1, self.counter_max // 2))
-
-
-def preset_dram_cache(scheme: str, **preset_values: object) -> DramCacheConfig:
-    """Build a preset's ``DramCacheConfig``, recording the preset baselines.
-
-    Presets scale some DRAM-cache parameters (e.g. the tiny preset's
-    64-entry tag buffer).  Recording them in ``preset_defaults`` marks them
-    as baselines rather than user intent: a variant that sets the same
-    parameter wins silently (``banshee-tb4k`` means a 4096-entry tag buffer
-    on every preset), and ``with_scheme`` restores the preset value when a
-    variant's delta is reverted.
-    """
-    return DramCacheConfig(scheme=scheme, preset_defaults=dict(preset_values), **preset_values)
 
 
 @dataclass
@@ -360,7 +318,7 @@ class SystemConfig:
             l2=CacheLevelConfig(size_bytes=128 * KB, ways=8),
             l3=CacheLevelConfig(size_bytes=8 * MB, ways=16),
             tlb=TlbConfig(entries=64),
-            dram_cache=preset_dram_cache(scheme),
+            dram_cache=DramCacheConfig(scheme=scheme),
             in_package_dram=DramConfig(name="in-package", capacity_bytes=1 * GB, num_channels=4),
             off_package_dram=DramConfig(name="off-package", capacity_bytes=64 * GB, num_channels=1),
         )
@@ -396,7 +354,7 @@ class SystemConfig:
             l2=CacheLevelConfig(size_bytes=64 * KB, ways=8),
             l3=CacheLevelConfig(size_bytes=256 * KB, ways=16),
             tlb=TlbConfig(entries=64),
-            dram_cache=preset_dram_cache(scheme, tag_buffer_entries=256),
+            dram_cache=DramCacheConfig(scheme=scheme, tag_buffer_entries=256),
             in_package_dram=DramConfig(
                 name="in-package", capacity_bytes=8 * MB, num_channels=4, bandwidth_scale=bandwidth_scale
             ),
@@ -417,7 +375,7 @@ class SystemConfig:
             l2=CacheLevelConfig(size_bytes=8 * KB, ways=4),
             l3=CacheLevelConfig(size_bytes=32 * KB, ways=8),
             tlb=TlbConfig(entries=16),
-            dram_cache=preset_dram_cache(scheme, tag_buffer_entries=64, tag_buffer_ways=4),
+            dram_cache=DramCacheConfig(scheme=scheme, tag_buffer_entries=64, tag_buffer_ways=4),
             in_package_dram=DramConfig(name="in-package", capacity_bytes=1 * MB, num_channels=2),
             off_package_dram=DramConfig(name="off-package", capacity_bytes=1 * GB, num_channels=1),
             seed=seed,
@@ -426,32 +384,9 @@ class SystemConfig:
     # ------------------------------------------------------------------ helpers
 
     def with_scheme(self, scheme: str, **dram_cache_overrides: object) -> "SystemConfig":
-        """Return a copy of this configuration with a different DRAM cache scheme.
-
-        ``scheme`` may be a base scheme or a variant name (validated here, so
-        a typo'd variant fails loudly instead of riding the carried
-        ``base_scheme``).  Fields the *current* scheme's variant had folded
-        in are reverted first — to the preset's value when the configuration
-        came from a preset, else to the dataclass default — so switching
-        between variants of one axis (or back to the base scheme) works.
-        The new variant's overrides are folded back in by
-        ``DramCacheConfig.__post_init__``, which rejects explicit overrides
-        for a field the new variant also sets rather than silently resolving
-        either way — ask for the base scheme with explicit overrides instead.
-        """
-        from repro.dramcache.variants import get_variant, resolve_scheme
-
-        resolve_scheme(scheme)  # raises ValueError listing names on a typo
-        dram_cache = self.dram_cache
-        defaults = {f.name: f.default for f in dataclasses.fields(DramCacheConfig)}
-        reverts: Dict[str, object] = {}
-        old_variant = get_variant(dram_cache.scheme)
-        if old_variant is not None:
-            for key in old_variant.overrides:
-                if key not in dram_cache_overrides:
-                    reverts[key] = dram_cache.preset_defaults.get(key, defaults[key])
-        new_dc = dataclasses.replace(dram_cache, scheme=scheme, **reverts, **dram_cache_overrides)
-        return dataclasses.replace(self, dram_cache=new_dc)
+        """Return a copy with DRAM cache ``scheme`` and the given ``DramCacheConfig`` fields."""
+        dram_cache = dataclasses.replace(self.dram_cache, scheme=scheme, **dram_cache_overrides)
+        return dataclasses.replace(self, dram_cache=dram_cache)
 
     def with_overrides(self, **overrides: object) -> "SystemConfig":
         """Return a copy with top-level fields replaced."""

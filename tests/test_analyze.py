@@ -451,43 +451,6 @@ def test_event_schema_flags_undeclared_event_name(tmp_path):
     assert "run_strat" in findings[0].message
 
 
-# ------------------------------------------------------------------- variant-fields
-
-
-def test_variant_fields_flags_unknown_override(tmp_path):
-    (tmp_path / "configdef.py").write_text(
-        textwrap.dedent(
-            """
-            class DramCacheConfig:
-                page_size: int = 4096
-                ways: int = 8
-            """
-        )
-    )
-    (tmp_path / "variants.py").write_text(
-        textwrap.dedent(
-            """
-            def _builtin(name, base, axis, description, **overrides):
-                pass
-
-            class SchemeVariant:
-                def __init__(self, name, overrides):
-                    pass
-
-            _builtin(name="small", base="banshee", axis="cache", description="d", ways=4)
-            _builtin(name="typo", base="banshee", axis="cache", description="d", waysz=4)
-            SchemeVariant(name="big", overrides={"page_size": 8192})
-            SchemeVariant(name="typo2", overrides={"pagesize": 8192})
-            """
-        )
-    )
-    findings = run_analysis([tmp_path], rules=["variant-fields"])
-    messages = sorted(f.message for f in findings)
-    assert len(findings) == 2
-    assert "'pagesize'" in messages[0]
-    assert "'waysz'" in messages[1]
-
-
 # ----------------------------------------------------------------------- suppression
 
 
@@ -569,7 +532,6 @@ def test_cli_list_rules(capsys):
         "hotpath-attr",
         "hotpath-slots",
         "serde-symmetry",
-        "variant-fields",
     ):
         assert rule in out
 

@@ -9,8 +9,8 @@ from repro.dramcache.hma import HmaCache
 from repro.dramcache.no_cache import NoCache
 from repro.dramcache.tdc import TaglessDramCache
 from repro.dramcache.unison import UnisonCache
-from repro.dramcache.variants import available_scheme_names
 from repro.memctrl.request import MemRequest
+from repro.sim.config import SCHEMES
 from repro.sim.stats import TrafficCategory
 
 
@@ -200,7 +200,7 @@ def test_hma_resident_capacity_bounded(scheme_env):
 
 
 def test_factory_builds_every_scheme(scheme_env):
-    for name in available_scheme_names():
+    for name in SCHEMES:
         config, in_dram, off_dram, rng = scheme_env(name)
         scheme = create_scheme(config, in_dram, off_dram, rng=rng)
         assert scheme.name == name
@@ -209,9 +209,8 @@ def test_factory_builds_every_scheme(scheme_env):
 def test_factory_rejects_unknown_scheme(scheme_env):
     config, in_dram, off_dram, rng = scheme_env("banshee")
     bad = config.with_overrides()
-    # Bypass config validation entirely; without a resolvable scheme or a
-    # recorded base_scheme the factory must refuse to build anything.
+    # Bypass config validation entirely; the factory must still refuse to
+    # build a scheme it has no class for.
     object.__setattr__(bad.dram_cache, "scheme", "nonsense")
-    object.__setattr__(bad.dram_cache, "base_scheme", "")
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):
         create_scheme(bad, in_dram, off_dram, rng=rng)

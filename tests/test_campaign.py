@@ -58,14 +58,15 @@ def test_cell_key_sensitive_to_every_run_parameter():
 
 @pytest.mark.parametrize("spec, key, page_size", [
     (tiny_spec(),
-     "ed8e9751a4db99f2708ff9efdaf859d2758d4f9f27224c9315382af9882fa6c5", 4096),
-    (tiny_spec(schemes=["unison-2kpage"], workloads=["mcf"], seeds=[2], records_per_core=30_000,
-               num_cores=None, preset="scaled", warmup_fraction=0.8),
-     "0aba150542f4ce124f01cc709e189d6be7e4c2d169157a832e284f450975c270", 2048),
+     "8e2eaa6d255531f050648fd8900cbbe523b1830750599a0d89f95dfb197aee79", 4096),
+    (tiny_spec(schemes=[("unison-2kpage", "unison", {"page_size": 2048})], workloads=["mcf"],
+               seeds=[2], records_per_core=30_000, num_cores=None, preset="scaled",
+               warmup_fraction=0.8),
+     "876e08cabe06bdb8415bb368b81206f41096a0939e08388a98023d8b687d35ca", 2048),
     (CampaignSpec(name="t", grids=[SweepGrid(schemes=["banshee"], workloads=["lbm"], seeds=[1],
                                              page_sizes=[8192])],
                   records_per_core=2000, num_cores=4, preset="tiny", scale=0.5),
-     "d8ea2456d127758524ea9681ef4773ddf50d224de92036c62e525833fb377ef5", 8192),
+     "2ff9f93c0d5e261eda05f2ba7abd5cc10391a1293cd160d43527a8a83d8d77df", 8192),
 ], ids=["tiny-banshee-gcc", "scaled-unison-2kpage-mcf", "page-size-8192"])
 def test_cell_keys_are_pinned(spec, key, page_size):
     """Stored results are found by key: a key that moves silently orphans
@@ -80,8 +81,8 @@ def test_timeline_cell_keys_are_pinned():
     stored by such cells stay valid as the observer changes."""
     spec = tiny_spec(schemes=["banshee", "alloy"], timeline_interval=100)
     assert {cell.label: cell.key() for cell in spec.cells()} == {
-        "banshee": "d350fcfa0f455d89d184bb96db3cd0646c18910467ed68257b19c6f767bba4e5",
-        "alloy": "68ce21da31f32c9c145ae4c3437745b4b5086b31b2b07fc2e3fb0a7fcc15e372",
+        "banshee": "af9ad4e2a5cb59bef8744ee83f9a05dfbff42aa2d0fb35a0095441671820afa4",
+        "alloy": "2bb7a5583321ec73b8340788a5a34367413805a5c25229745d9485de0ce2e815",
     }
 
 
@@ -94,8 +95,8 @@ def test_large_page_cell_keys_are_pinned(tmp_path):
     extension_large_pages(workloads=["pagerank"], records_per_core=300, num_cores=1,
                           cache=ResultCache(store=store))
     assert {key: store.get_record(key)["meta"]["page_size"] for key in store.keys()} == {
-        "bee59e2e78106816101b4c06cdf64a28b138a74cd3722a5df0046ca583fc0ef9": 4096,
-        "678f9472867e4c36d13954006dba7b15846814714fe39d15ca13f0ebf38ccc44": 2097152,
+        "6c40caf8c38f855e63fc34ec74b31ecf1ffd69f91fa41794655683f78c165c15": 4096,
+        "78da93b0ac0cccce0e2d46206a0c9a7861c2d43f5cec730586e1a5ff44b63066": 2097152,
     }
 
 

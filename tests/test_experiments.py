@@ -2,17 +2,30 @@
 
 import pytest
 
-from repro.experiments.defaults import bench_config, bench_records_per_core, scale_in_package
+from repro.campaign.spec import CampaignSpec, SweepGrid
+from repro.experiments.defaults import (
+    FIGURE4_SCHEMES,
+    bench_config,
+    bench_records_per_core,
+    scale_in_package,
+)
 from repro.experiments.figures import (
+    extension_bandwidth_balance,
+    extension_large_pages,
     figure4_speedup,
+    figure5_in_package_traffic,
+    figure6_off_package_traffic,
     figure7_replacement_policies,
+    figure8_latency_bandwidth,
     figure9_sampling,
     table1_behavior,
+    table5_pte_update_cost,
     table6_associativity,
 )
 from repro.experiments.report import format_table, rows_from_dicts
 from repro.experiments.runner import CampaignCell, ResultCache
 from repro.sim.config import SystemConfig
+from repro.sim.results import SimulationResults
 
 TINY_RUN = dict(records_per_core=1200, num_cores=2)
 
@@ -91,3 +104,55 @@ def test_table1_lists_all_schemes():
     unison = report["rows"][0]
     # Banshee's common-path tag traffic must be below Unison's (Table 1).
     assert banshee["tag_bpi"] <= unison["tag_bpi"]
+
+
+# ----------------------------------------------------------- figure cells, not simulated
+
+
+class RecordingCache:
+    """Stands in for a ``ResultCache``: records every cell and returns one
+    fixed result (for the cell's workload) instead of simulating."""
+
+    def __init__(self):
+        self.cells = []
+
+    def result(self, cell):
+        self.cells.append(cell)
+        return SimulationResults(workload=cell.workload, scheme=cell.scheme, num_cores=2,
+                                 instructions=20_000, memory_accesses=5_000, cycles=40_000.0,
+                                 dram_cache_hits=300, dram_cache_misses=100,
+                                 in_traffic_bytes={"HitData": 19_200}, off_traffic_bytes={"MissData": 6_400})
+
+
+FIGURES = (
+    figure4_speedup, figure5_in_package_traffic, figure6_off_package_traffic,
+    figure7_replacement_policies, table5_pte_update_cost, figure8_latency_bandwidth,
+    figure9_sampling, table6_associativity, table1_behavior, extension_large_pages,
+    extension_bandwidth_balance,
+)
+
+
+@pytest.mark.parametrize("figure", FIGURES, ids=lambda figure: figure.__name__)
+def test_every_figure_builds_its_cells(figure):
+    """Every cell of every figure and table builds a valid configuration.
+
+    A figure names each design point as a scheme plus ``DramCacheConfig``
+    overrides; a misspelt override key or an invalid value fails here, at
+    configuration time, without a simulation.
+    """
+    cache = RecordingCache()
+    assert figure(records_per_core=300, num_cores=2, cache=cache)["rows"]
+    assert cache.cells
+
+
+def test_spec_entries_and_figure_cells_share_keys():
+    """Figure 4's cells, written as campaign-spec entries, hash to the keys
+    the figure looks up, so a store the campaign filled serves the figure
+    with no re-simulation."""
+    schemes = [("NoCache", "nocache", {})] + list(FIGURE4_SCHEMES)
+    spec = CampaignSpec(name="fig4", grids=[SweepGrid(schemes=schemes, workloads=["gcc", "mcf"])],
+                        records_per_core=300, num_cores=2, preset="scaled")
+    cache = RecordingCache()
+    figure4_speedup(workloads=["gcc", "mcf"], records_per_core=300, num_cores=2, cache=cache)
+    assert {cell.key() for cell in cache.cells} == {cell.key() for cell in spec.cells()}
+    assert len({cell.key() for cell in spec.cells()}) == 14

@@ -15,12 +15,13 @@ import os
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.dramcache.variants import available_scheme_names
-from repro.sim.config import CacheLevelConfig, SystemConfig
+from repro.sim.config import SCHEMES, CacheLevelConfig, SystemConfig
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
 from repro.util.rng import DeterministicRng
 from repro.workloads.registry import get_workload
+
+from conftest import CONFIGURATIONS, build_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
 WRITE_PATHS_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_write_paths.json")
@@ -240,14 +241,16 @@ WRITE_PATH_COUNTERS = {
     "cell", load_goldens(WRITE_PATHS_GOLDEN_PATH), ids=lambda cell: cell["scheme"]
 )
 def test_write_and_eviction_paths_match_goldens(cell, mode):
-    """Every registered scheme on a write-heavy tiny cell stays bit-identical.
+    """Every scheme and sensitivity point on a write-heavy tiny cell stays
+    bit-identical.
 
     The scaled goldens above never reach an LLC writeback, a page eviction,
     a dirty victim or a tag-buffer writeback lookup.  These cells (tiny
     preset, ``mcf``, half the records as warmup) reach all of them, and the
-    counters that prove it must stay non-zero.
+    counters that prove it must stay non-zero.  A sensitivity point's golden
+    was recorded under its name; the run reports its scheme.
     """
-    config = SystemConfig.tiny(scheme=cell["scheme"], num_cores=cell["num_cores"], seed=cell["seed"])
+    config = build_config(cell["scheme"], num_cores=cell["num_cores"], seed=cell["seed"])
     workload = get_workload(
         cell["workload"], cell["num_cores"], scale=cell["scale"], seed=cell["seed"]
     )
@@ -255,7 +258,7 @@ def test_write_and_eviction_paths_match_goldens(cell, mode):
         cell["records_per_core"], warmup_records_per_core=cell["warmup_records_per_core"]
     )
     got = json.loads(json.dumps(result.identity_dict()))
-    assert got == cell["result"]
+    assert got == {**cell["result"], "scheme": CONFIGURATIONS[cell["scheme"]][0]}
     assert got["llc_writebacks"] > 0
     for counter in WRITE_PATH_COUNTERS.get(cell["scheme"], ()):
         assert got["scheme_stats"].get(counter, 0) > 0, counter
@@ -264,8 +267,8 @@ def test_write_and_eviction_paths_match_goldens(cell, mode):
 # ------------------------------------------------------ cross-mode bit-identity
 
 
-def _identity(scheme, mode, workload="gcc", num_cores=2, records=600, warmup=150, budget=None):
-    config = SystemConfig.scaled_default(scheme=scheme, num_cores=num_cores, seed=4)
+def _identity(name, mode, workload="gcc", num_cores=2, records=600, warmup=150, budget=None):
+    config = build_config(name, SystemConfig.scaled_default, num_cores=num_cores, seed=4)
     engine = SimulationEngine(
         System(config, get_workload(workload, num_cores, scale=0.02, seed=4)), mode=mode
     )
@@ -274,29 +277,28 @@ def _identity(scheme, mode, workload="gcc", num_cores=2, records=600, warmup=150
     ).identity_dict()
 
 
-BASE_SCHEMES = ("nocache", "cacheonly", "alloy", "unison", "tdc", "hma", "banshee")
-
-#: (workload, num_cores, budget, scheme): every variant on 2-core gcc, and
-#: the base schemes on 4-core mcf — where three or more cores compete for
-#: the next run — cut by a ``max_total_records`` budget that lands mid-run.
+#: (workload, num_cores, budget, configuration): every scheme and
+#: sensitivity point on 2-core gcc, and the schemes alone on 4-core mcf —
+#: where three or more cores compete for the next run — cut by a
+#: ``max_total_records`` budget that lands mid-run.
 CROSS_MODE_CELLS = [
-    pytest.param("gcc", 2, None, scheme, id=scheme) for scheme in available_scheme_names()
+    pytest.param("gcc", 2, None, name, id=name) for name in CONFIGURATIONS
 ] + [
-    pytest.param("mcf", 4, 1999, scheme, id=f"mcf-4core-{scheme}") for scheme in BASE_SCHEMES
+    pytest.param("mcf", 4, 1999, scheme, id=f"mcf-4core-{scheme}") for scheme in SCHEMES
 ]
 
 
-@pytest.mark.parametrize("workload, num_cores, budget, scheme", CROSS_MODE_CELLS)
-def test_batch_engine_matches_scalar_for_every_variant(workload, num_cores, budget, scheme):
-    """Batch and scalar must agree exactly for every registered variant.
+@pytest.mark.parametrize("workload, num_cores, budget, name", CROSS_MODE_CELLS)
+def test_batch_engine_matches_scalar_for_every_variant(workload, num_cores, budget, name):
+    """Batch and scalar must agree exactly for every scheme and sensitivity point.
 
-    Variants flip replacement policies, page sizes, sampling rates and OS
+    The points flip replacement policies, page sizes, sampling rates and OS
     hooks — the machinery most likely to disagree with the batch engine's
     inlined hit path and run-length scheduling.  Warmup is included so run
     cuts at the warmup edge are exercised too.
     """
     def identity(mode):
-        return _identity(scheme, mode, workload=workload, num_cores=num_cores, budget=budget)
+        return _identity(name, mode, workload=workload, num_cores=num_cores, budget=budget)
 
     assert identity("batch") == identity("scalar")
 

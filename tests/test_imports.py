@@ -30,3 +30,20 @@ def test_simulator_import_loads_no_machinery():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, text=True
     )
     assert output.strip() == "[]"
+
+
+def test_analyzer_import_loads_no_simulator():
+    """The static analyzer only parses source text: importing its CLI loads
+    neither numpy nor any ``repro.sim`` module (``repro/__init__.py``
+    imports nothing)."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "import repro.analyze.cli\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[0] == 'numpy' or name.startswith('repro.sim')))\n"
+    )
+    output = subprocess.check_output(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, text=True
+    )
+    assert output.strip() == "[]"

@@ -10,7 +10,6 @@ import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, SweepGrid, run_campaign
 from repro.campaign.cli import main as campaign_main
-from repro.dramcache.variants import available_scheme_names
 from repro.obs.cli import main as obs_main
 from repro.obs.events import EventLog, make_event, read_events
 from repro.obs.export_chrome import events_to_trace, timeline_to_trace, write_trace
@@ -21,6 +20,8 @@ from repro.sim.config import SystemConfig, config_from_dict, config_hash
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
 from repro.workloads.registry import get_workload
+
+from conftest import CONFIGURATIONS, build_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
 
@@ -82,10 +83,10 @@ def test_resume_at_record_is_bit_identical(scheme, mode):
     assert got == expected
 
 
-@pytest.mark.parametrize("scheme", available_scheme_names())
-def test_resume_every_registered_variant(scheme):
-    """Every registered scheme variant snapshots and resumes bit-identically."""
-    config = SystemConfig.tiny(scheme=scheme, num_cores=2, seed=5)
+@pytest.mark.parametrize("name", CONFIGURATIONS)
+def test_resume_every_registered_variant(name):
+    """Every scheme and sensitivity point snapshots and resumes bit-identically."""
+    config = build_config(name, num_cores=2, seed=5)
     workload = get_workload("mcf", 2, scale=0.05, seed=5)
     expected = SimulationEngine(System(config, workload)).run(200).identity_dict()
     got = run_resumed(config, workload, 200, 0, snap_at=150, mode="batch")
@@ -217,7 +218,7 @@ def test_snapshot_rejects_wrong_kind_version_and_config():
 
 def test_config_from_dict_round_trips_presets():
     for config in (
-        SystemConfig.tiny(scheme="banshee-lru", num_cores=2),
+        SystemConfig.tiny(num_cores=2).with_scheme("banshee", banshee_policy="lru"),
         SystemConfig.scaled_default(scheme="alloy", num_cores=4),
         SystemConfig.tiny(scheme="unison", num_cores=1, seed=9),
     ):

@@ -45,6 +45,9 @@ from repro.sim.config import SystemConfig
 
 RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
 
+#: The checkout under test: CLI subprocesses run its ``src``.
+ROOT = Path(__file__).resolve().parents[1]
+
 #: Snappy supervisor for tests: near-instant backoff.
 FAST = dict(backoff_base=0.01, backoff_cap=0.05)
 
@@ -400,10 +403,9 @@ def test_truncate_store_fault_crashes_then_rerun_recovers(tmp_path):
     base = [sys.executable, "-m", "repro.campaign", "run", "--store", str(store_dir),
             "--schemes", "banshee", "alloy", "--workloads", "gcc", "--seeds", "1",
             "--records", "600", "--cores", "2", "--preset", "tiny"]
-    env = dict(os.environ, PYTHONPATH="src")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     crashed = subprocess.run(base + ["--inject", "truncate-store@put=1"],
-                             capture_output=True, text=True, env=env, cwd="/root/repo",
-                             timeout=300)
+                             capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert crashed.returncode == 1  # the injected crash, not a clean exit
     raw = (store_dir / "results.jsonl").read_text()
     assert raw and not raw.endswith("\n")  # half a line, no terminator
@@ -411,8 +413,7 @@ def test_truncate_store_fault_crashes_then_rerun_recovers(tmp_path):
         reopened = ResultStore(store_dir)
     assert len(reopened) == 0 and reopened.corrupt_lines == 1
 
-    rerun = subprocess.run(base, capture_output=True, text=True, env=env,
-                           cwd="/root/repo", timeout=300)
+    rerun = subprocess.run(base, capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert rerun.returncode == 0, rerun.stdout + rerun.stderr
     with pytest.warns(RuntimeWarning, match="unparseable"):
         final = ResultStore(store_dir)  # the repaired half line still warns
@@ -467,9 +468,9 @@ def test_cli_sigint_exits_cleanly_with_interrupted_status(tmp_path):
            "--schemes", "banshee", "--workloads", "gcc", "--seeds", "1", "2",
            "--records", "600", "--cores", "2", "--preset", "tiny",
            "--inject", "hang@cell=1"]  # cell 0 completes, cell 1 wedges forever
-    env = dict(os.environ, PYTHONPATH="src")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=env, cwd="/root/repo")
+                            text=True, env=env, cwd=ROOT)
     events_path = store_dir / "obs" / "events.jsonl"
     deadline = time.time() + 240
     while time.time() < deadline:
